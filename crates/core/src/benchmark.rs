@@ -239,10 +239,14 @@ pub struct GridRun {
     pub failures: Vec<CellFailure>,
     /// Cells replayed from the checkpoint instead of recomputed.
     pub resumed_cells: usize,
-    /// Evaluation-cache hits across the whole grid. Scheduling-dependent
-    /// observability only — never part of the determinism guarantee.
+    /// Evaluation-cache hits across the whole grid. Observability only —
+    /// never part of the determinism guarantee. Each budget chain (the
+    /// cells of one system, dataset and seed) runs on one worker, so its
+    /// counts do not depend on the job count; the total can vary with it
+    /// only when two chains share a key and race to compute it.
     pub eval_cache_hits: u64,
-    /// Evaluation-cache misses across the whole grid.
+    /// Evaluation-cache misses across the whole grid (same caveat as
+    /// `eval_cache_hits`).
     pub eval_cache_misses: u64,
     /// Cell attempts lost to a simulated host crash mid-run and retried
     /// with backoff on a surviving host. Deterministic per cluster
@@ -348,10 +352,11 @@ pub(crate) fn grid_fingerprint(
 /// Budgets below a system's floor are skipped; TabPFN (budget-free) is
 /// measured once per seed and reported at every budget, as in Fig. 3.
 /// Cells are scheduled over `opts.parallelism` worker threads (0 = all
-/// cores) and each (dataset, seed) pair is materialised once and shared —
-/// but because every cell owns its own `CostTracker` and PRNG streams are
-/// derived from the cell seed alone, the returned points are **byte-
-/// identical, in the same order, at every parallelism setting**.
+/// cores), the nested budgets of one (system, dataset, seed) in order on
+/// one worker, and each (dataset, seed) pair is materialised once and
+/// shared — but because every cell owns its own `CostTracker` and PRNG
+/// streams are derived from the cell seed alone, the returned points are
+/// **byte-identical, in the same order, at every parallelism setting**.
 ///
 /// A cell that panics becomes a [`CellFailure`] in the result; the grid
 /// itself never aborts. With `checkpoint_path` set, every finished cell is
@@ -565,10 +570,12 @@ mod tests {
     }
 
     /// Counts `fit` calls, so resume tests can prove replayed cells were
-    /// not recomputed.
+    /// not recomputed. With `explode_at` set, the fit at that budget
+    /// panics (after being counted).
     struct Counting {
         inner: Flaml,
         fits: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        explode_at: Option<f64>,
     }
 
     impl AutoMlSystem for Counting {
@@ -585,6 +592,9 @@ mod tests {
             ctx: &FitContext<'_>,
         ) -> green_automl_systems::AutoMlRun {
             self.fits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.explode_at == Some(spec.budget_s) {
+                panic!("simulated failure at budget {}", spec.budget_s);
+            }
             self.inner.fit_with(train, spec, ctx)
         }
     }
@@ -676,6 +686,7 @@ mod tests {
             let systems: Vec<Box<dyn AutoMlSystem>> = vec![Box::new(Counting {
                 inner: Flaml::default(),
                 fits: std::sync::Arc::clone(fits),
+                explode_at: None,
             })];
             run_grid_checked(&systems, &datasets, &[10.0], &spec, &opts, Some(&path)).unwrap()
         };
@@ -707,5 +718,53 @@ mod tests {
         assert_eq!(third.resumed_cells, 1);
         assert_eq!(fits.load(std::sync::atomic::Ordering::Relaxed), 3);
         assert_eq!(third.points, first.points);
+    }
+
+    #[test]
+    fn a_panic_mid_chain_fails_only_its_own_cell() {
+        let fits = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let n_fits = || fits.load(std::sync::atomic::Ordering::Relaxed);
+        let datasets = [small_meta()];
+        let spec = RunSpec::single_core(10.0, 0);
+        // One system on one dataset: a single 10/30/60 s budget chain
+        // whose middle cell panics.
+        let grid = |jobs: usize, path: Option<&Path>| {
+            let systems: Vec<Box<dyn AutoMlSystem>> = vec![Box::new(Counting {
+                inner: Flaml::default(),
+                fits: std::sync::Arc::clone(&fits),
+                explode_at: Some(30.0),
+            })];
+            let opts = BenchmarkOptions {
+                parallelism: jobs,
+                ..BenchmarkOptions::quick()
+            };
+            run_grid_checked(&systems, &datasets, &[10.0, 30.0, 60.0], &spec, &opts, path).unwrap()
+        };
+
+        let reference = grid(1, None);
+        assert_eq!(reference.failures.len(), 1);
+        assert_eq!(reference.failures[0].budget_s, Some(30.0));
+        assert!(reference.failures[0].message.contains("at budget 30"));
+        let kept: Vec<f64> = reference.points.iter().map(|p| p.budget_s).collect();
+        assert_eq!(kept, [10.0, 60.0], "the chain runs on past its panic");
+        for jobs in [2, 4] {
+            let run = grid(jobs, None);
+            assert_eq!(run.points, reference.points, "points @ {jobs} jobs");
+            assert_eq!(run.failures, reference.failures, "failures @ {jobs} jobs");
+        }
+
+        // The failed cell is journalled like the others: a rerun replays
+        // the whole chain and fits nothing.
+        let path = tmp_ckpt("chain-panic.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let first = grid(2, Some(&path));
+        assert_eq!(first.points, reference.points);
+        assert_eq!(first.failures, reference.failures);
+        let fitted = n_fits();
+        let rerun = grid(2, Some(&path));
+        assert_eq!(rerun.resumed_cells, 3);
+        assert_eq!(n_fits(), fitted, "a resumed chain makes no new fits");
+        assert_eq!(rerun.points, reference.points);
+        assert_eq!(rerun.failures, reference.failures);
     }
 }

@@ -18,10 +18,14 @@
 //! uses:
 //!
 //! 1. **Compute phase** (real threads): every scheduled cell is computed
-//!    exactly once over `opts.parallelism` workers. A cell's result is a
-//!    pure function of its spec — placement cannot touch it. Cells on a
-//!    host whose attempt-0 site draws a partition run under a *frozen*
-//!    [`CacheView`]: they genuinely cannot see entries other hosts
+//!    exactly once over `opts.parallelism` workers. Workers take *budget
+//!    chains* — the cells of one (system, dataset, seed), smallest budget
+//!    first — so nested budgets replay their shared trial prefix from the
+//!    eval cache rather than computing it twice on two workers at once.
+//!    A cell's result is a pure function of its spec — neither the chain
+//!    nor the placement can touch it. Cells on a host whose attempt-0
+//!    site draws a partition run under a *frozen* [`CacheView`] taken at
+//!    the cell's own start: they genuinely cannot see entries other hosts
 //!    published after the partition started, which can only turn would-be
 //!    cache hits into recomputes — bitwise invisible by the eval-cache
 //!    energy-conservation rule. Each completed cell is journalled to its
@@ -911,10 +915,11 @@ impl<'a> Sim<'a> {
 ///
 /// The compute phase executes every scheduled cell once over
 /// `opts.parallelism` real worker threads (sharing one [`DatasetCache`]
-/// and, when enabled, one cross-host [`EvalCache`]), journalling each
-/// completed cell to its primary host's shard checkpoint. The placement
-/// phase then simulates the cluster schedule — per-host clocks, network
-/// transfers, host faults, retry/speculation — over virtual time.
+/// and, when enabled, one cross-host [`EvalCache`]), one budget chain per
+/// task, journalling each completed cell to its primary host's shard
+/// checkpoint. The placement phase then simulates the cluster schedule —
+/// per-host clocks, network transfers, host faults, retry/speculation —
+/// over virtual time.
 ///
 /// The returned [`ClusterGridRun::grid`] is **byte-identical at every
 /// (hosts × jobs) shape**, clean and chaos-faulted; the
@@ -977,63 +982,94 @@ pub fn run_grid_cluster(
     };
 
     // ---- Phase 1: compute every scheduled cell (real parallelism). ----
-    let fresh: Vec<CellOutcome<Vec<BenchmarkPoint>>> =
-        executor::run_indexed(todo.len(), workers, |j| {
-            let i = todo[j];
-            let cell = &cells[i];
-            let home = primary_host(spec_base.seed, i, n_hosts);
-            let outcome = executor::catch_cell(|| {
-                let system = systems[cell.system_idx].as_ref();
-                let meta = &datasets[cell.dataset_idx];
-                let spec = RunSpec {
-                    seed: cell.seed,
-                    budget_s: cell
-                        .budget_s
-                        .unwrap_or_else(|| budgets.first().copied().unwrap_or(10.0)),
-                    ..*spec_base
-                };
-                let m_opts = MaterializeOptions {
-                    seed: spec.seed,
-                    ..opts.materialize
-                };
-                let ds = ds_cache.materialize(meta, &m_opts);
-                let view = match (&eval_cache, frozen_home(i)) {
-                    (Some(c), Some(home)) => CacheView {
-                        host: home as u64,
-                        horizon: Some(c.current_epoch()),
-                    },
-                    _ => CacheView {
-                        host: home as u64,
-                        horizon: None,
-                    },
-                };
-                let ctx = match &eval_cache {
-                    Some(c) => FitContext::with_cache(c).viewed(view),
-                    None => FitContext::default(),
-                };
-                let point = run_once_in(system, meta, &ds, &spec, opts, &ctx);
-                match cell.budget_s {
-                    Some(_) => vec![point],
-                    None => budgets
-                        .iter()
-                        .map(|&b| {
-                            let mut p = point.clone();
-                            p.budget_s = b;
-                            p
-                        })
-                        .collect(),
-                }
-            });
-            if let Some(ck) = &shards[home] {
-                // Flush the sealed cell immediately: kill-safety beats a
-                // write error here, which only costs a future resume.
-                let _ = match &outcome {
-                    CellOutcome::Ok(points) => ck.record_points(i, points),
-                    CellOutcome::Failed(message) => ck.record_failure(i, message),
-                };
+    // One cell: panic-isolated, with its own frozen-view check at cell
+    // start, journalled to its home shard the moment it finishes.
+    let run_cell = |i: usize| -> CellOutcome<Vec<BenchmarkPoint>> {
+        let cell = &cells[i];
+        let home = primary_host(spec_base.seed, i, n_hosts);
+        let outcome = executor::catch_cell(|| {
+            let system = systems[cell.system_idx].as_ref();
+            let meta = &datasets[cell.dataset_idx];
+            let spec = RunSpec {
+                seed: cell.seed,
+                budget_s: cell
+                    .budget_s
+                    .unwrap_or_else(|| budgets.first().copied().unwrap_or(10.0)),
+                ..*spec_base
+            };
+            let m_opts = MaterializeOptions {
+                seed: spec.seed,
+                ..opts.materialize
+            };
+            let ds = ds_cache.materialize(meta, &m_opts);
+            let view = match (&eval_cache, frozen_home(i)) {
+                (Some(c), Some(home)) => CacheView {
+                    host: home as u64,
+                    horizon: Some(c.current_epoch()),
+                },
+                _ => CacheView {
+                    host: home as u64,
+                    horizon: None,
+                },
+            };
+            let ctx = match &eval_cache {
+                Some(c) => FitContext::with_cache(c).viewed(view),
+                None => FitContext::default(),
+            };
+            let point = run_once_in(system, meta, &ds, &spec, opts, &ctx);
+            match cell.budget_s {
+                Some(_) => vec![point],
+                None => budgets
+                    .iter()
+                    .map(|&b| {
+                        let mut p = point.clone();
+                        p.budget_s = b;
+                        p
+                    })
+                    .collect(),
             }
-            outcome
         });
+        if let Some(ck) = &shards[home] {
+            // Flush the sealed cell immediately: kill-safety beats a
+            // write error here, which only costs a future resume.
+            let _ = match &outcome {
+                CellOutcome::Ok(points) => ck.record_points(i, points),
+                CellOutcome::Failed(message) => ck.record_failure(i, message),
+            };
+        }
+        outcome
+    };
+    // Workers take budget chains, not single cells: the consecutive `todo`
+    // cells of one (system, dataset, seed), run in ascending-budget order.
+    // Nested budgets replay one trial prefix, so each larger budget hits
+    // what its chain's smaller ones just cached instead of recomputing it
+    // on another worker at the same time.
+    let budget_of = |i: usize| cells[i].budget_s.unwrap_or(0.0);
+    let chains: Vec<Vec<usize>> = todo
+        .chunk_by(|&a, &b| {
+            let (a, b) = (&cells[a], &cells[b]);
+            (a.system_idx, a.dataset_idx, a.seed) == (b.system_idx, b.dataset_idx, b.seed)
+        })
+        .map(|chain| {
+            let mut chain = chain.to_vec();
+            chain.sort_by(|&a, &b| budget_of(a).total_cmp(&budget_of(b)));
+            chain
+        })
+        .collect();
+    let mut ran: Vec<(usize, CellOutcome<Vec<BenchmarkPoint>>)> =
+        executor::run_indexed(chains.len(), workers, |c| {
+            chains[c]
+                .iter()
+                .map(|&i| (i, run_cell(i)))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    // Back into `todo` order, so nothing below sees the chains.
+    ran.sort_unstable_by_key(|&(i, _)| i);
+    let fresh: Vec<CellOutcome<Vec<BenchmarkPoint>>> =
+        ran.into_iter().map(|(_, outcome)| outcome).collect();
 
     // ---- Phase 2: serial placement simulation over virtual time. ----
     let sims: Vec<CellSim> = todo

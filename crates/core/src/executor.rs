@@ -74,9 +74,9 @@ where
 /// What became of one grid cell: a result, or the panic that killed it.
 ///
 /// A poisoned cell must not abort the grid — 28 compute-days of siblings
-/// may be riding on the same run. [`run_indexed_outcomes`] converts each
-/// task panic into a recorded `Failed` so the caller can report it and
-/// keep every other cell.
+/// may be riding on the same run. [`catch_cell`] converts a cell's panic
+/// into a recorded `Failed` so the caller can report it and keep every
+/// other cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellOutcome<T> {
     /// The task completed and produced a value.
@@ -119,18 +119,6 @@ pub fn catch_cell<T>(f: impl FnOnce() -> T) -> CellOutcome<T> {
         Ok(v) => CellOutcome::Ok(v),
         Err(payload) => CellOutcome::Failed(panic_message(payload)),
     }
-}
-
-/// [`run_indexed`], but each task runs under [`catch_unwind`]: a panicking
-/// task yields [`CellOutcome::Failed`] with the panic message instead of
-/// tearing down the whole grid. Outcomes are returned in task-index order,
-/// byte-identical at every worker count, exactly like `run_indexed`.
-pub fn run_indexed_outcomes<T, F>(n_tasks: usize, workers: usize, task: F) -> Vec<CellOutcome<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed(n_tasks, workers, |i| catch_cell(|| task(i)))
 }
 
 /// Cache key: the dataset identity plus everything `materialize` reads.
@@ -231,35 +219,22 @@ mod tests {
 
     #[test]
     fn a_panicking_task_is_recorded_not_propagated() {
-        let outcomes = run_indexed_outcomes(5, 1, |i| {
-            if i == 2 {
-                panic!("cell {i} poisoned");
-            }
-            i * 10
+        let outcomes = run_indexed(5, 2, |i| {
+            catch_cell(|| match i {
+                1 => panic!("a static message"),
+                2 => panic!("cell {i} poisoned"),
+                3 => std::panic::panic_any(7_u8),
+                _ => i * 10,
+            })
         });
         assert_eq!(outcomes[0], CellOutcome::Ok(0));
+        assert_eq!(outcomes[1], CellOutcome::Failed("a static message".into()));
         assert_eq!(outcomes[2], CellOutcome::Failed("cell 2 poisoned".into()));
+        assert_eq!(
+            outcomes[3],
+            CellOutcome::Failed("non-string panic payload".into())
+        );
         assert_eq!(outcomes[4], CellOutcome::Ok(40));
-        assert_eq!(outcomes.iter().filter(|o| o.is_failed()).count(), 1);
-    }
-
-    #[test]
-    fn outcomes_agree_at_every_worker_count() {
-        let reference = run_indexed_outcomes(40, 1, |i| {
-            if i % 7 == 3 {
-                panic!("unlucky {i}");
-            }
-            i
-        });
-        for workers in [2, 4, 8] {
-            let got = run_indexed_outcomes(40, workers, |i| {
-                if i % 7 == 3 {
-                    panic!("unlucky {i}");
-                }
-                i
-            });
-            assert_eq!(got, reference);
-        }
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! * [`executor`] — the work-queue scheduler and dataset-materialization
 //!   cache that let [`benchmark::run_grid`] use every core while staying
 //!   byte-identical to the serial run, plus the per-cell panic isolation
-//!   ([`executor::run_indexed_outcomes`]) behind the grid's fault
-//!   tolerance;
+//!   ([`executor::catch_cell`]) behind the grid's fault tolerance;
 //! * [`evalcache`] — the grid-wide content-addressed evaluation memo table
 //!   whose hits skip real compute but replay the recorded virtual-energy
 //!   charges, keeping every artefact byte-identical with the cache on or
@@ -67,7 +66,7 @@ pub use cluster::{
 };
 pub use devtune::{DevTuneOptions, DevTuneOutcome, DevTuner};
 pub use evalcache::EvalCache;
-pub use executor::{run_indexed, run_indexed_outcomes, CellOutcome, DatasetCache};
+pub use executor::{run_indexed, CellOutcome, DatasetCache};
 pub use guideline::{recommend, Priority, Recommendation, ServingProfile, TaskProfile};
 pub use stages::{HolisticReport, Stage, StageMeasurement};
 pub use trillion::{trillion_prediction_cost, TrillionCost, TRILLION};

@@ -137,6 +137,46 @@ fn faulted_grid_is_bit_identical_with_cache_on_or_off_at_every_worker_count() {
     }
 }
 
+/// AutoGluon alone on two datasets at nested budgets: two budget chains
+/// that train on different data, so no key is shared between chains.
+fn autogluon_chains(workers: usize) -> GridRun {
+    let systems: Vec<Box<dyn AutoMlSystem>> = vec![Box::new(AutoGluon::default())];
+    let datasets: Vec<_> = amlb39().into_iter().take(2).collect();
+    let opts = BenchmarkOptions {
+        materialize: MaterializeOptions::tiny(),
+        runs: 1,
+        test_frac: 0.34,
+        parallelism: workers,
+        eval_cache: true,
+    };
+    run_grid_checked(
+        &systems,
+        &datasets,
+        &[10.0, 30.0, 60.0],
+        &RunSpec::single_core(10.0, SEED),
+        &opts,
+        None,
+    )
+    .expect("the equivalence spec is valid")
+}
+
+#[test]
+fn budget_chains_keep_the_serial_cache_counts_at_every_worker_count() {
+    let serial = autogluon_chains(1);
+    assert!(serial.eval_cache_hits > 0, "nested budgets must hit");
+    for workers in [2, 4] {
+        let parallel = autogluon_chains(workers);
+        assert_grids_identical(&format!("{workers} workers"), &serial, &parallel);
+        // Each chain runs its budgets in order on one worker, so the
+        // 30 s and 60 s cells replay the 10 s prefix instead of racing it.
+        assert_eq!(
+            (parallel.eval_cache_hits, parallel.eval_cache_misses),
+            (serial.eval_cache_hits, serial.eval_cache_misses),
+            "{workers} workers: cache hits/misses"
+        );
+    }
+}
+
 // ---------------------------------------------------------- checkpoint ----
 
 fn tmp_ckpt(name: &str) -> PathBuf {
