@@ -1,61 +1,17 @@
 //! # green-automl-bench
 //!
-//! Benchmark harness: one target per paper table/figure (each regenerates
-//! its artefact at a reduced smoke scale per iteration) plus substrate
-//! microbenches and ablations for the design decisions called out in
-//! DESIGN.md.
+//! Benchmark harness: substrate microbenches and ablations for the design
+//! decisions called out in DESIGN.md, plus the two committed perf
+//! baselines CI gates (`grid` writes `BENCH_grid.json`, `kernels` writes
+//! `BENCH_kernels.json`). End-to-end wall time of the paper artefacts is
+//! measured by the `perfbench` package, whose `repro` workload times every
+//! experiment id.
 //!
 //! The harness is a small in-repo timer (see [`harness`]) rather than
 //! Criterion, so `cargo bench` works in hermetic/offline builds with no
 //! external registry dependencies.
 //!
-//! Run everything with `cargo bench --workspace`; individual artefacts with
-//! e.g. `cargo bench -p green-automl-bench --bench fig3`.
-
-use green_automl_experiments::{run_experiment, ExpConfig, SharedPoints};
+//! Run everything with `cargo bench --workspace`; one target with e.g.
+//! `cargo bench -p green-automl-bench --bench grid`.
 
 pub mod harness;
-
-/// The benchmark-scale experiment configuration (smoke profile: 2 datasets,
-/// 1 run, one budget) — fast enough to iterate under the harness while still
-/// exercising every code path of the artefact.
-pub fn bench_config() -> ExpConfig {
-    ExpConfig::smoke()
-}
-
-/// Run one experiment end-to-end and return the number of result rows
-/// (returned so the timing loop observes a data dependency).
-pub fn run_artifact(id: &str) -> usize {
-    let cfg = bench_config();
-    let mut shared = SharedPoints::default();
-    let out = run_experiment(id, &cfg, &mut shared).unwrap_or_else(|| panic!("unknown id {id}"));
-    out.tables.iter().map(|t| t.rows.len()).sum()
-}
-
-/// Declare a benchmark binary for one paper artefact.
-#[macro_export]
-macro_rules! artifact_bench {
-    ($id:literal) => {
-        fn main() {
-            let mut group = $crate::harness::Group::new("paper");
-            group.bench($id, || std::hint::black_box($crate::run_artifact($id)));
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn artifact_runner_produces_rows() {
-        assert!(run_artifact("table1") >= 7);
-        assert!(run_artifact("fig8") > 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown id")]
-    fn unknown_artifact_panics() {
-        let _ = run_artifact("fig99");
-    }
-}

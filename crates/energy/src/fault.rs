@@ -20,7 +20,7 @@
 //! * grid — `green_automl_core::benchmark` threads a [`FaultPlan`] through
 //!   `RunSpec` so every cell derives the same decisions at every
 //!   parallelism setting;
-//! * serving — `green_automl_serve::scheduler` asks
+//! * serving — `green_automl_serve::fleet` asks
 //!   [`FaultInjector::replica_crash`] per batch dispatch attempt to decide
 //!   replica crashes (retried with capped exponential virtual-time
 //!   backoff).

@@ -1,33 +1,35 @@
 //! The serving fleet: many models, many tenants, simulated grid regions.
 //!
-//! [`run_fleet`] scales the single-model scheduler up to a fleet: each
-//! *tenant* deploys one model under a latency SLO and an energy budget;
-//! each *region* hosts an elastic replica pool, a model registry with an
-//! LRU residency cap, and a seeded time-varying carbon profile. A router
+//! [`run_fleet`] is the crate's one serving loop: each *tenant* deploys
+//! one model under a latency SLO and an energy budget; each *region*
+//! hosts an elastic replica pool, a model registry with an LRU residency
+//! cap, and a seeded time-varying carbon profile. A router
 //! decides per batch which region executes it ([`RouterPolicy`]), and an
 //! autoscaler grows and shrinks each region's pool under queue pressure
 //! ([`AutoscalePolicy`]), with scale-ups charged as cold model loads and
 //! refused when they would blow the triggering tenant's energy budget.
+//! The single-model [`serve`](crate::scheduler::serve) entry point is a
+//! one-tenant, one-region, pinned-pool call of the same loop.
 //!
 //! ## Determinism argument
 //!
-//! The fleet preserves the scheduler's three-phase discipline:
+//! Serving runs in three deterministic phases:
 //!
 //! 1. **Batch formation** is per-tenant and pure in the trace: each
-//!    tenant's requests coalesce under (`max_batch`, `max_delay_s`)
-//!    exactly as in the single-model scheduler, and the per-tenant plans
-//!    merge into one global dispatch order sorted by `(seal time,
-//!    tenant)`.
+//!    tenant's consecutive requests coalesce until the batch holds
+//!    `max_batch` rows or `max_delay_s` has passed since its first
+//!    arrival, and the per-tenant plans merge into one global dispatch
+//!    order sorted by `(seal time, tenant)`.
 //! 2. **Batch execution** fans out over host threads, one private
 //!    [`CostTracker`] per batch. Every region runs the same [`Device`], so
 //!    a batch's duration and Joules are known *before* any routing
 //!    decision — execution never depends on phase 3, which is what lets it
 //!    parallelise.
 //! 3. **Dispatch** is strictly serial in merged order: queue-depth
-//!    sampling, autoscale decisions, routing, registry fetches, fault
-//!    injection (`(fault seed, batch index, attempt)` — the same pure
-//!    crash sites as the scheduler), and every floating-point accumulation
-//!    happen in one deterministic sequence.
+//!    sampling, autoscale decisions, routing, load shedding, registry
+//!    fetches, fault injection (pure in `(fault seed, batch index,
+//!    attempt)`), and every floating-point accumulation happen in one
+//!    deterministic sequence.
 //!
 //! Consequently a [`FleetReport`] — predictions, per-tenant SLOs,
 //! per-region Joules and kg CO₂, the autoscale event log, the span trace —
@@ -45,13 +47,15 @@
 //! replica counts, and registry capacity — never in device — so moving a
 //! batch across regions moves its CO₂, not its Joules.
 
-use green_automl_core::executor::{resolve_parallelism, run_indexed};
+use std::sync::Arc;
+
+use green_automl_core::executor;
 use green_automl_core::fault::{FaultInjector, FaultPlan};
 use green_automl_dataset::Dataset;
 use green_automl_energy::trace::span_id;
 use green_automl_energy::{
-    CarbonProfile, CostTracker, Device, EnergyBreakdown, FaultKind, Measurement, OpCounts,
-    ParallelProfile, Span, SpanKind, Trace, EUR_PER_KWH,
+    CarbonProfile, CostTracker, Device, EnergyBreakdown, FaultKind, OpCounts, ParallelProfile,
+    Span, SpanKind, Trace, EUR_PER_KWH,
 };
 use green_automl_systems::Predictor;
 
@@ -159,6 +163,11 @@ pub struct FleetConfig {
     pub backoff_base_s: f64,
     /// Backoff cap, virtual seconds.
     pub backoff_cap_s: f64,
+    /// Shed a batch whole at its first dispatch attempt when the backlog
+    /// at its start instant — requests arrived by then, minus those in
+    /// earlier batches — is deeper than this (`0` = never shed). A shed
+    /// batch is never fetched or executed, so it costs no energy.
+    pub shed_queue_depth: usize,
     /// Record a span trace (one `Replica` span per powered replica
     /// interval, one `Batch` span per dispatch attempt). Never changes a
     /// measured number.
@@ -167,8 +176,8 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet on the paper's CPU testbed: carbon-aware routing with 100ms
-    /// slack, elastic pools of 1–8 replicas, the scheduler's default
-    /// batching and retry knobs, faults off.
+    /// slack, elastic pools of 1–8 replicas, batches of up to 32 rows or
+    /// 20 ms, three retries, no load shedding, faults off.
     pub fn cpu_testbed(regions: Vec<RegionSpec>) -> FleetConfig {
         FleetConfig {
             regions,
@@ -185,6 +194,7 @@ impl FleetConfig {
             max_retries: 3,
             backoff_base_s: 0.05,
             backoff_cap_s: 1.0,
+            shed_queue_depth: 0,
             trace: false,
         }
     }
@@ -227,7 +237,8 @@ pub struct TenantReport {
     pub latency: LatencyStats,
     /// The SLO the tenant asked for.
     pub p99_slo_s: f64,
-    /// `true` when the observed p99 meets the SLO and nothing failed.
+    /// `true` when the observed p99 meets the SLO and no request failed
+    /// or was shed.
     pub slo_ok: bool,
     /// Energy attributed to the tenant: batch execution, crash waste,
     /// cold model loads, and scale-up loads on its behalf. Joules. Shared
@@ -237,6 +248,8 @@ pub struct TenantReport {
     pub retried_requests: usize,
     /// Requests whose batch exhausted its retries.
     pub failed_requests: usize,
+    /// Requests shed at dispatch (see [`FleetConfig::shed_queue_depth`]).
+    pub shed_requests: usize,
     /// Scale-ups denied because of this tenant's energy budget.
     pub budget_denials: usize,
 }
@@ -250,6 +263,8 @@ pub struct RegionReport {
     pub batches: usize,
     /// Energy spent computing completed batches, Joules.
     pub busy_j: f64,
+    /// Operations of the completed batches.
+    pub ops: OpCounts,
     /// Static energy of powered replicas waiting for work, Joules.
     pub idle_j: f64,
     /// Energy thrown away by crashed attempts, Joules.
@@ -289,9 +304,11 @@ pub struct FleetReport {
     /// Micro-batches dispatched.
     pub n_batches: usize,
     /// Hard-label prediction per request in merged-trace order (failed
-    /// requests keep a `0` placeholder).
+    /// and shed requests keep a `0` placeholder).
     pub predictions: Vec<u32>,
-    /// Virtual time from first arrival to last completion.
+    /// Virtual time from t = 0, when the replicas power up and idle
+    /// pricing starts, to the last batch completion or replica restart,
+    /// seconds.
     pub makespan_s: f64,
     /// Mean queue depth sampled at batch seal instants.
     pub mean_queue_depth: f64,
@@ -489,7 +506,8 @@ struct Slot {
 ///
 /// Tenant ids in the trace index `tenants`; every tenant's model is
 /// registered (and warmed) in every region's registry at startup, priced
-/// as cold loads at t = 0.
+/// as cold loads at t = 0. A crashed batch retries with capped exponential
+/// backoff and counts as failed only when its retries run out.
 ///
 /// # Panics
 /// Panics if the trace references unknown tenants or rows outside `pool`,
@@ -548,8 +566,8 @@ pub fn run_fleet(
 
     // Phase 2: host-parallel execution; regions share one device, so
     // durations and Joules are routing-independent.
-    let workers = resolve_parallelism(cfg.host_parallelism);
-    let executed: Vec<(Vec<u32>, Measurement)> = run_indexed(batches.len(), workers, |bi| {
+    let workers = executor::resolve_parallelism(cfg.host_parallelism);
+    let executed = executor::run_indexed(batches.len(), workers, |bi| {
         let b = &batches[bi];
         let rows: Vec<usize> = tenant_reqs[b.tenant][b.first..b.first + b.len]
             .iter()
@@ -598,6 +616,7 @@ pub fn run_fleet(
 
     // Per-region accumulators (summed serially for bit-stable totals).
     let mut region_busy_j = vec![0.0f64; n_regions];
+    let mut region_ops = vec![OpCounts::ZERO; n_regions];
     let mut region_wasted_j = vec![0.0f64; n_regions];
     let mut region_cold_j = vec![0.0f64; n_regions];
     let mut region_co2 = vec![0.0f64; n_regions];
@@ -606,16 +625,22 @@ pub fn run_fleet(
     let mut denials = vec![0usize; tenants.len()];
     let mut tenant_retried = vec![0usize; tenants.len()];
     let mut tenant_failed = vec![0usize; tenants.len()];
+    let mut tenant_shed = vec![0usize; tenants.len()];
     let mut events: Vec<AutoscaleEvent> = Vec::new();
 
     // Every region registers and warms every tenant's model at startup:
     // residency starts from one deterministic access event (see
     // `ModelRegistry::warm_all`), priced at the t = 0 grid intensity.
+    // Residency is per region, but the artefact is one shared copy.
+    let artefacts: Vec<Arc<Predictor>> = tenants
+        .iter()
+        .map(|t| Arc::new(t.predictor.clone()))
+        .collect();
     let mut registries: Vec<ModelRegistry> = Vec::new();
     for spec in &cfg.regions {
         let mut reg = ModelRegistry::with_capacity_bytes(spec.registry_capacity_bytes);
         for (t, ts) in tenants.iter().enumerate() {
-            reg.register_for_tenant(&ts.name, t as u32, ts.predictor.clone());
+            reg.register_for_tenant(&ts.name, t as u32, Arc::clone(&artefacts[t]));
         }
         registries.push(reg);
     }
@@ -650,7 +675,8 @@ pub fn run_fleet(
         while arrived < n && trace.requests[arrived].arrival_s <= t_seal {
             arrived += 1;
         }
-        let depth = arrived - dispatched;
+        let earlier = dispatched;
+        let depth = arrived - earlier;
         depth_sum += depth;
         max_depth = max_depth.max(depth);
         dispatched += b.len;
@@ -803,6 +829,18 @@ pub fn run_fleet(
                 .expect("min_replicas >= 1 keeps every region non-empty");
             let start = runnable.max(slots[ri][si].free_s);
 
+            // Load shedding judges the backlog at the dispatch instant.
+            // Once autoscaling adds replicas, first-attempt starts are not
+            // monotone, so arrivals are counted by binary search rather
+            // than a forward-only pointer.
+            if attempt == 0 && cfg.shed_queue_depth > 0 {
+                let arrived_by_start = trace.requests.partition_point(|r| r.arrival_s <= start);
+                if arrived_by_start - earlier > cfg.shed_queue_depth {
+                    tenant_shed[b.tenant] += b.len;
+                    break;
+                }
+            }
+
             // Serving fetches the tenant's model from the region registry;
             // a non-resident artefact (capacity thrash) pages back in here.
             let mut fetch = CostTracker::new(cfg.device, cfg.cores_per_replica);
@@ -818,92 +856,77 @@ pub fn run_fleet(
                     .kg_co2(fetch_j / J_PER_KWH, start, start);
             }
 
-            let iv = slots[ri][si].interval;
-            match injector
+            // A crash runs `done_frac` of the batch and throws it away; a
+            // completion runs all of it.
+            let crash = injector
                 .as_ref()
-                .and_then(|inj| inj.replica_crash(cfg.fault.seed, bi as u64, attempt as u64))
-            {
-                Some(done_frac) => {
-                    let crash_s = start + done_frac * meas.duration_s;
-                    intervals[iv].busy_s += done_frac * meas.duration_s;
-                    slots[ri][si].free_s = crash_s + cfg.fault.replica_restart_s;
-                    makespan = makespan.max(slots[ri][si].free_s);
-                    let wj = done_frac * meas.energy.total_joules();
-                    region_wasted_j[ri] += wj;
-                    attributed[b.tenant] += wj;
-                    region_co2[ri] += cfg.regions[ri]
-                        .carbon
-                        .kg_co2(wj / J_PER_KWH, start, crash_s);
-                    if cfg.trace {
-                        batch_spans.push(Span {
-                            id: span_id(trace_seed, span_seq),
-                            parent: Some(span_id(trace_seed, intervals[iv].seq)),
-                            kind: SpanKind::Batch,
-                            label: format!(
-                                "batch {bi} tenant {} attempt {attempt}",
-                                tenants[b.tenant].name
-                            ),
-                            track: ((ri as u32) << 16) | si as u32,
-                            start_s: start,
-                            end_s: crash_s,
-                            energy: EnergyBreakdown {
-                                package_j: done_frac * meas.energy.package_j,
-                                dram_j: done_frac * meas.energy.dram_j,
-                                gpu_j: done_frac * meas.energy.gpu_j,
-                            },
-                            ops: OpCounts::ZERO,
-                            fault: Some(FaultKind::Crash),
-                        });
-                        span_seq += 1;
-                    }
-                    let backoff = (cfg.backoff_base_s * (1u64 << attempt.min(32)) as f64)
-                        .min(cfg.backoff_cap_s);
-                    runnable = crash_s + backoff;
-                    crashed_attempts += 1;
+                .and_then(|inj| inj.replica_crash(cfg.fault.seed, bi as u64, attempt as u64));
+            let frac = crash.unwrap_or(1.0);
+            let end_s = start + frac * meas.duration_s;
+            let ej = frac * meas.energy.total_joules();
+            let iv = slots[ri][si].interval;
+            intervals[iv].busy_s += frac * meas.duration_s;
+            attributed[b.tenant] += ej;
+            region_co2[ri] += cfg.regions[ri].carbon.kg_co2(ej / J_PER_KWH, start, end_s);
+            if crash.is_some() {
+                // The replica is unavailable while it restarts.
+                slots[ri][si].free_s = end_s + cfg.fault.replica_restart_s;
+                region_wasted_j[ri] += ej;
+            } else {
+                slots[ri][si].free_s = end_s;
+                for (offset, &req_idx) in tenant_reqs[b.tenant][b.first..b.first + b.len]
+                    .iter()
+                    .enumerate()
+                {
+                    let req = &trace.requests[req_idx];
+                    latencies[req.id] = end_s - req.arrival_s;
+                    predictions[req.id] = preds[offset];
                 }
-                None => {
-                    let complete = start + meas.duration_s;
-                    intervals[iv].busy_s += meas.duration_s;
-                    slots[ri][si].free_s = complete;
-                    makespan = makespan.max(complete);
-                    for (offset, &req_idx) in tenant_reqs[b.tenant][b.first..b.first + b.len]
-                        .iter()
-                        .enumerate()
-                    {
-                        let req = &trace.requests[req_idx];
-                        latencies[req.id] = complete - req.arrival_s;
-                        predictions[req.id] = preds[offset];
-                    }
-                    let ej = meas.energy.total_joules();
-                    region_busy_j[ri] += ej;
-                    attributed[b.tenant] += ej;
-                    region_co2[ri] +=
-                        cfg.regions[ri]
-                            .carbon
-                            .kg_co2(ej / J_PER_KWH, start, complete);
-                    region_batches[ri] += 1;
-                    if cfg.trace {
-                        batch_spans.push(Span {
-                            id: span_id(trace_seed, span_seq),
-                            parent: Some(span_id(trace_seed, intervals[iv].seq)),
-                            kind: SpanKind::Batch,
-                            label: format!(
-                                "batch {bi} tenant {} ({} rows)",
-                                tenants[b.tenant].name, b.len
-                            ),
-                            track: ((ri as u32) << 16) | si as u32,
-                            start_s: start,
-                            end_s: complete,
-                            energy: meas.energy,
-                            ops: meas.ops,
-                            fault: None,
-                        });
-                        span_seq += 1;
-                    }
-                    completed = true;
-                    break;
-                }
+                region_busy_j[ri] += ej;
+                region_ops[ri] += meas.ops;
+                region_batches[ri] += 1;
             }
+            makespan = makespan.max(slots[ri][si].free_s);
+            if cfg.trace {
+                let name = &tenants[b.tenant].name;
+                let (label, ops, fault) = match crash {
+                    Some(_) => (
+                        format!("batch {bi} tenant {name} attempt {attempt}"),
+                        OpCounts::ZERO,
+                        Some(FaultKind::Crash),
+                    ),
+                    None => (
+                        format!("batch {bi} tenant {name} ({} rows)", b.len),
+                        meas.ops,
+                        None,
+                    ),
+                };
+                batch_spans.push(Span {
+                    id: span_id(trace_seed, span_seq),
+                    parent: Some(span_id(trace_seed, intervals[iv].seq)),
+                    kind: SpanKind::Batch,
+                    label,
+                    track: ((ri as u32) << 16) | si as u32,
+                    start_s: start,
+                    end_s,
+                    energy: EnergyBreakdown {
+                        package_j: frac * meas.energy.package_j,
+                        dram_j: frac * meas.energy.dram_j,
+                        gpu_j: frac * meas.energy.gpu_j,
+                    },
+                    ops,
+                    fault,
+                });
+                span_seq += 1;
+            }
+            if crash.is_none() {
+                completed = true;
+                break;
+            }
+            let backoff =
+                (cfg.backoff_base_s * (1u64 << attempt.min(32)) as f64).min(cfg.backoff_cap_s);
+            runnable = end_s + backoff;
+            crashed_attempts += 1;
         }
         if completed {
             if crashed_attempts > 0 {
@@ -976,10 +999,11 @@ pub fn run_fleet(
                 n_requests: tenant_reqs[t].len(),
                 latency,
                 p99_slo_s: spec.p99_slo_s,
-                slo_ok: latency.p99_s <= spec.p99_slo_s && tenant_failed[t] == 0,
+                slo_ok: latency.meets_p99(spec.p99_slo_s, tenant_failed[t] + tenant_shed[t]),
                 attributed_j: attributed[t],
                 retried_requests: tenant_retried[t],
                 failed_requests: tenant_failed[t],
+                shed_requests: tenant_shed[t],
                 budget_denials: denials[t],
             }
         })
@@ -995,6 +1019,7 @@ pub fn run_fleet(
                 name: spec.name.clone(),
                 batches: region_batches[ri],
                 busy_j: region_busy_j[ri],
+                ops: region_ops[ri],
                 idle_j: region_idle_j[ri],
                 wasted_j: region_wasted_j[ri],
                 cold_load_j: region_cold_j[ri],
@@ -1034,8 +1059,87 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{FleetTrafficConfig, Shape, TenantTraffic};
+    use crate::traffic::{FleetRequest, FleetTrafficConfig, Shape, TenantTraffic};
     use green_automl_energy::GridIntensity;
+
+    /// A fleet trace from `(tenant, arrival)` pairs already in
+    /// `(arrival, tenant)` order.
+    fn trace_at(arrivals: &[(u32, f64)]) -> FleetTrace {
+        FleetTrace {
+            requests: arrivals
+                .iter()
+                .enumerate()
+                .map(|(id, &(tenant, arrival_s))| FleetRequest {
+                    id,
+                    tenant,
+                    arrival_s,
+                    row: 0,
+                })
+                .collect(),
+            pool_rows: 1,
+        }
+    }
+
+    /// The merged batch plan of `trace`, tenants in id order.
+    fn plan(trace: &FleetTrace, max_batch: usize, max_delay_s: f64) -> Vec<FleetBatch> {
+        let tenant_reqs: Vec<Vec<usize>> = trace
+            .tenant_ids()
+            .into_iter()
+            .map(|t| trace.tenant_requests(t))
+            .collect();
+        form_fleet_batches(trace, &tenant_reqs, max_batch, max_delay_s)
+    }
+
+    fn batch(tenant: usize, first: usize, len: usize, close_s: f64) -> FleetBatch {
+        FleetBatch {
+            tenant,
+            first,
+            len,
+            close_s,
+        }
+    }
+
+    #[test]
+    fn full_batches_seal_on_arrival_and_stragglers_wait_out_the_timer() {
+        let trace = trace_at(&[(0, 0.0), (0, 0.001), (0, 0.002), (0, 0.5)]);
+        assert_eq!(
+            plan(&trace, 3, 0.01),
+            vec![batch(0, 0, 3, 0.002), batch(0, 3, 1, 0.51)]
+        );
+    }
+
+    #[test]
+    fn zero_delay_degenerates_to_row_at_a_time() {
+        let trace = trace_at(&[(0, 0.0), (0, 0.1), (0, 0.2)]);
+        let b = plan(&trace, 32, 0.0);
+        assert_eq!(b.len(), 3);
+        assert!(b.iter().all(|x| x.len == 1));
+    }
+
+    #[test]
+    fn tenant_plans_merge_by_seal_time_then_tenant() {
+        // Tenant 0's lone request waits out the timer and seals at 0.01;
+        // tenant 1's second pair fills up and seals on its last arrival,
+        // also exactly 0.01. The tie goes to the lower tenant id, and
+        // tenant 1's earlier full batch still dispatches first.
+        let trace = trace_at(&[
+            (0, 0.0),
+            (1, 0.004),
+            (1, 0.005),
+            (1, 0.008),
+            (1, 0.01),
+            (0, 0.02),
+        ]);
+        assert_eq!(
+            plan(&trace, 2, 0.01),
+            vec![
+                batch(1, 0, 2, 0.005),
+                batch(0, 0, 1, 0.01),
+                batch(1, 2, 2, 0.01),
+                batch(0, 1, 1, 0.03),
+            ]
+        );
+    }
 
     fn two_tenants() -> Vec<TenantSpec> {
         vec![
@@ -1279,6 +1383,44 @@ mod tests {
         );
         assert_eq!(chaotic.predictions, clean.predictions);
         assert!(chaotic.total_joules() > clean.total_joules());
+    }
+
+    #[test]
+    fn shedding_alone_fails_the_slo() {
+        let pool = green_automl_dataset::TaskSpec::new("pool", 40, 4, 2).generate();
+        // ~10 requests per 20 ms batch window: batches deeper than the
+        // threshold at dispatch shed, the rest complete in microseconds.
+        let trace = FleetTrafficConfig {
+            tenants: vec![TenantTraffic {
+                tenant: 0,
+                rps: 500.0,
+                shapes: vec![],
+                n_requests: 600,
+                seed: 6,
+            }],
+        }
+        .generate(pool.n_rows());
+        let tenants = vec![two_tenants().swap_remove(1)];
+        let regions = vec![RegionSpec::new(
+            "sweden",
+            CarbonProfile::flat(GridIntensity::SWEDEN),
+            1,
+        )];
+        let mut cfg = FleetConfig::cpu_testbed(regions).with_autoscale(AutoscalePolicy::pinned());
+        let clean = run_fleet(&tenants, &pool, &trace, &cfg);
+        cfg.shed_queue_depth = 10;
+        let report = run_fleet(&tenants, &pool, &trace, &cfg);
+        let t = &report.tenants[0];
+        assert!(t.shed_requests > 0 && t.shed_requests < t.n_requests);
+        assert_eq!(t.failed_requests, 0);
+        assert!(t.latency.p99_s <= t.p99_slo_s, "answered requests are fast");
+        assert!(clean.tenants[0].slo_ok);
+        assert!(!t.slo_ok, "a shed request misses the latency objective");
+        // Every request is either answered by the class-1 model or shed,
+        // and shed batches burn no compute.
+        let answered = report.predictions.iter().filter(|&&p| p == 1).count();
+        assert_eq!(answered + t.shed_requests, t.n_requests);
+        assert!(report.regions[0].busy_j < clean.regions[0].busy_j);
     }
 
     #[test]

@@ -13,22 +13,23 @@
 //!   [`CostTracker`](green_automl_energy::CostTracker).
 //! * [`traffic`] — a seeded open-loop generator: Poisson-like interarrivals
 //!   from the in-tree SplitMix64, feature rows drawn from a held-out split.
-//! * [`scheduler`] — adaptive micro-batching (`max_batch` / `max_delay`) on
-//!   a simulated replica pool; the expensive per-batch inference fans out
-//!   over host threads with the same ownership discipline as
-//!   `green_automl_core::executor`, so reports are byte-identical at every
-//!   host worker count.
-//! * [`report`] — per-request latency percentiles, batch-size histogram,
-//!   queue depth, Joules per request, and an SLO check with a carbon budget
-//!   via `green_automl_energy::carbon`.
+//! * [`scheduler`] — [`serve`], the single-model entry point: one trace,
+//!   one model, a fixed pool of replicas. It is a one-tenant call of the
+//!   fleet loop below, not a loop of its own.
+//! * [`report`] — per-request latency percentiles, queue depth, Joules per
+//!   request, and an SLO check with a carbon budget via
+//!   `green_automl_energy::carbon`.
 //!
-//! The **fleet layer** scales this to many models, many tenants, and
-//! simulated grid regions:
+//! The **fleet layer** is the one serving loop, for many models, many
+//! tenants, and simulated grid regions:
 //!
-//! * [`fleet`] — [`run_fleet`](fleet::run_fleet) serves a multi-tenant
-//!   trace across regions with per-region registries, elastic replica
-//!   pools, and time-varying carbon intensity, producing a byte-stable
-//!   [`FleetReport`](fleet::FleetReport).
+//! * [`fleet`] — [`run_fleet`] micro-batches a multi-tenant trace
+//!   (`max_batch` / `max_delay`), fans the expensive per-batch inference
+//!   out over host threads with the same ownership discipline as
+//!   `green_automl_core::executor`, and dispatches serially across regions
+//!   with per-region registries, elastic replica pools, crash retry, load
+//!   shedding, and time-varying carbon intensity. Its [`FleetReport`] is
+//!   byte-identical at every host worker count.
 //! * [`router`] — carbon-blind vs. carbon-aware regional dispatch.
 //! * [`autoscale`] — queue-depth/idle-time hysteresis with energy-budget
 //!   denials, all logged deterministically.

@@ -87,16 +87,23 @@ impl ModelRegistry {
     /// # Panics
     /// Panics if `name` is already registered.
     pub fn register(&mut self, name: &str, predictor: Predictor) -> f64 {
-        self.register_for_tenant(name, 0, predictor)
+        self.register_for_tenant(name, 0, Arc::new(predictor))
     }
 
-    /// Register a predictor under `name` owned by `tenant`. The tenant id
-    /// participates in the deterministic eviction order (see the module
-    /// docs) and in per-tenant residency accounting.
+    /// Register a shared predictor under `name` owned by `tenant`. The
+    /// tenant id participates in the deterministic eviction order (see the
+    /// module docs) and in per-tenant residency accounting. Taking an
+    /// [`Arc`] lets one artefact back the registries of many regions
+    /// without a copy per region.
     ///
     /// # Panics
     /// Panics if `name` is already registered.
-    pub fn register_for_tenant(&mut self, name: &str, tenant: u32, predictor: Predictor) -> f64 {
+    pub fn register_for_tenant(
+        &mut self,
+        name: &str,
+        tenant: u32,
+        predictor: Arc<Predictor>,
+    ) -> f64 {
         assert!(
             self.entries.iter().all(|e| e.name != name),
             "model {name:?} already registered"
@@ -105,7 +112,7 @@ impl ModelRegistry {
         self.entries.push(Entry {
             name: name.to_string(),
             tenant,
-            predictor: Arc::new(predictor),
+            predictor,
             bytes,
             resident: false,
             last_used: 0,
@@ -244,6 +251,10 @@ mod tests {
         }
     }
 
+    fn shared() -> Arc<Predictor> {
+        Arc::new(constant())
+    }
+
     fn tracker() -> CostTracker {
         CostTracker::new(Device::xeon_gold_6132(), 1)
     }
@@ -300,9 +311,9 @@ mod tests {
         // (highest tenant registered first).
         let probe = constant().memory_bytes();
         let mut reg = ModelRegistry::with_capacity_bytes(2.0 * probe);
-        reg.register_for_tenant("m2", 2, constant());
-        reg.register_for_tenant("m1", 1, constant());
-        reg.register_for_tenant("m0", 0, constant());
+        reg.register_for_tenant("m2", 2, shared());
+        reg.register_for_tenant("m1", 1, shared());
+        reg.register_for_tenant("m0", 0, shared());
         let mut t = tracker();
         // Warming enforces the cap in registration order with tied ticks:
         // loading m1 evicts nothing (2 fit), loading m0 ties m2 vs m1 →
@@ -330,9 +341,9 @@ mod tests {
         let mut reg = ModelRegistry::with_capacity_bytes(2.0 * probe);
         // Same tenant everywhere: the (last_used, tenant, name) order
         // falls through to the name.
-        reg.register_for_tenant("zz", 7, constant());
-        reg.register_for_tenant("aa", 7, constant());
-        reg.register_for_tenant("mm", 7, constant());
+        reg.register_for_tenant("zz", 7, shared());
+        reg.register_for_tenant("aa", 7, shared());
+        reg.register_for_tenant("mm", 7, shared());
         let mut t = tracker();
         reg.warm_all(&mut t);
         // Warming: zz, aa resident; loading mm ties zz vs aa → "aa"
@@ -345,8 +356,8 @@ mod tests {
     #[test]
     fn warm_all_is_one_access_event_and_idempotent_on_energy() {
         let mut reg = ModelRegistry::unbounded();
-        reg.register_for_tenant("a", 0, constant());
-        reg.register_for_tenant("b", 1, constant());
+        reg.register_for_tenant("a", 0, shared());
+        reg.register_for_tenant("b", 1, shared());
         let mut t = tracker();
         reg.warm_all(&mut t);
         assert_eq!(reg.stats().cold_loads, 2);
@@ -355,6 +366,23 @@ mod tests {
         reg.warm_all(&mut t);
         assert_eq!(reg.stats().cold_loads, 2);
         assert_eq!(t.measurement().ops.mem_bytes, after_first);
+    }
+
+    #[test]
+    fn one_shared_artefact_backs_many_registries() {
+        let model = shared();
+        let mut regions = [ModelRegistry::unbounded(), ModelRegistry::unbounded()];
+        for reg in &mut regions {
+            reg.register_for_tenant("m", 0, Arc::clone(&model));
+        }
+        let mut t = tracker();
+        for reg in &mut regions {
+            let fetched = reg.fetch("m", &mut t).expect("registered");
+            assert!(Arc::ptr_eq(&fetched, &model));
+            // Residency is still per registry: each region pays its own
+            // cold load.
+            assert_eq!(reg.stats().cold_loads, 1);
+        }
     }
 
     #[test]

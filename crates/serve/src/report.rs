@@ -1,7 +1,5 @@
-//! Per-request accounting: latency percentiles, batch shapes, queue depth,
-//! energy per request, and SLO verdicts with a carbon budget.
-
-use std::collections::BTreeMap;
+//! Per-request accounting: latency percentiles, queue depth, energy per
+//! request, and SLO verdicts with a carbon budget.
 
 use green_automl_energy::{EmissionsEstimate, GridIntensity, OpCounts, Trace};
 
@@ -57,6 +55,14 @@ impl LatencyStats {
             max_s: 0.0,
         }
     }
+
+    /// The latency objective of every serving verdict: p99 within
+    /// `limit_s` **and** no request unanswered. A failed or shed request
+    /// misses any limit, so a run that answered nothing cannot pass on the
+    /// empty summary's p99 of 0.
+    pub(crate) fn meets_p99(&self, limit_s: f64, unanswered: usize) -> bool {
+        unanswered == 0 && self.p99_s <= limit_s
+    }
 }
 
 /// Everything one serving run produced, aggregated. Two runs of the same
@@ -67,27 +73,31 @@ impl LatencyStats {
 pub struct ServingReport {
     /// Requests served.
     pub n_requests: usize,
-    /// Micro-batches executed.
+    /// Micro-batches formed (shed and failed batches included).
     pub n_batches: usize,
     /// Hard-label prediction per request, in request order. Shed and
     /// failed requests keep a `0` placeholder (they were never answered;
     /// `shed_requests` / `failed_requests` count them).
     pub predictions: Vec<u32>,
-    /// Latency summary.
+    /// Latency summary over completed requests.
     pub latency: LatencyStats,
-    /// Histogram: batch size → number of batches of that size.
-    pub batch_sizes: BTreeMap<usize, usize>,
-    /// Mean queue depth observed at batch dispatch.
+    /// Mean queue depth sampled at batch seal instants: requests arrived
+    /// by the seal minus those in earlier batches. This is the fleet
+    /// autoscaler's input; load shedding judges the backlog at the
+    /// dispatch instant instead (see
+    /// [`FleetConfig::shed_queue_depth`](crate::fleet::FleetConfig::shed_queue_depth)).
     pub mean_queue_depth: f64,
-    /// Deepest queue observed at batch dispatch.
+    /// Deepest queue sampled at a batch seal instant.
     pub max_queue_depth: usize,
-    /// Energy spent computing predictions (and cold model loads), Joules.
+    /// Energy spent computing completed batches, Joules.
     pub busy_j: f64,
     /// Static energy of replicas waiting for work over the makespan, Joules.
     pub idle_j: f64,
-    /// Virtual time from first arrival to last completion, seconds.
+    /// Virtual time from t = 0, when the replicas power up and idle
+    /// pricing starts, to the last batch completion or replica restart,
+    /// seconds.
     pub makespan_s: f64,
-    /// Total operations charged while serving.
+    /// Total operations of the completed batches.
     pub ops: OpCounts,
     /// Requests that completed only after at least one replica crash.
     pub retried_requests: usize,
@@ -165,8 +175,9 @@ impl ServingReport {
     /// Check this run against an SLO policy.
     pub fn check(&self, slo: &SloPolicy) -> SloReport {
         let emissions = self.emissions(slo.grid);
+        let unanswered = self.failed_requests + self.shed_requests;
         SloReport {
-            latency_ok: self.latency.p99_s <= slo.p99_latency_s,
+            latency_ok: self.latency.meets_p99(slo.p99_latency_s, unanswered),
             energy_ok: slo.energy_budget_kwh.is_none_or(|cap| self.kwh() <= cap),
             carbon_ok: slo
                 .carbon_budget_kg
@@ -205,7 +216,7 @@ impl SloPolicy {
 /// The verdict of [`ServingReport::check`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloReport {
-    /// p99 latency within bound.
+    /// p99 latency within bound, and no request failed or was shed.
     pub latency_ok: bool,
     /// Energy within budget.
     pub energy_ok: bool,
@@ -250,7 +261,6 @@ mod tests {
             n_batches: 100,
             predictions: vec![0; 1000],
             latency: LatencyStats::from_latencies(&[0.01, 0.02, 0.03]),
-            batch_sizes: BTreeMap::from([(10, 100)]),
             mean_queue_depth: 2.0,
             max_queue_depth: 5,
             busy_j: 1800.0,
@@ -320,6 +330,21 @@ mod tests {
             grid: GridIntensity::GERMANY,
         });
         assert!(!tight_carbon.carbon_ok);
+        // An unanswered request misses any latency limit, even when every
+        // answered one was fast.
+        for unanswered in [
+            ServingReport {
+                failed_requests: 1,
+                ..report()
+            },
+            ServingReport {
+                shed_requests: 1,
+                ..report()
+            },
+        ] {
+            let verdict = unanswered.check(&SloPolicy::latency_only(0.05));
+            assert!(!verdict.latency_ok && !verdict.passed());
+        }
         // Emissions use the requested grid.
         assert_eq!(
             tight_carbon.emissions.kg_co2,

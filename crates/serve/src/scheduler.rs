@@ -1,34 +1,23 @@
-//! The micro-batching request scheduler.
+//! Single-model serving: the one-tenant entry point onto the fleet loop.
 //!
-//! Serving runs in three deterministic phases:
-//!
-//! 1. **Batch formation** from arrival times alone: consecutive requests
-//!    coalesce until the batch holds `max_batch` rows or `max_delay_s` has
-//!    passed since its first arrival. Because formation never looks at
-//!    service times, the batch plan is a pure function of the trace.
-//! 2. **Batch execution**: every batch owns a private
-//!    [`CostTracker`], so the expensive inference work can fan out over
-//!    host threads with `green_automl_core::executor::run_indexed` — the
-//!    same ownership discipline as the benchmark grid — and the resulting
-//!    predictions, durations, and Joules are byte-identical at every host
-//!    worker count.
-//! 3. **Queueing simulation**: closed batches are dispatched FIFO onto
-//!    `replicas` simulated serving replicas (earliest-free wins, ties by
-//!    index). Batch start/completion times give per-request latency and
-//!    queue depth; replica idle time burns static power, so an
-//!    over-provisioned pool is visible in the energy report.
+//! [`serve`] replays one open-loop trace against one deployed model on a
+//! fixed pool of `replicas` simulated replicas. It is a thin projection of
+//! [`run_fleet`]: one tenant, one region with a flat carbon profile, the
+//! carbon-blind router, and a pinned pool. Batch formation, host-parallel
+//! execution, crash retry with backoff, load shedding and idle pricing all
+//! live in [`crate::fleet`], so the single-model and fleet reports cannot
+//! drift apart.
 
-use green_automl_core::executor::{resolve_parallelism, run_indexed};
-use green_automl_core::fault::{FaultInjector, FaultPlan};
+use green_automl_core::fault::FaultPlan;
 use green_automl_dataset::Dataset;
-use green_automl_energy::trace::span_id;
-use green_automl_energy::{
-    CostTracker, Device, EnergyBreakdown, FaultKind, Measurement, OpCounts, Span, SpanKind, Trace,
-};
+use green_automl_energy::{CarbonProfile, Device, GridIntensity};
 use green_automl_systems::Predictor;
 
-use crate::report::{LatencyStats, ServingReport};
-use crate::traffic::TrafficTrace;
+use crate::autoscale::AutoscalePolicy;
+use crate::fleet::{run_fleet, FleetConfig, RegionSpec, TenantSpec};
+use crate::report::ServingReport;
+use crate::router::RouterPolicy;
+use crate::traffic::{FleetRequest, FleetTrace, TrafficTrace};
 
 /// How the serving layer batches and executes requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,9 +52,10 @@ pub struct ServeConfig {
     pub backoff_base_s: f64,
     /// Upper bound on the exponential backoff, virtual seconds.
     pub backoff_cap_s: f64,
-    /// Shed a whole batch at dispatch when the queue is deeper than this
-    /// (`0` = never shed). Shed requests are never executed and cost no
-    /// energy.
+    /// Shed a whole batch at dispatch when the backlog at its start
+    /// instant is deeper than this (`0` = never shed); the rule is
+    /// [`FleetConfig::shed_queue_depth`]. Shed requests are never executed
+    /// and cost no energy.
     pub shed_queue_depth: usize,
     /// Record a span trace of the run: one `Replica` span per replica
     /// and one `Batch` span per dispatch attempt. Like
@@ -108,382 +98,91 @@ impl ServeConfig {
     }
 }
 
-/// A planned micro-batch: `len` consecutive requests starting at trace
-/// index `first`, sealed at `close_s`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Batch {
-    first: usize,
-    len: usize,
-    close_s: f64,
-}
-
-/// Phase 1: coalesce the trace into batches. Pure in the trace and the two
-/// batching knobs.
-fn form_batches(trace: &TrafficTrace, max_batch: usize, max_delay_s: f64) -> Vec<Batch> {
-    assert!(max_batch >= 1, "max_batch must be at least 1");
-    assert!(
-        max_delay_s >= 0.0 && max_delay_s.is_finite(),
-        "max_delay_s must be finite and non-negative"
-    );
-    let reqs = &trace.requests;
-    let mut batches = Vec::new();
-    let mut first = 0usize;
-    while first < reqs.len() {
-        let deadline = reqs[first].arrival_s + max_delay_s;
-        let mut len = 1usize;
-        while len < max_batch && first + len < reqs.len() && reqs[first + len].arrival_s <= deadline
-        {
-            len += 1;
-        }
-        // A full batch seals the instant its last request arrives; an
-        // underfull one waits out the delay timer (the scheduler cannot
-        // know no further request is coming).
-        let close_s = if len == max_batch {
-            reqs[first + len - 1].arrival_s
-        } else {
-            deadline
-        };
-        batches.push(Batch {
-            first,
-            len,
-            close_s,
-        });
-        first += len;
-    }
-    batches
-}
-
 /// Replay `trace` against `predictor`, drawing request feature rows from
 /// `pool`, and aggregate the run into a [`ServingReport`].
 ///
-/// Determinism: the report — predictions, latencies, histogram, Joules —
-/// is byte-identical for every `cfg.host_parallelism`, every run, **with
-/// or without fault injection**: crash decisions are pure functions of
-/// `(fault seed, batch index, attempt index)`. The *deployment* knobs
-/// (`replicas`, `max_batch`, `max_delay_s`, device, fault plan)
-/// legitimately change it.
-///
-/// Degradation under faults is graceful, never fatal: a crashed batch is
-/// retried with capped exponential backoff and counts as failed only when
-/// its retries run out; an over-deep queue sheds whole batches when
-/// `shed_queue_depth` is set. An empty trace (e.g. a zero-rate
-/// [`TrafficConfig`](crate::traffic::TrafficConfig)) yields an all-zero
-/// report.
+/// The run is one [`run_fleet`] call — a single tenant in a single region
+/// whose pool stays at `cfg.replicas`, with every batching, device, fault,
+/// retry, shedding and trace setting copied across — projected onto that
+/// tenant and that region. It inherits the fleet's guarantees: the report
+/// is byte-identical at every `cfg.host_parallelism`, with or without
+/// fault injection; crashed batches retry with capped exponential backoff
+/// and count as failed only when their retries run out. An empty trace
+/// (e.g. a zero-rate [`TrafficConfig`](crate::traffic::TrafficConfig))
+/// yields an all-zero report.
 ///
 /// # Panics
-/// Panics if the trace references rows outside `pool`.
+/// Panics if the trace references rows outside `pool`, or if
+/// `cfg.replicas` is zero.
 pub fn serve(
     predictor: &Predictor,
     pool: &Dataset,
     trace: &TrafficTrace,
     cfg: &ServeConfig,
 ) -> ServingReport {
-    if trace.is_empty() {
-        return ServingReport {
-            n_requests: 0,
-            n_batches: 0,
-            predictions: Vec::new(),
-            latency: LatencyStats::empty(),
-            batch_sizes: std::collections::BTreeMap::new(),
-            mean_queue_depth: 0.0,
-            max_queue_depth: 0,
-            busy_j: 0.0,
-            idle_j: 0.0,
-            makespan_s: 0.0,
-            ops: OpCounts::ZERO,
-            retried_requests: 0,
-            shed_requests: 0,
-            failed_requests: 0,
-            wasted_j: 0.0,
-            trace: cfg.trace.then(Trace::empty),
-        };
-    }
-    assert!(
-        trace.pool_rows <= pool.n_rows(),
-        "trace was generated for a larger row pool ({} > {})",
-        trace.pool_rows,
-        pool.n_rows()
-    );
-    assert!(cfg.replicas >= 1, "need at least one replica");
-    let batches = form_batches(trace, cfg.max_batch, cfg.max_delay_s);
-
-    // Phase 2: execute every batch on its own tracker; host-parallel, with
-    // results reassembled in batch order.
-    let workers = resolve_parallelism(cfg.host_parallelism);
-    let executed: Vec<(Vec<u32>, Measurement)> = run_indexed(batches.len(), workers, |bi| {
-        let b = &batches[bi];
-        let rows: Vec<usize> = trace.requests[b.first..b.first + b.len]
+    let fleet_trace = FleetTrace {
+        requests: trace
+            .requests
             .iter()
-            .map(|r| r.row)
-            .collect();
-        let mut ds = pool.take_rows(&rows);
-        // The pool may carry a `row_scale` from benchmark materialisation;
-        // a served batch is exactly `len` real rows.
-        ds.row_scale = 1.0;
-        let mut tracker = CostTracker::new(cfg.device, cfg.cores_per_replica);
-        let preds = predictor.predict_batch(&ds, &mut tracker);
-        (preds, tracker.measurement())
-    });
-
-    // Phase 3: FIFO dispatch onto the replica pool. First-attempt batch
-    // starts are non-decreasing (close times are sorted and the earliest-
-    // free replica only moves forward), so a single pointer suffices for
-    // arrival counts; retries start later but never sample queue depth.
-    let injector = (cfg.fault.replica_crash_p > 0.0).then(|| FaultInjector::new(cfg.fault));
-    let n = trace.len();
-    let mut replica_free = vec![0.0f64; cfg.replicas];
-    let mut replica_busy = vec![0.0f64; cfg.replicas];
-    let mut latencies = vec![f64::NAN; n]; // NaN = not completed
-    let mut predictions = vec![0u32; n];
-    let mut batch_sizes = std::collections::BTreeMap::new();
-    let mut depth_sum = 0usize;
-    let mut max_depth = 0usize;
-    let mut arrived = 0usize; // requests with arrival_s <= current start
-    let mut dispatched = 0usize; // requests in batches started or shed so far
-    let mut makespan = 0.0f64;
-    let mut busy_j = 0.0f64;
-    let mut wasted_j = 0.0f64;
-    let mut retried_requests = 0usize;
-    let mut shed_requests = 0usize;
-    let mut failed_requests = 0usize;
-    let mut total_ops = OpCounts::ZERO;
-
-    // Span ids derive from the fault seed and a fixed tag ("serv"), with
-    // the first `replicas` sequence numbers reserved for the replica
-    // spans. Phase 3 is serial, so the batch-attempt sequence counter is a
-    // pure function of the trace and the deployment — never of
-    // `host_parallelism`.
-    let trace_seed = cfg.fault.seed ^ 0x7365_7276;
-    let mut batch_spans: Vec<Span> = Vec::new();
-    let mut span_seq = cfg.replicas as u64;
-
-    for (bi, (b, (preds, meas))) in batches.iter().zip(&executed).enumerate() {
-        // The batch becomes runnable when it seals; a crash pushes this
-        // forward by the backoff before the next attempt queues.
-        let mut runnable_s = b.close_s;
-        let mut crashed_attempts = 0usize;
-        let mut completed = false;
-        for attempt in 0..=cfg.max_retries {
-            let replica = (0..cfg.replicas)
-                .min_by(|&a, &z| {
-                    replica_free[a]
-                        .partial_cmp(&replica_free[z])
-                        .expect("finite times")
-                })
-                .expect("at least one replica");
-            let start = runnable_s.max(replica_free[replica]);
-
-            if attempt == 0 {
-                while arrived < n && trace.requests[arrived].arrival_s <= start {
-                    arrived += 1;
-                }
-                let depth = arrived - dispatched;
-                depth_sum += depth;
-                max_depth = max_depth.max(depth);
-                dispatched += b.len;
-                // Load shedding: refuse the whole batch while the queue is
-                // over the threshold — it never executes, costs nothing.
-                if cfg.shed_queue_depth > 0 && depth > cfg.shed_queue_depth {
-                    shed_requests += b.len;
-                    break;
-                }
-            }
-
-            match injector
-                .as_ref()
-                .and_then(|inj| inj.replica_crash(cfg.fault.seed, bi as u64, attempt as u64))
-            {
-                Some(done_frac) => {
-                    // The replica dies `done_frac` of the way through: the
-                    // partial execution is wasted energy, the replica is
-                    // unavailable while it restarts, and the batch backs
-                    // off exponentially before redispatch.
-                    let crash_s = start + done_frac * meas.duration_s;
-                    replica_busy[replica] += done_frac * meas.duration_s;
-                    replica_free[replica] = crash_s + cfg.fault.replica_restart_s;
-                    makespan = makespan.max(replica_free[replica]);
-                    wasted_j += done_frac * meas.energy.total_joules();
-                    crashed_attempts += 1;
-                    if cfg.trace {
-                        batch_spans.push(Span {
-                            id: span_id(trace_seed, span_seq),
-                            parent: Some(span_id(trace_seed, replica as u64)),
-                            kind: SpanKind::Batch,
-                            label: format!("batch {bi} attempt {attempt}"),
-                            track: replica as u32,
-                            start_s: start,
-                            end_s: crash_s,
-                            energy: EnergyBreakdown {
-                                package_j: done_frac * meas.energy.package_j,
-                                dram_j: done_frac * meas.energy.dram_j,
-                                gpu_j: done_frac * meas.energy.gpu_j,
-                            },
-                            ops: OpCounts::ZERO,
-                            fault: Some(FaultKind::Crash),
-                        });
-                        span_seq += 1;
-                    }
-                    let backoff = (cfg.backoff_base_s * (1u64 << attempt.min(32)) as f64)
-                        .min(cfg.backoff_cap_s);
-                    runnable_s = crash_s + backoff;
-                }
-                None => {
-                    let complete = start + meas.duration_s;
-                    replica_free[replica] = complete;
-                    replica_busy[replica] += meas.duration_s;
-                    makespan = makespan.max(complete);
-                    for (offset, req) in trace.requests[b.first..b.first + b.len].iter().enumerate()
-                    {
-                        latencies[req.id] = complete - req.arrival_s;
-                        predictions[req.id] = preds[offset];
-                    }
-                    *batch_sizes.entry(b.len).or_insert(0usize) += 1;
-                    busy_j += meas.energy.total_joules();
-                    total_ops += meas.ops;
-                    if cfg.trace {
-                        batch_spans.push(Span {
-                            id: span_id(trace_seed, span_seq),
-                            parent: Some(span_id(trace_seed, replica as u64)),
-                            kind: SpanKind::Batch,
-                            label: format!("batch {bi} ({} rows)", b.len),
-                            track: replica as u32,
-                            start_s: start,
-                            end_s: complete,
-                            energy: meas.energy,
-                            ops: meas.ops,
-                            fault: None,
-                        });
-                        span_seq += 1;
-                    }
-                    completed = true;
-                    break;
-                }
-            }
-        }
-        if completed {
-            if crashed_attempts > 0 {
-                retried_requests += b.len;
-            }
-        } else if crashed_attempts > 0 {
-            failed_requests += b.len;
-        }
-    }
-
-    // Replicas are powered for the whole makespan; time not spent computing
-    // burns static power. Summed in replica order for bit-stable totals.
-    let mut idle_j = 0.0f64;
-    let mut replica_spans: Vec<Span> = Vec::new();
-    for r in 0..cfg.replicas {
-        let idle_s = makespan - replica_busy[r];
-        let mut idle_energy = EnergyBreakdown::default();
-        if idle_s > 0.0 {
-            let mut idle = CostTracker::new(cfg.device, cfg.cores_per_replica);
-            idle.idle_for(idle_s);
-            idle_energy = idle.measurement().energy;
-            idle_j += idle_energy.total_joules();
-        }
-        if cfg.trace {
-            // The replica span covers the whole makespan; its energy is
-            // the replica's *idle* draw — the busy energy lives on the
-            // child `Batch` spans, so the tree sums without double
-            // counting.
-            replica_spans.push(Span {
-                id: span_id(trace_seed, r as u64),
-                parent: None,
-                kind: SpanKind::Replica,
-                label: format!("replica {r}"),
-                track: r as u32,
-                start_s: 0.0,
-                end_s: makespan,
-                energy: idle_energy,
-                ops: OpCounts::ZERO,
-                fault: None,
-            });
-        }
-    }
-
-    // Failed and shed requests have no completion time; the latency
-    // summary covers completed requests only.
-    let completed_latencies: Vec<f64> = latencies.iter().copied().filter(|l| !l.is_nan()).collect();
-    let latency = if completed_latencies.is_empty() {
-        LatencyStats::empty()
-    } else {
-        LatencyStats::from_latencies(&completed_latencies)
+            .map(|r| FleetRequest {
+                id: r.id,
+                tenant: 0,
+                arrival_s: r.arrival_s,
+                row: r.row,
+            })
+            .collect(),
+        pool_rows: trace.pool_rows,
     };
-
+    // The SLO lives on `ServingReport::check`, so the tenant's own
+    // objective never binds.
+    let tenants = [TenantSpec::new("model", predictor.clone(), f64::INFINITY)];
+    let fleet_cfg = FleetConfig {
+        regions: vec![RegionSpec::new(
+            "serve",
+            CarbonProfile::flat(GridIntensity::GERMANY),
+            cfg.replicas,
+        )],
+        router: RouterPolicy::CarbonBlind,
+        autoscale: AutoscalePolicy::pinned(),
+        max_batch: cfg.max_batch,
+        max_delay_s: cfg.max_delay_s,
+        device: cfg.device,
+        cores_per_replica: cfg.cores_per_replica,
+        host_parallelism: cfg.host_parallelism,
+        fault: cfg.fault,
+        max_retries: cfg.max_retries,
+        backoff_base_s: cfg.backoff_base_s,
+        backoff_cap_s: cfg.backoff_cap_s,
+        shed_queue_depth: cfg.shed_queue_depth,
+        trace: cfg.trace,
+    };
+    let fleet = run_fleet(&tenants, pool, &fleet_trace, &fleet_cfg);
+    let (t, r) = (&fleet.tenants[0], &fleet.regions[0]);
     ServingReport {
-        n_requests: n,
-        n_batches: batches.len(),
-        predictions,
-        latency,
-        batch_sizes,
-        mean_queue_depth: depth_sum as f64 / batches.len() as f64,
-        max_queue_depth: max_depth,
-        busy_j,
-        idle_j,
-        makespan_s: makespan,
-        ops: total_ops,
-        retried_requests,
-        shed_requests,
-        failed_requests,
-        wasted_j,
-        trace: cfg.trace.then(|| {
-            replica_spans.extend(batch_spans);
-            Trace {
-                spans: replica_spans,
-            }
-        }),
+        n_requests: fleet.n_requests,
+        n_batches: fleet.n_batches,
+        latency: t.latency,
+        mean_queue_depth: fleet.mean_queue_depth,
+        max_queue_depth: fleet.max_queue_depth,
+        busy_j: r.busy_j,
+        idle_j: r.idle_j,
+        makespan_s: fleet.makespan_s,
+        ops: r.ops,
+        retried_requests: t.retried_requests,
+        shed_requests: t.shed_requests,
+        failed_requests: t.failed_requests,
+        wasted_j: r.wasted_j,
+        predictions: fleet.predictions,
+        trace: fleet.trace,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{Request, TrafficConfig};
-
-    fn trace_at(arrivals: &[f64]) -> TrafficTrace {
-        TrafficTrace {
-            requests: arrivals
-                .iter()
-                .enumerate()
-                .map(|(id, &arrival_s)| Request {
-                    id,
-                    arrival_s,
-                    row: 0,
-                })
-                .collect(),
-            pool_rows: 1,
-        }
-    }
-
-    #[test]
-    fn full_batches_seal_on_arrival_and_stragglers_wait_out_the_timer() {
-        let trace = trace_at(&[0.0, 0.001, 0.002, 0.5]);
-        let b = form_batches(&trace, 3, 0.01);
-        assert_eq!(
-            b,
-            vec![
-                Batch {
-                    first: 0,
-                    len: 3,
-                    close_s: 0.002
-                },
-                Batch {
-                    first: 3,
-                    len: 1,
-                    close_s: 0.51
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn zero_delay_degenerates_to_row_at_a_time() {
-        let trace = trace_at(&[0.0, 0.1, 0.2]);
-        let b = form_batches(&trace, 32, 0.0);
-        assert_eq!(b.len(), 3);
-        assert!(b.iter().all(|x| x.len == 1));
-    }
+    use crate::report::SloPolicy;
+    use crate::traffic::TrafficConfig;
+    use green_automl_energy::{FaultKind, OpCounts, Span, SpanKind};
 
     #[test]
     fn serving_a_constant_predictor_reports_sane_numbers() {
@@ -506,8 +205,8 @@ mod tests {
         assert!(report.latency.p50_s > 0.0);
         assert!(report.latency.p99_s >= report.latency.p50_s);
         assert!(report.makespan_s >= trace.requests.last().unwrap().arrival_s);
-        let batched: usize = report.batch_sizes.iter().map(|(s, c)| s * c).sum();
-        assert_eq!(batched, 200);
+        let answered = report.predictions.iter().filter(|&&p| p == 1).count();
+        assert_eq!(answered + report.shed_requests, report.n_requests);
     }
 
     #[test]
@@ -591,6 +290,10 @@ mod tests {
         assert_eq!(report.busy_j, 0.0, "nothing ever completed");
         assert!(report.wasted_j > 0.0);
         assert_eq!(report.latency, crate::report::LatencyStats::empty());
+        // Nothing was answered, so the empty latency summary's p99 of 0
+        // must not pass a latency objective.
+        let verdict = report.check(&SloPolicy::latency_only(0.05));
+        assert!(!verdict.latency_ok && !verdict.passed());
     }
 
     #[test]
@@ -604,7 +307,7 @@ mod tests {
         }
         .generate(pool.n_rows());
         let p = Predictor::Constant {
-            class: 0,
+            class: 1,
             n_classes: 2,
         };
         let unshed = serve(&p, &pool, &trace, &ServeConfig::cpu_testbed(1));
@@ -618,7 +321,7 @@ mod tests {
             shed.busy_j < unshed.busy_j,
             "shed batches must not burn compute"
         );
-        let answered: usize = shed.batch_sizes.iter().map(|(s, c)| s * c).sum();
+        let answered = shed.predictions.iter().filter(|&&p| p == 1).count();
         assert_eq!(answered + shed.shed_requests, 600);
     }
 

@@ -19,10 +19,11 @@
 //!   AutoSklearn 1/2, FLAML, TabPFN, TPOT, CAML);
 //! * [`core`] — the three-stage benchmark, the development-stage tuner, and
 //!   the Fig.-8 guideline engine;
-//! * [`serve`] — the energy-metered inference serving layer (model
-//!   registry, micro-batching scheduler, traffic replay, SLO/carbon
-//!   report) and the multi-tenant fleet on top of it (carbon-aware
-//!   regional routing, replica autoscaling, per-tenant energy budgets);
+//! * [`serve`] — the energy-metered inference serving layer: model
+//!   registry, traffic replay, SLO/carbon report, and one micro-batching
+//!   fleet loop (carbon-aware regional routing, replica autoscaling,
+//!   per-tenant energy budgets) that single-model serving calls with one
+//!   tenant;
 //! * [`experiments`] — one runner per paper table/figure (also available as
 //!   the `repro` binary).
 //!

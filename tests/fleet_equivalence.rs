@@ -1,11 +1,15 @@
-//! The fleet layer's headline guarantee: [`run_fleet`] fans batch
+//! The serving layer's headline guarantee: [`run_fleet`] fans batch
 //! inference out over host threads, but batch formation is pure, every
-//! batch owns its tracker, and dispatch (routing, autoscaling, fault
-//! injection, every float accumulation) is strictly serial — so the
+//! batch owns its tracker, and dispatch (routing, autoscaling, shedding,
+//! fault injection, every float accumulation) is strictly serial — so the
 //! [`FleetReport`] is **byte-identical** at every `host_parallelism`
 //! setting, clean or chaos-faulted. Asserted three ways: structural
 //! equality (`PartialEq` covers every field, energies included), the
 //! canonical `to_text` serialisation, and the span trace's JSONL sink.
+//!
+//! Single-model [`serve`] is a one-tenant `run_fleet` call, so its
+//! [`ServingReport`] carries the same guarantee; the second half of this
+//! suite checks it field by field, bit for bit.
 
 use green_automl::prelude::*;
 
@@ -125,4 +129,172 @@ fn auto_host_parallelism_matches_serial_too() {
     let serial = run_fleet(&tenants, &pool, &trace, &config(1, FaultPlan::disabled()));
     let auto = run_fleet(&tenants, &pool, &trace, &config(0, FaultPlan::disabled()));
     assert_identical("clean @ auto", &serial, &auto);
+}
+
+// ------------------------------------------------------------- serve ----
+
+fn deployments() -> (Dataset, Vec<(&'static str, Predictor)>) {
+    let data = TaskSpec::new("serve-eq", 300, 6, 3).generate();
+    let (train, test) = train_test_split(&data, 0.34, 11);
+    let spec = RunSpec::single_core(10.0, 11);
+    let preds = vec![
+        ("FLAML", Flaml::default().fit(&train, &spec).predictor),
+        (
+            "AutoGluon",
+            AutoGluon::default().fit(&train, &spec).predictor,
+        ),
+    ];
+    (test, preds)
+}
+
+fn serve_at(
+    predictor: &Predictor,
+    pool: &Dataset,
+    cfg: ServeConfig,
+    host_parallelism: usize,
+) -> ServingReport {
+    let trace = TrafficConfig {
+        rps: 400.0,
+        n_requests: 600,
+        seed: 77,
+    }
+    .generate(pool.n_rows());
+    let cfg = ServeConfig {
+        host_parallelism,
+        ..cfg
+    };
+    serve(predictor, pool, &trace, &cfg)
+}
+
+/// Compare every report field bit-exactly (floats via `to_bits`, so
+/// `-0.0` vs `0.0` or NaN payloads would also be caught).
+fn assert_reports_identical(ctx: &str, serial: &ServingReport, parallel: &ServingReport) {
+    assert_eq!(serial.n_requests, parallel.n_requests, "{ctx}: n_requests");
+    assert_eq!(serial.n_batches, parallel.n_batches, "{ctx}: n_batches");
+    assert_eq!(
+        serial.predictions, parallel.predictions,
+        "{ctx}: predictions"
+    );
+    assert_eq!(
+        serial.max_queue_depth, parallel.max_queue_depth,
+        "{ctx}: max_queue_depth"
+    );
+    let counts = [
+        (
+            "retried",
+            serial.retried_requests,
+            parallel.retried_requests,
+        ),
+        ("shed", serial.shed_requests, parallel.shed_requests),
+        ("failed", serial.failed_requests, parallel.failed_requests),
+    ];
+    for (name, a, b) in counts {
+        assert_eq!(a, b, "{ctx}: {name}");
+    }
+    let bits = [
+        (
+            "latency.p50_s",
+            serial.latency.p50_s,
+            parallel.latency.p50_s,
+        ),
+        (
+            "latency.p95_s",
+            serial.latency.p95_s,
+            parallel.latency.p95_s,
+        ),
+        (
+            "latency.p99_s",
+            serial.latency.p99_s,
+            parallel.latency.p99_s,
+        ),
+        (
+            "latency.mean_s",
+            serial.latency.mean_s,
+            parallel.latency.mean_s,
+        ),
+        (
+            "latency.max_s",
+            serial.latency.max_s,
+            parallel.latency.max_s,
+        ),
+        (
+            "mean_queue_depth",
+            serial.mean_queue_depth,
+            parallel.mean_queue_depth,
+        ),
+        ("busy_j", serial.busy_j, parallel.busy_j),
+        ("idle_j", serial.idle_j, parallel.idle_j),
+        ("wasted_j", serial.wasted_j, parallel.wasted_j),
+        ("makespan_s", serial.makespan_s, parallel.makespan_s),
+        (
+            "ops.scalar_flops",
+            serial.ops.scalar_flops,
+            parallel.ops.scalar_flops,
+        ),
+        (
+            "ops.matmul_flops",
+            serial.ops.matmul_flops,
+            parallel.ops.matmul_flops,
+        ),
+        (
+            "ops.tree_steps",
+            serial.ops.tree_steps,
+            parallel.ops.tree_steps,
+        ),
+        (
+            "ops.mem_bytes",
+            serial.ops.mem_bytes,
+            parallel.ops.mem_bytes,
+        ),
+    ];
+    for (name, a, b) in bits {
+        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {name} ({a} vs {b})");
+    }
+}
+
+#[test]
+fn serving_report_is_bit_identical_at_every_worker_count() {
+    let (pool, preds) = deployments();
+    let cfg = ServeConfig::cpu_testbed(3);
+    for (name, predictor) in &preds {
+        let serial = serve_at(predictor, &pool, cfg, 1);
+        assert!(serial.busy_j > 0.0, "{name}: report must do real work");
+        for workers in [2, 8] {
+            let parallel = serve_at(predictor, &pool, cfg, workers);
+            assert_reports_identical(&format!("{name} @ {workers}"), &serial, &parallel);
+        }
+    }
+}
+
+#[test]
+fn serving_auto_host_parallelism_matches_serial_too() {
+    // `0` = one host thread per available core — the default.
+    let (pool, preds) = deployments();
+    let (name, predictor) = &preds[1];
+    let cfg = ServeConfig::cpu_testbed(3);
+    let serial = serve_at(predictor, &pool, cfg, 1);
+    let auto = serve_at(predictor, &pool, cfg, 0);
+    assert_reports_identical(&format!("{name} @ auto"), &serial, &auto);
+}
+
+#[test]
+fn shedding_serving_report_is_bit_identical_at_every_worker_count_under_chaos() {
+    let (pool, preds) = deployments();
+    let cfg = ServeConfig {
+        shed_queue_depth: 12,
+        ..ServeConfig::cpu_testbed(3).with_fault(FaultPlan::chaos(5))
+    };
+    for (name, predictor) in &preds {
+        let serial = serve_at(predictor, &pool, cfg, 1);
+        assert!(serial.shed_requests > 0, "{name}: fixture must shed");
+        assert!(serial.retried_requests > 0, "{name}: fixture must crash");
+        for workers in [2, 8, 0] {
+            let parallel = serve_at(predictor, &pool, cfg, workers);
+            assert_reports_identical(
+                &format!("{name} shed+chaos @ {workers}"),
+                &serial,
+                &parallel,
+            );
+        }
+    }
 }
