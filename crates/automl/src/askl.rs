@@ -105,6 +105,13 @@ fn eval_cap(budget_s: f64) -> usize {
     ((budget_s * 0.4) as usize).clamp(8, 120)
 }
 
+/// Started trials allowed per full evaluation of [`eval_cap`]. ASKL2's
+/// fidelity screen rejects trials without adding an evaluation, so on a
+/// task where the screen rejects nearly everything the evaluation cap
+/// alone never binds; every started trial (screened, faulted or full)
+/// counts against this bound instead.
+const STARTED_PER_EVAL: usize = 10;
+
 fn fit_impl(
     version: Version,
     train: &Dataset,
@@ -127,9 +134,13 @@ fn fit_impl(
     };
 
     let cap = eval_cap(spec.budget_s);
+    let max_started = (STARTED_PER_EVAL * cap) as u64;
     let mut evals: Vec<EvalRec> = Vec::new();
     let mut init_iter = init.into_iter();
-    while evals.len() < cap && tracker.now() < spec.budget_s {
+    while evals.len() < cap
+        && faults.trials_started() < max_started
+        && tracker.now() < spec.budget_s
+    {
         let config = match init_iter.next() {
             Some(c) => c,
             None => {
@@ -356,6 +367,41 @@ mod tests {
         let mut s = TaskSpec::new("askl-t", 260, 6, 2);
         s.cluster_sep = 2.1;
         s.generate().with_scales(8.0, 1.0)
+    }
+
+    #[test]
+    fn askl2_screen_rejections_count_against_the_trial_cap() {
+        // The grid cell where ASKL2's fidelity screen rejected 4074 of 4090
+        // started trials at the 60 s budget: blood-transfusion at cell
+        // seed 1467 under the benchmark materialisation.
+        use green_automl_dataset::registry::{amlb39, MaterializeOptions};
+        use green_automl_dataset::split::train_test_split;
+        let meta = amlb39()
+            .into_iter()
+            .find(|m| m.name == "blood-transfusion-service-center")
+            .unwrap();
+        let seed = 1467;
+        let ds = meta.materialize(&MaterializeOptions {
+            seed,
+            ..MaterializeOptions::benchmark()
+        });
+        let (train, _) = train_test_split(&ds, 0.34, seed ^ 0x66_34);
+        for budget_s in [30.0, 60.0] {
+            let spec = RunSpec::single_core(budget_s, seed).with_trace();
+            let run = AutoSklearn2::default().fit(&train, &spec);
+            let trace = run.trace.expect("traced run");
+            let started = trace
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Trial && s.label.starts_with("trial "))
+                .count();
+            let bound = 10 * eval_cap(budget_s);
+            assert!(
+                started <= bound,
+                "{budget_s} s: {started} trials started, bound {bound}"
+            );
+            assert!(run.n_evaluations >= 1);
+        }
     }
 
     #[test]

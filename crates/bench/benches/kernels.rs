@@ -1,7 +1,8 @@
 #![allow(missing_docs)]
 //! The kernel-layer perf baseline: microbenches the shared `ml::kernel`
 //! primitives (cache-blocked matmul vs the naive reference), times the
-//! rewritten model predict paths, and re-times the evaluation grid so the
+//! rewritten model predict paths and the tree family's fit and ensemble
+//! predict paths, and re-times the evaluation grid so the
 //! raw-speed pass shows up in the committed perf trajectory. Writes the
 //! machine-readable `BENCH_kernels.json` at the workspace root — the
 //! committed point CI compares against (see `.github/workflows/ci.yml`).
@@ -21,8 +22,9 @@ use green_automl_core::{run_grid_checked, BenchmarkOptions};
 use green_automl_dataset::{amlb39, DatasetMeta, MaterializeOptions, TaskSpec};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, Device};
-use green_automl_ml::{kernel, matrix, AttentionParams, KnnParams, Matrix, MlpParams};
+use green_automl_ml::{kernel, matrix, AttentionParams, KnnParams, Matrix, MlpParams, ModelSpec};
 use green_automl_systems::{all_systems, AutoMlSystem, RunSpec};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Grid cold-serial wall seconds on the reference machine at the seed
@@ -144,6 +146,36 @@ fn bench_models() -> (f64, f64, f64) {
     (attention_s, knn_s, mlp_s)
 }
 
+/// Seconds per fit of each tree family (tree, forest, extra trees,
+/// boosting) on the 600 training rows, and per predict_proba batch of the
+/// forest and the boosting ensemble over the 200-row query set.
+fn bench_trees() -> ([f64; 4], [f64; 2]) {
+    let (x, y, xt) = task();
+    let specs = [
+        (ModelSpec::DecisionTree(Default::default()), 16),
+        (ModelSpec::RandomForest(Default::default()), 2),
+        (ModelSpec::ExtraTrees(Default::default()), 4),
+        (ModelSpec::GradientBoosting(Default::default()), 2),
+    ];
+    let fit_s = specs.clone().map(|(spec, reps)| {
+        best_of(3, || {
+            per_call(reps, || {
+                black_box(spec.fit(black_box(&x), &y, 3, &mut tracker(), SEED));
+            })
+        })
+    });
+    let [_, (forest, _), _, (boosting, _)] = specs;
+    let predict_s = [forest, boosting].map(|spec| {
+        let model = spec.fit(&x, &y, 3, &mut tracker(), SEED);
+        best_of(3, || {
+            per_call(8, || {
+                black_box(model.predict_proba(black_box(&xt), &mut tracker()));
+            })
+        })
+    });
+    (fit_s, predict_s)
+}
+
 // --- Grid re-timing ------------------------------------------------------
 
 fn opts(eval_cache: bool) -> BenchmarkOptions {
@@ -171,6 +203,8 @@ fn main() {
     let matmul_speedup = matmul_naive / matmul_blocked;
 
     let (attention_s, knn_s, mlp_s) = bench_models();
+    let ([tree_fit_s, forest_fit_s, extra_fit_s, boosting_fit_s], [forest_s, boosting_s]) =
+        bench_trees();
 
     let systems = all_systems();
     let datasets: Vec<DatasetMeta> = amlb39().into_iter().take(N_DATASETS).collect();
@@ -189,7 +223,11 @@ fn main() {
          \"naive_s\": {matmul_naive:.6},\n    \"speedup\": {matmul_speedup:.3},\n    \
          \"gflops\": {matmul_gflops:.2}\n  }},\n  \"predict_s\": {{\n    \
          \"attention\": {attention_s:.4},\n    \"knn\": {knn_s:.4},\n    \
-         \"mlp\": {mlp_s:.4}\n  }},\n  \"grid_wall_s\": {{\n    \
+         \"mlp\": {mlp_s:.4},\n    \"forest\": {forest_s:.4},\n    \
+         \"boosting\": {boosting_s:.4}\n  }},\n  \"fit_s\": {{\n    \
+         \"tree\": {tree_fit_s:.4},\n    \"forest\": {forest_fit_s:.4},\n    \
+         \"extra_trees\": {extra_fit_s:.4},\n    \"boosting\": {boosting_fit_s:.4}\n  }},\n  \
+         \"grid_wall_s\": {{\n    \
          \"cold_serial\": {grid_cold:.4},\n    \"fresh_serial\": {grid_fresh:.4},\n    \
          \"seed_cold_serial\": {SEED_COLD_SERIAL:.4},\n    \
          \"seed_fresh_serial\": {SEED_FRESH_SERIAL:.4}\n  }},\n  \"speedup\": {{\n    \

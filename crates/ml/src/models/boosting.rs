@@ -6,7 +6,7 @@
 
 use crate::matrix::Matrix;
 use crate::models::softmax_inplace;
-use crate::models::tree::{DecisionTree, TreeParams};
+use crate::models::tree::{DecisionTree, Presort, TreeParams};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
@@ -75,7 +75,10 @@ impl GradientBoosting {
         let total: f64 = counts.iter().sum();
         let base_logits: Vec<f64> = counts.iter().map(|c| (c / total).ln()).collect();
 
-        let mut logits = vec![base_logits.clone(); n];
+        let mut logits = Matrix::zeros(n, n_classes);
+        for i in 0..n {
+            logits.row_mut(i).copy_from_slice(&base_logits);
+        }
         let tree_params = TreeParams {
             max_depth: params.max_depth,
             min_samples_split: 8,
@@ -96,7 +99,7 @@ impl GradientBoosting {
             // Softmax residuals on the full data.
             for i in 0..n {
                 p.clear();
-                p.extend_from_slice(&logits[i]);
+                p.extend_from_slice(logits.row(i));
                 softmax_inplace(&mut p);
                 for (k, res) in residuals.iter_mut().enumerate() {
                     let target = if y[i] as usize == k { 1.0 } else { 0.0 };
@@ -116,24 +119,26 @@ impl GradientBoosting {
                 rows.extend(0..n);
             }
             let xs = x.take_rows(&rows);
+            // Every class tree of the round fits `xs`: sort its columns once.
+            let presort = Presort::new(&xs);
 
             let mut round = Vec::with_capacity(n_classes);
-            for res in residuals.iter() {
+            for (k, res) in residuals.iter().enumerate() {
                 ys.clear();
                 ys.extend(rows.iter().map(|&r| res[r]));
-                let tree = DecisionTree::fit_regressor(
+                let tree = DecisionTree::fit_regressor_presorted(
                     &tree_params,
                     &xs,
                     &ys,
+                    &presort,
                     tracker,
                     rng,
                     ParallelProfile::model_training(),
                 );
                 // Update logits on the full data.
-                let update = tree.predict_value(x, tracker);
-                for i in 0..n {
-                    logits[i][round.len()] += params.learning_rate * update[i];
-                }
+                tree.visit_leaves(x, tracker, |i, value| {
+                    logits.row_mut(i)[k] += params.learning_rate * value[0];
+                });
                 round.push(tree);
             }
             trees.push(round);
@@ -149,19 +154,19 @@ impl GradientBoosting {
     /// Class-probability predictions.
     pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
         let n = x.rows();
-        let mut logits = vec![self.base_logits.clone(); n];
+        let mut out = Matrix::zeros(n, self.n_classes);
+        for i in 0..n {
+            out.row_mut(i).copy_from_slice(&self.base_logits);
+        }
         for round in &self.trees {
             for (k, tree) in round.iter().enumerate() {
-                let update = tree.predict_value(x, tracker);
-                for i in 0..n {
-                    logits[i][k] += self.learning_rate * update[i];
-                }
+                tree.visit_leaves(x, tracker, |i, value| {
+                    out.row_mut(i)[k] += self.learning_rate * value[0];
+                });
             }
         }
-        let mut out = Matrix::zeros(n, self.n_classes);
-        for (i, l) in logits.iter_mut().enumerate() {
-            softmax_inplace(l);
-            out.row_mut(i).copy_from_slice(l);
+        for i in 0..n {
+            softmax_inplace(out.row_mut(i));
         }
         tracker.charge(
             OpCounts::scalar((n * self.n_classes * 3) as f64 * x.row_scale),

@@ -16,8 +16,8 @@ use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 pub struct ForestParams {
     /// Number of trees.
     pub n_trees: usize,
-    /// Per-tree parameters (feature subsampling defaults to `sqrt(d)/d` via
-    /// `max_features_frac` if left at 1.0 — see [`ForestParams::default`]).
+    /// Per-tree parameters. [`ForestParams::default`] examines a constant
+    /// 0.35 of the features at each node (`max_features_frac`).
     pub tree: TreeParams,
     /// Draw bootstrap samples (`false` trains each tree on the full data,
     /// extra-trees style).
@@ -120,13 +120,11 @@ impl Forest {
     pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
         let mut out = Matrix::zeros(x.rows(), self.n_classes);
         for tree in &self.trees {
-            let p = tree.predict_proba(x, tracker);
-            for r in 0..x.rows() {
-                let dst = out.row_mut(r);
-                for (d, s) in dst.iter_mut().zip(p.row(r)) {
+            tree.visit_leaves(x, tracker, |r, value| {
+                for (d, s) in out.row_mut(r).iter_mut().zip(value) {
                     *d += s;
                 }
-            }
+            });
         }
         let inv = 1.0 / self.trees.len() as f64;
         for v in out.as_mut_slice() {

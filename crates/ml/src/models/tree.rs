@@ -4,6 +4,11 @@
 //! trees, and gradient boosting. Gini impurity for classification, variance
 //! reduction for regression, exhaustive sorted-scan split search (or random
 //! thresholds in extra-trees mode), optional per-node feature subsampling.
+//!
+//! The sorted scan never sorts at a node: every feature column of the fit
+//! matrix is sorted once per tree (`Presort`), and each split stably
+//! partitions those sorted lists into its two children. A fitted tree is
+//! one flat pre-order node array plus one leaf-value array.
 
 use crate::matrix::Matrix;
 use green_automl_energy::rng::SplitMix64;
@@ -18,8 +23,10 @@ pub struct TreeParams {
     pub min_samples_split: usize,
     /// Minimum samples in each child.
     pub min_samples_leaf: usize,
-    /// Fraction of features examined per node, `(0, 1]` (`sqrt(d)/d`-style
-    /// subsampling is the forest default).
+    /// Fraction of features examined per node, `(0, 1]`: each node samples
+    /// `ceil(d * max_features_frac)` features without replacement. The
+    /// single-tree default examines every feature; forests default to
+    /// 0.35 and boosting uses 0.8.
     pub max_features_frac: f64,
     /// Extra-trees mode: draw one random threshold per feature instead of
     /// scanning all cut points.
@@ -38,19 +45,20 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Leaf {
-        /// Class distribution (classification) or scalar value wrapped in a
-        /// one-element vec (regression).
-        value: Vec<f64>,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+/// `Node::feature` of a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// One node of the flat pre-order layout. A split's left child is always
+/// the next node, so only the right child is stored.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Node {
+    /// Split threshold (`0.0` for a leaf).
+    threshold: f64,
+    /// Split feature, or [`LEAF`].
+    feature: u32,
+    /// Split: index of the right child. Leaf: offset of its `n_outputs`
+    /// values in `DecisionTree::leaf_values`.
+    next: u32,
 }
 
 /// Random tree traversal is cache-hostile compared with the sequential
@@ -62,27 +70,17 @@ pub const TRAVERSAL_PENALTY: f64 = 20.0;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
+    /// Class distribution (classification) or the scalar value
+    /// (regression) of every leaf, `n_outputs` values each.
+    leaf_values: Vec<f64>,
     n_outputs: usize,
     max_depth_seen: usize,
     d_in: usize,
-    feat_scale: f64,
 }
 
-struct FitCtx<'a> {
-    x: &'a Matrix,
-    params: &'a TreeParams,
-    /// Per-row class label (classification) or target (regression).
-    targets: Targets<'a>,
-    steps: f64,
-    scalar: f64,
-    /// Scratch reused across the whole build. Perf only: every buffer is
-    /// refilled before each use, so fitted trees are bitwise unchanged.
-    idx_pool: Vec<Vec<usize>>,
-    vals: Vec<u128>,
-    feats: Vec<usize>,
-    cl: Vec<f64>,
-    cr: Vec<f64>,
-    ct: Vec<f64>,
+/// Narrow an index into a `u32` node field.
+fn narrow(i: usize) -> u32 {
+    u32::try_from(i).expect("tree index exceeds u32")
 }
 
 /// Pack `(value, row)` into one sortable integer: the high 64 bits order
@@ -90,7 +88,7 @@ struct FitCtx<'a> {
 /// onto `+0.0` so zero ties keep pure row order), the low 64 bits are the
 /// row index. An unstable integer sort on these keys reproduces the
 /// stable value-sort's `(value, row)` total order — branchlessly, which
-/// is 2-3x faster than a comparator-based float sort in the split search.
+/// is 2-3x faster than a comparator-based float sort.
 #[inline]
 fn pack(v: f64, r: usize) -> u128 {
     let v = if v == 0.0 { 0.0 } else { v };
@@ -115,23 +113,142 @@ fn unpack_row(p: u128) -> usize {
     p as u64 as usize
 }
 
-impl FitCtx<'_> {
-    /// Check an empty index buffer out of the pool (allocates on miss).
-    fn take_idx(&mut self) -> Vec<usize> {
-        let mut v = self.idx_pool.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
+/// Every feature column of a fit matrix, sorted once in packed
+/// `(value, row)` order: feature `f` occupies `keys[f * n..(f + 1) * n]`.
+///
+/// Gradient boosting builds one per round and shares it across the
+/// round's per-class trees, which all fit the same row subsample.
+#[derive(Debug)]
+pub(crate) struct Presort {
+    keys: Vec<u128>,
+}
 
-    /// Return an index buffer to the pool for reuse.
-    fn give_idx(&mut self, v: Vec<usize>) {
-        self.idx_pool.push(v);
+impl Presort {
+    /// Sort every column of `x`.
+    pub(crate) fn new(x: &Matrix) -> Presort {
+        let n = x.rows();
+        let mut keys = Vec::with_capacity(n * x.cols());
+        for f in 0..x.cols() {
+            let start = keys.len();
+            keys.extend((0..n).map(|r| pack(x.get(r, f), r)));
+            keys[start..].sort_unstable();
+        }
+        Presort { keys }
     }
+}
+
+struct FitCtx<'a> {
+    x: &'a Matrix,
+    params: &'a TreeParams,
+    /// Per-row class label (classification) or target (regression).
+    targets: Targets<'a>,
+    steps: f64,
+    scalar: f64,
+    /// Row ids in ascending order within each node's segment
+    /// `[start, end)`: a split stably partitions its segment into the
+    /// left child's rows followed by the right child's.
+    rows: Vec<usize>,
+    /// The presorted feature lists, partitioned in lockstep with `rows`:
+    /// feature `f`'s entries for segment `[start, end)` sit at
+    /// `lists[f * n + start..f * n + end]` in `(value, row)` order. Empty
+    /// in extra-trees mode, which never scans sorted values.
+    lists: Vec<u128>,
+    /// Split direction of each row of the node being partitioned.
+    goes_left: Vec<bool>,
+    /// Right-side spill buffers of the stable partitions.
+    spill: Vec<u128>,
+    spill_rows: Vec<usize>,
+    /// Regression target sum and sum of squares of the node being split.
+    sum: f64,
+    sq: f64,
+    /// Scratch reused across the whole build. Perf only: every buffer is
+    /// refilled before each use, so fitted trees are bitwise unchanged.
+    feats: Vec<usize>,
+    cl: Vec<f64>,
+    cr: Vec<f64>,
+    ct: Vec<f64>,
 }
 
 enum Targets<'a> {
     Classes { y: &'a [u32], k: usize },
     Regression { y: &'a [f64] },
+}
+
+impl FitCtx<'_> {
+    /// Whether a node of `n` rows at `depth` becomes a leaf without a
+    /// split search.
+    fn stops(&self, depth: usize, n: usize, impurity: f64) -> bool {
+        depth >= self.params.max_depth || n < self.params.min_samples_split || impurity < 1e-12
+    }
+
+    /// Fill the totals every feature's scan of segment `[start, end)`
+    /// starts from: class counts in `ct`, or the target sum and sum of
+    /// squares accumulated over the rows in ascending order.
+    fn fill_totals(&mut self, start: usize, end: usize) {
+        let rows = &self.rows[start..end];
+        match self.targets {
+            Targets::Classes { y, k } => {
+                self.ct.clear();
+                self.ct.resize(k, 0.0);
+                for &r in rows {
+                    self.ct[y[r] as usize] += 1.0;
+                }
+            }
+            Targets::Regression { y } => {
+                self.sum = rows.iter().map(|&r| y[r]).sum();
+                self.sq = rows.iter().map(|&r| y[r] * y[r]).sum();
+            }
+        }
+    }
+}
+
+/// Stable partition of `seg` by `left_of`: the left entries, in order,
+/// then the right entries, in order. `keep` says which sides a child will
+/// read (`(left, right)`); an unread side is left as garbage, which lets
+/// a child that will be a leaf skip its share of the writes. Branchless:
+/// every entry is written to both candidate slots.
+fn stable_partition<T: Copy + Default>(
+    seg: &mut [T],
+    left_of: impl Fn(T) -> bool,
+    spill: &mut Vec<T>,
+    keep: (bool, bool),
+) {
+    match keep {
+        (true, true) => {
+            if spill.len() < seg.len() {
+                spill.resize(seg.len(), T::default());
+            }
+            let (mut l, mut r) = (0, 0);
+            for i in 0..seg.len() {
+                let v = seg[i];
+                let left = left_of(v);
+                seg[l] = v;
+                spill[r] = v;
+                l += usize::from(left);
+                r += usize::from(!left);
+            }
+            seg[l..].copy_from_slice(&spill[..r]);
+        }
+        (true, false) => {
+            let mut l = 0;
+            for i in 0..seg.len() {
+                let v = seg[i];
+                seg[l] = v;
+                l += usize::from(left_of(v));
+            }
+        }
+        (false, true) => {
+            // Compact the right entries towards the end, scanning
+            // backwards: the write slot never trails the read slot.
+            let mut w = seg.len();
+            for i in (0..seg.len()).rev() {
+                let v = seg[i];
+                seg[w - 1] = v;
+                w -= usize::from(!left_of(v));
+            }
+        }
+        (false, false) => {}
+    }
 }
 
 impl DecisionTree {
@@ -151,6 +268,7 @@ impl DecisionTree {
             params,
             x,
             Targets::Classes { y, k: n_classes },
+            None,
             tracker,
             rng,
             profile,
@@ -167,13 +285,47 @@ impl DecisionTree {
         profile: ParallelProfile,
     ) -> DecisionTree {
         assert_eq!(x.rows(), y.len(), "row/target mismatch");
-        Self::fit_inner(params, x, Targets::Regression { y }, tracker, rng, profile)
+        Self::fit_inner(
+            params,
+            x,
+            Targets::Regression { y },
+            None,
+            tracker,
+            rng,
+            profile,
+        )
+    }
+
+    /// [`DecisionTree::fit_regressor`] starting from `presort`, which must
+    /// be [`Presort::new`] of this very `x`; the tree works on a copy, so
+    /// one presort serves any number of fits.
+    pub(crate) fn fit_regressor_presorted(
+        params: &TreeParams,
+        x: &Matrix,
+        y: &[f64],
+        presort: &Presort,
+        tracker: &mut CostTracker,
+        rng: &mut SplitMix64,
+        profile: ParallelProfile,
+    ) -> DecisionTree {
+        assert_eq!(x.rows(), y.len(), "row/target mismatch");
+        assert_eq!(presort.keys.len(), x.rows() * x.cols(), "presort shape");
+        Self::fit_inner(
+            params,
+            x,
+            Targets::Regression { y },
+            Some(presort),
+            tracker,
+            rng,
+            profile,
+        )
     }
 
     fn fit_inner(
         params: &TreeParams,
         x: &Matrix,
         targets: Targets<'_>,
+        presort: Option<&Presort>,
         tracker: &mut CostTracker,
         rng: &mut SplitMix64,
         profile: ParallelProfile,
@@ -187,28 +339,42 @@ impl DecisionTree {
             Targets::Classes { k, .. } => k,
             Targets::Regression { .. } => 1,
         };
+        let n = x.rows();
         let mut ctx = FitCtx {
             x,
             params,
             targets,
             steps: 0.0,
             scalar: 0.0,
-            idx_pool: Vec::new(),
-            vals: Vec::new(),
+            rows: (0..n).collect(),
+            lists: Vec::new(),
+            goes_left: vec![false; n],
+            spill: Vec::new(),
+            spill_rows: Vec::new(),
+            sum: 0.0,
+            sq: 0.0,
             feats: Vec::new(),
             cl: Vec::new(),
             cr: Vec::new(),
             ct: Vec::new(),
         };
+        let impurity = Self::impurity(&mut ctx, 0, n);
+        if !params.random_thresholds && !ctx.stops(0, n, impurity) {
+            ctx.lists = match presort {
+                Some(p) => p.keys.clone(),
+                None => Presort::new(x).keys,
+            };
+        }
         let mut tree = DecisionTree {
             nodes: Vec::new(),
+            leaf_values: Vec::new(),
             n_outputs,
             max_depth_seen: 0,
             d_in: x.cols(),
-            feat_scale: x.feat_scale,
         };
-        let rows: Vec<usize> = (0..x.rows()).collect();
-        tree.build(&mut ctx, rows, 0, rng);
+        tree.build(&mut ctx, 0, n, 0, impurity, rng);
+        tree.nodes.shrink_to_fit();
+        tree.leaf_values.shrink_to_fit();
         tracker.charge(
             (OpCounts::tree(ctx.steps) + OpCounts::scalar(ctx.scalar)) * x.scale(),
             profile,
@@ -216,37 +382,55 @@ impl DecisionTree {
         tree
     }
 
-    /// Push a leaf for `rows` (returning its index buffer to the pool).
-    /// The leaf value is computed here — only for nodes that actually
-    /// terminate — instead of eagerly for every node; it is a pure value
-    /// (no charges, no RNG draws), so fitted trees are unchanged.
-    fn push_leaf(&mut self, ctx: &mut FitCtx<'_>, rows: Vec<usize>) -> usize {
-        let value = Self::leaf_value(ctx, &rows);
-        ctx.give_idx(rows);
-        self.nodes.push(Node::Leaf { value });
-        self.nodes.len() - 1
+    /// Push a leaf for segment `[start, end)`. The leaf value is computed
+    /// only for nodes that actually terminate; it is a pure value (no
+    /// charges, no RNG draws).
+    fn push_leaf(&mut self, ctx: &FitCtx<'_>, start: usize, end: usize) {
+        let rows = &ctx.rows[start..end];
+        let offset = self.leaf_values.len();
+        let n = rows.len().max(1) as f64;
+        match ctx.targets {
+            Targets::Classes { y, k } => {
+                self.leaf_values.resize(offset + k, 0.0);
+                let counts = &mut self.leaf_values[offset..];
+                for &r in rows {
+                    counts[y[r] as usize] += 1.0;
+                }
+                counts.iter_mut().for_each(|c| *c /= n);
+            }
+            Targets::Regression { y } => {
+                self.leaf_values
+                    .push(rows.iter().map(|&r| y[r]).sum::<f64>() / n);
+            }
+        }
+        self.nodes.push(Node {
+            threshold: 0.0,
+            feature: LEAF,
+            next: narrow(offset),
+        });
     }
 
+    /// Grow the subtree of segment `[start, end)` (whose impurity the
+    /// caller computed) in pre-order.
     fn build(
         &mut self,
         ctx: &mut FitCtx<'_>,
-        rows: Vec<usize>,
+        start: usize,
+        end: usize,
         depth: usize,
+        impurity: f64,
         rng: &mut SplitMix64,
-    ) -> usize {
+    ) {
         self.max_depth_seen = self.max_depth_seen.max(depth);
-        let impurity = Self::impurity(ctx, &rows);
-        if depth >= ctx.params.max_depth
-            || rows.len() < ctx.params.min_samples_split
-            || impurity < 1e-12
-        {
-            return self.push_leaf(ctx, rows);
+        let n = end - start;
+        if ctx.stops(depth, n, impurity) {
+            return self.push_leaf(ctx, start, end);
         }
 
         let d = ctx.x.cols();
         let n_feats = ((d as f64 * ctx.params.max_features_frac).ceil() as usize).clamp(1, d);
         // Sample features without replacement (partial Fisher-Yates) in the
-        // reused scratch buffer (same RNG draws as before).
+        // reused scratch buffer.
         let mut feats = std::mem::take(&mut ctx.feats);
         feats.clear();
         feats.extend(0..d);
@@ -256,12 +440,15 @@ impl DecisionTree {
         }
         feats.truncate(n_feats);
 
+        if !ctx.params.random_thresholds {
+            ctx.fill_totals(start, end);
+        }
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
         for &f in &feats {
             let candidate = if ctx.params.random_thresholds {
-                Self::random_split(ctx, &rows, f, rng, impurity)
+                Self::random_split(ctx, start, end, f, rng, impurity)
             } else {
-                Self::best_split(ctx, &rows, f, impurity)
+                Self::best_split(ctx, start, end, f, impurity)
             };
             if let Some((thr, gain)) = candidate {
                 if best.is_none_or(|(_, _, g)| gain > g) {
@@ -269,95 +456,129 @@ impl DecisionTree {
                 }
             }
         }
+        #[cfg(test)]
+        tests::assert_oracle_pick(ctx, start, end, &feats, impurity, best);
         ctx.feats = feats;
 
         let Some((feature, threshold, gain)) = best else {
-            return self.push_leaf(ctx, rows);
+            return self.push_leaf(ctx, start, end);
         };
         if gain <= 1e-12 {
-            return self.push_leaf(ctx, rows);
+            return self.push_leaf(ctx, start, end);
         }
 
-        // Stable partition into pooled buffers (children see their rows in
-        // parent order, exactly as `Vec::partition` produced them).
-        let mut left_rows = ctx.take_idx();
-        let mut right_rows = ctx.take_idx();
-        for &r in &rows {
-            if ctx.x.get(r, feature) <= threshold {
-                left_rows.push(r);
-            } else {
-                right_rows.push(r);
+        let mut nl = 0;
+        for &r in &ctx.rows[start..end] {
+            let left = ctx.x.get(r, feature) <= threshold;
+            ctx.goes_left[r] = left;
+            nl += usize::from(left);
+        }
+        let nr = n - nl;
+        ctx.steps += n as f64;
+        if nl < ctx.params.min_samples_leaf || nr < ctx.params.min_samples_leaf {
+            return self.push_leaf(ctx, start, end);
+        }
+
+        // Children see their rows in parent order, and each feature list
+        // stays in `(value, row)` order: exactly the slices the per-node
+        // gather-and-sort produced.
+        let FitCtx {
+            rows,
+            goes_left,
+            spill_rows,
+            ..
+        } = &mut *ctx;
+        let goes_left = &*goes_left;
+        stable_partition(
+            &mut rows[start..end],
+            |r| goes_left[r],
+            spill_rows,
+            (true, true),
+        );
+        let mid = start + nl;
+        let imp_l = Self::impurity(ctx, start, mid);
+        let imp_r = Self::impurity(ctx, mid, end);
+        if !ctx.lists.is_empty() {
+            let keep = (
+                !ctx.stops(depth + 1, nl, imp_l),
+                !ctx.stops(depth + 1, nr, imp_r),
+            );
+            let stride = ctx.x.rows();
+            let FitCtx {
+                lists,
+                goes_left,
+                spill,
+                ..
+            } = &mut *ctx;
+            let goes_left = &*goes_left;
+            for f in 0..d {
+                stable_partition(
+                    &mut lists[f * stride + start..f * stride + end],
+                    |p| goes_left[unpack_row(p)],
+                    spill,
+                    keep,
+                );
             }
         }
-        ctx.steps += rows.len() as f64;
-        if left_rows.len() < ctx.params.min_samples_leaf
-            || right_rows.len() < ctx.params.min_samples_leaf
-        {
-            ctx.give_idx(left_rows);
-            ctx.give_idx(right_rows);
-            return self.push_leaf(ctx, rows);
-        }
-        ctx.give_idx(rows);
 
-        // Reserve this node's slot, then build children.
-        self.nodes.push(Node::Leaf { value: Vec::new() });
-        let me = self.nodes.len() - 1;
-        let left = self.build(ctx, left_rows, depth + 1, rng);
-        let right = self.build(ctx, right_rows, depth + 1, rng);
-        self.nodes[me] = Node::Split {
-            feature,
+        // Reserve this node's slot; the left child lands right after it.
+        let me = self.nodes.len();
+        self.nodes.push(Node {
+            threshold: 0.0,
+            feature: LEAF,
+            next: 0,
+        });
+        self.build(ctx, start, mid, depth + 1, imp_l, rng);
+        let right = self.nodes.len();
+        self.build(ctx, mid, end, depth + 1, imp_r, rng);
+        self.nodes[me] = Node {
             threshold,
-            left,
-            right,
+            feature: narrow(feature),
+            next: narrow(right),
         };
-        me
     }
 
-    /// Exhaustive sorted-scan search for the best threshold on feature `f`.
+    /// Exhaustive sorted-scan search for the best threshold on feature `f`
+    /// over segment `[start, end)`.
     ///
-    /// `parent` is the node impurity, computed once per node in
-    /// [`DecisionTree::build`] (it is a pure value — every charge here is
-    /// an explicit `ctx` increment, all unchanged). The sort is unstable
-    /// under a total `(value, row)` order: `rows` is always ascending
-    /// (children partition their parent's ascending slice in order), so
-    /// this reproduces the old stable value-sort exactly — including the
-    /// tie order the regression scan's running sums accumulate in.
+    /// The feature's list segment is already in `(value, row)` order, so
+    /// the scan reads it directly. The charges still model a per-node
+    /// `n log n` sort, a scan step per row and the per-row target
+    /// arithmetic. `parent` is the node impurity and the totals come from
+    /// [`FitCtx::fill_totals`]; both are pure values.
     fn best_split(
         ctx: &mut FitCtx<'_>,
-        rows: &[usize],
+        start: usize,
+        end: usize,
         f: usize,
         parent: f64,
     ) -> Option<(f64, f64)> {
-        let n = rows.len();
+        let n = end - start;
         let FitCtx {
             x,
             targets,
             steps,
             scalar,
-            vals,
+            lists,
+            sum,
+            sq,
             cl,
             cr,
             ct,
             ..
         } = ctx;
-        vals.clear();
-        vals.extend(rows.iter().map(|&r| pack(x.get(r, f), r)));
-        vals.sort_unstable();
+        let stride = x.rows();
+        let vals = &lists[f * stride + start..f * stride + end];
         *scalar += n as f64 * (n as f64).log2().max(1.0); // sort
         *steps += n as f64; // scan
 
         match targets {
             Targets::Classes { y, k } => {
-                let (left_counts, right_counts, total_counts) = (cl, cr, ct);
+                let (left_counts, right_counts, total_counts) = (cl, cr, &*ct);
                 left_counts.clear();
                 left_counts.resize(*k, 0.0);
                 right_counts.clear();
                 right_counts.resize(*k, 0.0);
-                total_counts.clear();
-                total_counts.resize(*k, 0.0);
-                for &r in rows {
-                    total_counts[y[r] as usize] += 1.0;
-                }
                 let mut best: Option<(f64, f64)> = None;
                 for i in 0..n - 1 {
                     left_counts[y[unpack_row(vals[i])] as usize] += 1.0;
@@ -384,8 +605,7 @@ impl DecisionTree {
                 best
             }
             Targets::Regression { y } => {
-                let total_sum: f64 = rows.iter().map(|&r| y[r]).sum();
-                let total_sq: f64 = rows.iter().map(|&r| y[r] * y[r]).sum();
+                let (total_sum, total_sq) = (*sum, *sq);
                 let mut ls = 0.0;
                 let mut lq = 0.0;
                 let mut best: Option<(f64, f64)> = None;
@@ -414,28 +634,31 @@ impl DecisionTree {
         }
     }
 
-    /// Extra-trees split: one uniformly random threshold in the value range.
+    /// Extra-trees split: one uniformly random threshold in the value range
+    /// of feature `f` over segment `[start, end)`.
     ///
-    /// `parent` is the node impurity computed once in [`DecisionTree::build`].
-    /// The old row `partition` allocations are replaced by filtered passes
-    /// over `rows` in order — the exact sequences the partitioned sides
-    /// used to hold — so every accumulated sum is bitwise unchanged.
+    /// `parent` is the node impurity computed by the caller. The sides are
+    /// filtered passes over the rows in order, so every accumulated sum
+    /// sees its rows in ascending order.
     fn random_split(
         ctx: &mut FitCtx<'_>,
-        rows: &[usize],
+        start: usize,
+        end: usize,
         f: usize,
         rng: &mut SplitMix64,
         parent: f64,
     ) -> Option<(f64, f64)> {
-        let n = rows.len();
         let FitCtx {
             x,
             targets,
             steps,
+            rows,
             cl,
             cr,
             ..
         } = ctx;
+        let rows = &rows[start..end];
+        let n = rows.len();
         let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
         for &r in rows {
             let v = x.get(r, f);
@@ -491,8 +714,12 @@ impl DecisionTree {
         Some((thr, parent - weighted_child / n as f64))
     }
 
-    fn impurity(ctx: &mut FitCtx<'_>, rows: &[usize]) -> f64 {
-        let FitCtx { targets, ct, .. } = ctx;
+    /// Gini impurity or target variance of segment `[start, end)`.
+    fn impurity(ctx: &mut FitCtx<'_>, start: usize, end: usize) -> f64 {
+        let FitCtx {
+            targets, rows, ct, ..
+        } = ctx;
+        let rows = &rows[start..end];
         match targets {
             Targets::Classes { y, k } => {
                 let counts = ct;
@@ -511,68 +738,59 @@ impl DecisionTree {
         }
     }
 
-    fn leaf_value(ctx: &FitCtx<'_>, rows: &[usize]) -> Vec<f64> {
-        match &ctx.targets {
-            Targets::Classes { y, k } => {
-                let mut counts = vec![0.0f64; *k];
-                for &r in rows {
-                    counts[y[r] as usize] += 1.0;
-                }
-                let n = rows.len().max(1) as f64;
-                counts.iter_mut().for_each(|c| *c /= n);
-                counts
-            }
-            Targets::Regression { y } => {
-                let n = rows.len().max(1) as f64;
-                vec![rows.iter().map(|&r| y[r]).sum::<f64>() / n]
-            }
-        }
-    }
-
-    /// Per-row output (class distribution or regression value).
-    fn eval_row(&self, row: &[f64]) -> (&[f64], usize) {
+    /// The leaf `row` lands in (offset of its values) and the path length.
+    #[inline]
+    fn leaf_of(&self, row: &[f64]) -> (usize, usize) {
         let mut i = 0usize;
         let mut depth = 0usize;
         loop {
-            match &self.nodes[i] {
-                Node::Leaf { value } => return (value, depth),
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    depth += 1;
-                    i = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
+            let node = self.nodes[i];
+            if node.feature == LEAF {
+                return (node.next as usize, depth);
             }
+            depth += 1;
+            i = if row[node.feature as usize] <= node.threshold {
+                i + 1
+            } else {
+                node.next as usize
+            };
         }
     }
 
-    /// Class-probability predictions (classification trees).
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), self.n_outputs);
+    /// Route every row of `x` to its leaf, call `visit(row, leaf values)`,
+    /// and charge the traversals as one tree-step charge.
+    pub(crate) fn visit_leaves(
+        &self,
+        x: &Matrix,
+        tracker: &mut CostTracker,
+        mut visit: impl FnMut(usize, &[f64]),
+    ) {
         let mut steps = 0.0;
         for r in 0..x.rows() {
-            let (value, depth) = self.eval_row(x.row(r));
+            let (offset, depth) = self.leaf_of(x.row(r));
             steps += depth.max(1) as f64;
-            out.row_mut(r)[..value.len()].copy_from_slice(value);
+            visit(r, &self.leaf_values[offset..offset + self.n_outputs]);
         }
         tracker.charge(
             OpCounts::tree(steps * TRAVERSAL_PENALTY * x.row_scale),
             ParallelProfile::batch_inference(),
         );
+    }
+
+    /// Class-probability predictions (classification trees).
+    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), self.n_outputs);
+        self.visit_leaves(x, tracker, |r, value| {
+            out.row_mut(r).copy_from_slice(value);
+        });
         out
     }
 
     /// Regression predictions (one value per row).
     pub fn predict_value(&self, x: &Matrix, tracker: &mut CostTracker) -> Vec<f64> {
-        let proba = self.predict_proba(x, tracker);
-        (0..proba.rows()).map(|r| proba.get(r, 0)).collect()
+        let mut out = Vec::with_capacity(x.rows());
+        self.visit_leaves(x, tracker, |_, value| out.push(value[0]));
+        out
     }
 
     /// Per-row inference cost: one traversal of the (deepest) path, at the
@@ -609,6 +827,194 @@ mod tests {
     use super::*;
     use crate::models::testutil::{assert_learns, tracker};
     use crate::models::ModelSpec;
+
+    /// The per-node gather-and-sort split search the presorted lists
+    /// replaced, kept as the reference the fast path must match bit for
+    /// bit (as `kernel::matmul_naive` is kept for the blocked matmul). It
+    /// recomputes its totals per feature and charges nothing.
+    fn best_split_reference(
+        x: &Matrix,
+        targets: &Targets<'_>,
+        rows: &[usize],
+        f: usize,
+        parent: f64,
+    ) -> Option<(f64, f64)> {
+        let n = rows.len();
+        let mut vals: Vec<u128> = rows.iter().map(|&r| pack(x.get(r, f), r)).collect();
+        vals.sort_unstable();
+        let mut best: Option<(f64, f64)> = None;
+        match targets {
+            Targets::Classes { y, k } => {
+                let mut total_counts = vec![0.0; *k];
+                for &r in rows {
+                    total_counts[y[r] as usize] += 1.0;
+                }
+                let mut left_counts = vec![0.0; *k];
+                let mut right_counts = vec![0.0; *k];
+                for i in 0..n - 1 {
+                    left_counts[y[unpack_row(vals[i])] as usize] += 1.0;
+                    if vals[i] >> 64 == vals[i + 1] >> 64 {
+                        continue;
+                    }
+                    let nl = (i + 1) as f64;
+                    let nr = (n - i - 1) as f64;
+                    let gl = gini(&left_counts, nl);
+                    for c in 0..*k {
+                        right_counts[c] = total_counts[c] - left_counts[c];
+                    }
+                    let gr = gini(&right_counts, nr);
+                    let gain = parent - (nl * gl + nr * gr) / n as f64;
+                    let thr = 0.5 * (unpack_value(vals[i]) + unpack_value(vals[i + 1]));
+                    if best.is_none_or(|(_, g)| gain > g) {
+                        best = Some((thr, gain));
+                    }
+                }
+            }
+            Targets::Regression { y } => {
+                let total_sum: f64 = rows.iter().map(|&r| y[r]).sum();
+                let total_sq: f64 = rows.iter().map(|&r| y[r] * y[r]).sum();
+                let (mut ls, mut lq) = (0.0, 0.0);
+                for i in 0..n - 1 {
+                    let v = y[unpack_row(vals[i])];
+                    ls += v;
+                    lq += v * v;
+                    if vals[i] >> 64 == vals[i + 1] >> 64 {
+                        continue;
+                    }
+                    let nl = (i + 1) as f64;
+                    let nr = (n - i - 1) as f64;
+                    let var_l = (lq - ls * ls / nl).max(0.0);
+                    let rs = total_sum - ls;
+                    let rq = total_sq - lq;
+                    let var_r = (rq - rs * rs / nr).max(0.0);
+                    let gain = parent - (var_l + var_r) / n as f64;
+                    let thr = 0.5 * (unpack_value(vals[i]) + unpack_value(vals[i + 1]));
+                    if best.is_none_or(|(_, g)| gain > g) {
+                        best = Some((thr, gain));
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    thread_local! {
+        /// Nodes whose presorted pick was checked against the reference.
+        static ORACLE_NODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Called by every sorted-scan split search in test builds: the
+    /// reference must pick the same `(feature, threshold bits, gain bits)`
+    /// over the node's sampled features.
+    pub(super) fn assert_oracle_pick(
+        ctx: &FitCtx<'_>,
+        start: usize,
+        end: usize,
+        feats: &[usize],
+        parent: f64,
+        pick: Option<(usize, f64, f64)>,
+    ) {
+        if ctx.params.random_thresholds {
+            return;
+        }
+        let rows = &ctx.rows[start..end];
+        let mut best: Option<(usize, f64, f64)> = None;
+        for &f in feats {
+            if let Some((thr, gain)) = best_split_reference(ctx.x, &ctx.targets, rows, f, parent) {
+                if best.is_none_or(|(_, _, g)| gain > g) {
+                    best = Some((f, thr, gain));
+                }
+            }
+        }
+        let bits = |p: Option<(usize, f64, f64)>| p.map(|(f, t, g)| (f, t.to_bits(), g.to_bits()));
+        assert_eq!(
+            bits(pick),
+            bits(best),
+            "presorted pick differs on rows {rows:?}"
+        );
+        ORACLE_NODES.with(|c| c.set(c.get() + 1));
+    }
+
+    /// A value drawn from a small pool full of ties and signed zeros.
+    fn tied_value(rng: &mut SplitMix64) -> f64 {
+        const POOL: [f64; 8] = [-0.0, 0.0, 0.0, 1.0, -1.0, 0.5, 2.0, 1e-300];
+        if rng.gen_bool(0.7) {
+            POOL[rng.gen_range(0..POOL.len())]
+        } else {
+            (rng.next_f64() * 6.0).floor() - 3.0
+        }
+    }
+
+    #[test]
+    fn presorted_split_search_matches_the_gather_and_sort_reference() {
+        let before = ORACLE_NODES.with(|c| c.get());
+        let mut gen = SplitMix64::seed_from_u64(0x5eed);
+        for case in 0..120 {
+            let n = gen.gen_range(2..160usize);
+            let d = gen.gen_range(1..7usize);
+            let data: Vec<f64> = (0..n * d).map(|_| tied_value(&mut gen)).collect();
+            let x = Matrix::from_vec(data, n, d);
+            let params = TreeParams {
+                max_depth: gen.gen_range(1..9usize),
+                min_samples_split: gen.gen_range(2..6usize),
+                min_samples_leaf: gen.gen_range(1..3usize),
+                max_features_frac: [0.35, 0.8, 1.0][case % 3],
+                random_thresholds: false,
+            };
+            let mut rng = SplitMix64::seed_from_u64(case as u64);
+            let profile = ParallelProfile::model_training();
+            if case % 2 == 1 {
+                let k = gen.gen_range(2..5usize);
+                let y: Vec<u32> = (0..n).map(|_| gen.gen_range(0..k) as u32).collect();
+                let _ = DecisionTree::fit_classifier(
+                    &params,
+                    &x,
+                    &y,
+                    k,
+                    &mut tracker(),
+                    &mut rng,
+                    profile,
+                );
+            } else {
+                // Two regression targets through one shared presort, as
+                // gradient boosting fits its per-class trees.
+                let presort = Presort::new(&x);
+                for _ in 0..2 {
+                    let y: Vec<f64> = (0..n).map(|_| tied_value(&mut gen)).collect();
+                    let _ = DecisionTree::fit_regressor_presorted(
+                        &params,
+                        &x,
+                        &y,
+                        &presort,
+                        &mut tracker(),
+                        &mut rng,
+                        profile,
+                    );
+                }
+            }
+        }
+        let checked = ORACLE_NODES.with(|c| c.get()) - before;
+        assert!(checked > 500, "only {checked} nodes were checked");
+    }
+
+    #[test]
+    fn stable_partition_keeps_order_on_every_kept_side() {
+        let v: Vec<usize> = (0..40).collect();
+        let left = |i: usize| i % 3 == 1;
+        let want_l: Vec<usize> = v.iter().copied().filter(|&i| left(i)).collect();
+        let want_r: Vec<usize> = v.iter().copied().filter(|&i| !left(i)).collect();
+        let nl = want_l.len();
+        for keep in [(true, true), (true, false), (false, true)] {
+            let mut seg = v.clone();
+            stable_partition(&mut seg, left, &mut Vec::new(), keep);
+            if keep.0 {
+                assert_eq!(seg[..nl], want_l[..], "{keep:?}");
+            }
+            if keep.1 {
+                assert_eq!(seg[nl..], want_r[..], "{keep:?}");
+            }
+        }
+    }
 
     #[test]
     fn learns_separable_binary_task() {
