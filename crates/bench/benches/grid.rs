@@ -11,8 +11,9 @@
 //! The grid's nested budgets repeat each system's deterministic trial
 //! prefix, so the fresh pass already collapses real work; the warm pass is
 //! the steady state a resumed or repeated protocol run sees. Results are
-//! byte-identical in every mode — `tests/evalcache_equivalence.rs` proves
-//! it — so this benchmark is purely a wall-clock story.
+//! byte-identical in every mode — the cache-on and cache-off rows of
+//! `tests/evalcache_equivalence.rs` prove it — so this benchmark is purely a
+//! wall-clock story.
 
 use green_automl_core::benchmark::{run_once_in, BenchmarkOptions};
 use green_automl_core::{run_grid_checked, EvalCache};

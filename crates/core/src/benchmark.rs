@@ -12,7 +12,7 @@ use green_automl_dataset::split::train_test_split;
 use green_automl_dataset::{Dataset, DatasetMeta, MaterializeOptions};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::trace::span_id;
-use green_automl_energy::{CostTracker, Measurement, SpanKind, Trace};
+use green_automl_energy::{CostTracker, Measurement, SpanKind, StableHasher, Trace};
 use green_automl_ml::metrics::balanced_accuracy;
 use green_automl_ml::EvalCache;
 use green_automl_systems::{AutoMlSystem, FitContext, RunSpec, RunSpecError, SystemId};
@@ -105,8 +105,59 @@ pub struct BenchmarkPoint {
     pub trace: Option<Trace>,
 }
 
+impl BenchmarkPoint {
+    /// Bitwise fingerprint of everything the point reports: every float
+    /// by its bit pattern (so one ulp, or `0.0` against `-0.0`, differs),
+    /// every count, and the trace's JSONL. Equal fingerprints mean
+    /// byte-identical points.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = StableHasher::new(0xb0c4_9017);
+        h.write_str(self.system.as_str());
+        h.write_str(&self.dataset);
+        h.write_f64(self.budget_s);
+        h.write_u64(self.seed);
+        h.write_f64(self.balanced_accuracy);
+        let Measurement {
+            duration_s,
+            energy,
+            ops,
+        } = &self.execution;
+        for v in [
+            *duration_s,
+            energy.package_j,
+            energy.dram_j,
+            energy.gpu_j,
+            ops.scalar_flops,
+            ops.matmul_flops,
+            ops.tree_steps,
+            ops.mem_bytes,
+            self.inference_kwh_per_row,
+            self.inference_s_per_row,
+            self.wasted_j,
+        ] {
+            h.write_f64(v);
+        }
+        h.write_usize(self.n_models);
+        h.write_usize(self.n_evaluations);
+        h.write_usize(self.n_trial_faults);
+        match &self.trace {
+            Some(t) => {
+                h.write_u64(1);
+                h.write_str(&t.to_jsonl());
+            }
+            None => h.write_u64(0),
+        }
+        h.finish()
+    }
+}
+
 /// Run `system` on `meta` under `spec_base` (budget/cores/device/
 /// constraints) once, with `opts` controlling materialisation.
+///
+/// With `opts.eval_cache` set this builds a run-local [`EvalCache`], so
+/// duplicate evaluations *within* the fit (revisited configs, repeated
+/// rungs) are still memoised; the grid instead shares one cache across
+/// every cell through [`run_once_in`].
 pub fn run_once(
     system: &dyn AutoMlSystem,
     meta: &DatasetMeta,
@@ -118,34 +169,17 @@ pub fn run_once(
         ..opts.materialize
     };
     let ds = meta.materialize(&m_opts);
-    run_once_on(system, meta, &ds, spec_base, opts)
-}
-
-/// [`run_once`] on an already-materialised dataset — the path the parallel
-/// grid takes so one [`DatasetCache`] entry serves every (system, budget)
-/// cell that shares a (dataset, seed) pair.
-///
-/// With `opts.eval_cache` set this builds a run-local [`EvalCache`], so
-/// duplicate evaluations *within* the fit (revisited configs, repeated
-/// rungs) are still memoised; [`run_once_in`] is the grid path where one
-/// cache is shared across every cell.
-pub fn run_once_on(
-    system: &dyn AutoMlSystem,
-    meta: &DatasetMeta,
-    ds: &Dataset,
-    spec_base: &RunSpec,
-    opts: &BenchmarkOptions,
-) -> BenchmarkPoint {
     let local = opts.eval_cache.then(EvalCache::new);
     let ctx = match &local {
         Some(cache) => FitContext::with_cache(cache),
         None => FitContext::default(),
     };
-    run_once_in(system, meta, ds, spec_base, opts, &ctx)
+    run_once_in(system, meta, &ds, spec_base, opts, &ctx)
 }
 
-/// [`run_once_on`] under an explicit [`FitContext`] — the grid calls this
-/// with a context pointing at its shared, grid-wide [`EvalCache`].
+/// [`run_once`] on an already-materialised dataset under an explicit
+/// [`FitContext`] — the grid calls this with a context pointing at its
+/// shared, grid-wide [`EvalCache`].
 pub fn run_once_in(
     system: &dyn AutoMlSystem,
     meta: &DatasetMeta,
@@ -259,6 +293,38 @@ pub struct GridRun {
     /// survivors (not counting the in-flight attempt, which `retried`
     /// covers).
     pub requeued_cells: usize,
+}
+
+impl GridRun {
+    /// Bitwise fingerprint of the grid's scientific output: each point's
+    /// [`BenchmarkPoint::fingerprint`] in order, then every field of every
+    /// [`CellFailure`]. Scheduler telemetry (`resumed_cells`, the
+    /// eval-cache counts, and the retry, speculation and requeue counters)
+    /// is left out: it records how the grid ran, not what it measured.
+    /// Equal fingerprints mean byte-identical grids.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = StableHasher::new(0x96d1_f1e5);
+        h.write_usize(self.points.len());
+        for p in &self.points {
+            h.write_u64(p.fingerprint());
+        }
+        h.write_usize(self.failures.len());
+        for f in &self.failures {
+            h.write_usize(f.cell);
+            h.write_str(f.system.as_str());
+            h.write_str(&f.dataset);
+            match f.budget_s {
+                Some(b) => {
+                    h.write_u64(1);
+                    h.write_f64(b);
+                }
+                None => h.write_u64(0),
+            }
+            h.write_u64(f.seed);
+            h.write_str(&f.message);
+        }
+        h.finish()
+    }
 }
 
 /// Enumerate grid cells in the reference serial order:
@@ -562,6 +628,145 @@ mod tests {
         assert_eq!(a.n_points, 2);
         assert!(a.balanced_accuracy > 0.0 && a.balanced_accuracy <= 1.0);
         assert!(a.execution_s >= 10.0, "CAML uses its whole budget");
+    }
+
+    /// A one-point, one-failure grid whose every float field is distinct
+    /// and whose zero fields can flip sign.
+    fn fingerprinted_grid() -> GridRun {
+        use green_automl_energy::tracker::EnergyBreakdown;
+        use green_automl_energy::{OpCounts, Span};
+        let energy = EnergyBreakdown {
+            package_j: 120.5,
+            dram_j: 8.25,
+            gpu_j: 0.0,
+        };
+        let ops = OpCounts {
+            scalar_flops: 1.5e9,
+            matmul_flops: 0.0,
+            tree_steps: 5.0e5,
+            mem_bytes: 2.0e8,
+        };
+        let span = Span {
+            id: 1,
+            parent: None,
+            kind: SpanKind::System,
+            label: "FLAML".to_string(),
+            track: 0,
+            start_s: 0.0,
+            end_s: 9.5,
+            energy,
+            ops,
+            fault: None,
+        };
+        GridRun {
+            points: vec![BenchmarkPoint {
+                system: SystemId::Flaml,
+                dataset: "blood".to_string(),
+                budget_s: 10.0,
+                seed: 7,
+                balanced_accuracy: 0.75,
+                execution: Measurement {
+                    duration_s: 9.5,
+                    energy,
+                    ops,
+                },
+                inference_kwh_per_row: 1.0e-9,
+                inference_s_per_row: 2.0e-5,
+                n_models: 3,
+                n_evaluations: 40,
+                n_trial_faults: 1,
+                wasted_j: 0.0,
+                trace: Some(Trace { spans: vec![span] }),
+            }],
+            failures: vec![CellFailure {
+                cell: 4,
+                system: SystemId::Caml,
+                dataset: "blood".to_string(),
+                budget_s: Some(60.0),
+                seed: 9,
+                message: "boom".to_string(),
+            }],
+            ..GridRun::default()
+        }
+    }
+
+    #[test]
+    fn grid_fingerprint_changes_with_every_output_field_but_no_telemetry() {
+        let base = fingerprinted_grid();
+        let fp = base.fingerprint();
+        let changed = |what: &str, edit: &dyn Fn(&mut GridRun)| {
+            let mut g = base.clone();
+            edit(&mut g);
+            assert_ne!(g.fingerprint(), fp, "{what} must change the fingerprint");
+        };
+
+        type Field = fn(&mut BenchmarkPoint) -> &mut f64;
+        let floats: [(&str, Field); 14] = [
+            ("budget_s", |p| &mut p.budget_s),
+            ("balanced_accuracy", |p| &mut p.balanced_accuracy),
+            ("duration_s", |p| &mut p.execution.duration_s),
+            ("package_j", |p| &mut p.execution.energy.package_j),
+            ("dram_j", |p| &mut p.execution.energy.dram_j),
+            ("gpu_j", |p| &mut p.execution.energy.gpu_j),
+            ("scalar_flops", |p| &mut p.execution.ops.scalar_flops),
+            ("matmul_flops", |p| &mut p.execution.ops.matmul_flops),
+            ("tree_steps", |p| &mut p.execution.ops.tree_steps),
+            ("mem_bytes", |p| &mut p.execution.ops.mem_bytes),
+            ("inference_kwh_per_row", |p| &mut p.inference_kwh_per_row),
+            ("inference_s_per_row", |p| &mut p.inference_s_per_row),
+            ("wasted_j", |p| &mut p.wasted_j),
+            ("trace span energy", |p| {
+                &mut p.trace.as_mut().expect("traced").spans[0].energy.package_j
+            }),
+        ];
+        for (name, field) in floats {
+            changed(&format!("{name} + 1 ulp"), &|g| {
+                let v = field(&mut g.points[0]);
+                *v = f64::from_bits(v.to_bits() + 1);
+            });
+            changed(&format!("-{name}"), &|g| {
+                let v = field(&mut g.points[0]);
+                *v = -*v;
+            });
+        }
+        changed("system", &|g| g.points[0].system = SystemId::Caml);
+        changed("dataset", &|g| g.points[0].dataset.push('x'));
+        changed("seed", &|g| g.points[0].seed += 1);
+        changed("n_models", &|g| g.points[0].n_models += 1);
+        changed("n_evaluations", &|g| g.points[0].n_evaluations += 1);
+        changed("n_trial_faults", &|g| g.points[0].n_trial_faults += 1);
+        changed("trace label", &|g| {
+            g.points[0].trace.as_mut().expect("traced").spans[0]
+                .label
+                .push('x')
+        });
+        changed("dropped trace", &|g| g.points[0].trace = None);
+        changed("point order", &|g| {
+            let p = g.points[0].clone();
+            g.points.push(p);
+        });
+        changed("failure cell", &|g| g.failures[0].cell += 1);
+        changed("failure system", &|g| {
+            g.failures[0].system = SystemId::Flaml
+        });
+        changed("failure dataset", &|g| g.failures[0].dataset.push('x'));
+        changed("failure budget", &|g| g.failures[0].budget_s = None);
+        changed("failure budget + 1 ulp", &|g| {
+            g.failures[0].budget_s = Some(f64::from_bits(60f64.to_bits() + 1))
+        });
+        changed("failure seed", &|g| g.failures[0].seed += 1);
+        changed("failure message", &|g| g.failures[0].message.push('!'));
+
+        let telemetry = GridRun {
+            resumed_cells: 1,
+            eval_cache_hits: 2,
+            eval_cache_misses: 3,
+            retried_cells: 4,
+            speculated_cells: 5,
+            requeued_cells: 6,
+            ..base.clone()
+        };
+        assert_eq!(telemetry.fingerprint(), fp, "telemetry is not output");
     }
 
     #[test]

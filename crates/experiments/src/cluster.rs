@@ -1,18 +1,15 @@
-//! `cluster` — the multi-host executor artefact, with its invariants
-//! **asserted at runtime**, not just claimed.
+//! `cluster` — the multi-host executor artefact.
 //!
-//! Runs a reduced benchmark grid on simulated clusters at three
-//! (hosts × jobs) shapes — `1×1`, `2×4`, `4×2` — twice: clean, and under
-//! the seeded [`FaultPlan::cluster_chaos`] profile (host crashes,
-//! stragglers, partitions on top of trial faults). The artefact asserts:
-//!
-//! 1. the grid's scientific output (points + failures, every float
-//!    compared by bits) is identical at every shape, clean and faulted;
-//! 2. the cluster report is jobs-invariant (same topology, different
-//!    `--jobs` → byte-identical report and trace);
-//! 3. a chaos run killed mid-grid — its per-host shard checkpoints
-//!    truncated to a prefix — resumes per shard to the same grid bits
-//!    and reconstructs byte-identical shard journals.
+//! Runs a reduced benchmark grid on simulated clusters of 1, 2 and 4
+//! hosts at the configured `--jobs`, twice: clean, and under the seeded
+//! [`FaultPlan::cluster_chaos`] profile (host crashes, stragglers,
+//! partitions on top of trial faults). Each row of the shape table shows
+//! the run's [`GridRun::fingerprint`](green_automl_core::benchmark::GridRun::fingerprint)
+//! beside its makespan, network and wasted energy, and fault counters.
+//! The fingerprint is the same on every row of a plan: the grid is
+//! byte-identical at every (hosts × jobs) shape, which
+//! `tests/cluster_equivalence.rs` proves over the full {1,2,4}² sweep,
+//! together with jobs-invariant cluster reports and per-shard kill/resume.
 //!
 //! The per-host table shows where the Joules went on the headline
 //! `--hosts` topology: busy/transfer/wasted/overhead/idle energy, bytes
@@ -21,98 +18,22 @@
 
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::suite::ExpConfig;
-use green_automl_core::benchmark::GridRun;
-use green_automl_core::checkpoint::shard_path;
 use green_automl_core::cluster::{run_grid_cluster, ClusterGridRun, ClusterOptions};
 use green_automl_core::fault::FaultPlan;
 use green_automl_dataset::DatasetMeta;
-use green_automl_energy::{MetricsRegistry, StableHasher};
+use green_automl_energy::MetricsRegistry;
 use green_automl_systems::{all_systems, RunSpec};
-use std::path::Path;
 
-/// The (hosts, jobs) shapes exercised by the runtime equivalence check
-/// (the full {1,2,4}² product lives in `tests/cluster_equivalence.rs`).
-const SHAPES: [(usize, usize); 3] = [(1, 1), (2, 4), (4, 2)];
+/// The host counts the grid runs at, each at the configured `--jobs`.
+const HOSTS: [usize; 3] = [1, 2, 4];
 
 /// The cluster grid is deliberately small: every cell is recomputed at
-/// each shape (plus the kill/resume pair), so the point is scheduler
-/// behaviour, not Fig.-3 coverage.
+/// each host count, so the point is scheduler behaviour, not Fig.-3
+/// coverage.
 fn cluster_scope(cfg: &ExpConfig) -> (Vec<DatasetMeta>, Vec<f64>) {
     let datasets: Vec<DatasetMeta> = cfg.datasets().into_iter().take(3).collect();
     let budgets: Vec<f64> = cfg.budgets.iter().copied().take(2).collect();
     (datasets, budgets)
-}
-
-/// Bitwise fingerprint of a grid's scientific output: every float enters
-/// by its bit pattern, so two equal fingerprints mean the artefacts are
-/// byte-identical, not merely approximately equal. The scheduler
-/// telemetry counters (`retried_cells` & co.) are deliberately excluded:
-/// they describe the topology, not the science.
-fn grid_bits(grid: &GridRun) -> u64 {
-    let mut h = StableHasher::new(0xc1a5_b175);
-    h.write_usize(grid.points.len());
-    for p in &grid.points {
-        h.write_str(&p.system.to_string());
-        h.write_str(&p.dataset);
-        h.write_f64(p.budget_s);
-        h.write_u64(p.seed);
-        h.write_f64(p.balanced_accuracy);
-        h.write_f64(p.execution.energy.package_j);
-        h.write_f64(p.execution.energy.dram_j);
-        h.write_f64(p.execution.energy.gpu_j);
-        h.write_f64(p.execution.duration_s);
-        h.write_f64(p.inference_kwh_per_row);
-        h.write_f64(p.inference_s_per_row);
-        h.write_usize(p.n_models);
-        h.write_usize(p.n_evaluations);
-        h.write_usize(p.n_trial_faults);
-        h.write_f64(p.wasted_j);
-    }
-    h.write_usize(grid.failures.len());
-    for f in &grid.failures {
-        h.write_usize(f.cell);
-        h.write_str(&f.message);
-    }
-    h.finish()
-}
-
-/// The per-host shard journals of a checkpointed cluster run, as sorted
-/// line sets (append order differs between a straight run and a resumed
-/// one; the sealed records must not).
-fn shard_lines(path: &Path, n_hosts: usize) -> Vec<Vec<String>> {
-    (0..n_hosts)
-        .map(|h| {
-            let mut lines: Vec<String> = std::fs::read_to_string(shard_path(path, h, n_hosts))
-                .unwrap_or_default()
-                .lines()
-                .map(str::to_string)
-                .collect();
-            lines.sort();
-            lines
-        })
-        .collect()
-}
-
-/// Truncate each shard journal to the on-disk state of a run killed
-/// mid-grid: the header plus the sealed records of roughly the first
-/// half of its lines (cut at a `done` boundary, the way a kill between
-/// flushes would leave it).
-fn kill_shards(path: &Path, n_hosts: usize) {
-    for h in 0..n_hosts {
-        let shard = shard_path(path, h, n_hosts);
-        let Ok(contents) = std::fs::read_to_string(&shard) else {
-            continue;
-        };
-        let lines: Vec<&str> = contents.lines().collect();
-        let half = 1 + lines.len().saturating_sub(1) / 2;
-        let keep = lines[..half.min(lines.len())]
-            .iter()
-            .rposition(|l| l.starts_with("done\t"))
-            .map_or(1, |i| i + 1);
-        let mut kept = lines[..keep].join("\n");
-        kept.push('\n');
-        std::fs::write(&shard, kept).expect("rewrite truncated shard");
-    }
 }
 
 /// Run the cluster artefact.
@@ -127,44 +48,29 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
     }
     let chaos_spec = clean_spec.with_fault(chaos_plan);
 
-    let run_shape = |spec: &RunSpec, hosts: usize, jobs: usize| -> ClusterGridRun {
+    let run_hosts = |spec: &RunSpec, hosts: usize| -> ClusterGridRun {
         run_grid_cluster(
             &systems,
             &datasets,
             &budgets,
             spec,
-            &green_automl_core::benchmark::BenchmarkOptions {
-                parallelism: jobs,
-                ..opts
-            },
+            &opts,
             &ClusterOptions::uniform(hosts),
             None,
         )
         .expect("cluster spec is valid")
     };
 
-    // Invariant 1: the grid's scientific output is byte-identical at
-    // every (hosts × jobs) shape, clean and chaos-faulted.
     let mut shape_rows = Vec::new();
     let mut chaos_runs = Vec::new();
     for (label, spec) in [("clean", &clean_spec), ("chaos", &chaos_spec)] {
-        let mut reference: Option<u64> = None;
-        for (hosts, jobs) in SHAPES {
-            let run = run_shape(spec, hosts, jobs);
-            let bits = grid_bits(&run.grid);
-            match reference {
-                None => reference = Some(bits),
-                Some(r) => assert_eq!(
-                    bits, r,
-                    "{label} grid must be byte-identical at {hosts} hosts x {jobs} jobs"
-                ),
-            }
+        for hosts in HOSTS {
+            let run = run_hosts(spec, hosts);
             let r = &run.report;
             shape_rows.push(vec![
                 label.to_string(),
                 hosts.to_string(),
-                jobs.to_string(),
-                format!("{bits:016x}"),
+                format!("{:016x}", run.grid.fingerprint()),
                 fmt(r.makespan_s),
                 fmt(r.transfer_j),
                 fmt(r.wasted_j),
@@ -176,79 +82,16 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
                 run.grid.speculated_cells.to_string(),
             ]);
             if label == "chaos" {
-                chaos_runs.push((hosts, jobs, run));
+                chaos_runs.push(run);
             }
         }
     }
 
-    // Invariant 2: the cluster report (per-host accounting + trace) is a
-    // pure function of the topology — rerunning a chaos shape with a
-    // different jobs count must reproduce it byte for byte.
-    let (hosts2, _, ref two_host) = chaos_runs[0 /* (2, 4) */];
-    let rerun = run_shape(&chaos_spec, hosts2, 1);
-    assert_eq!(
-        rerun.report, two_host.report,
-        "cluster report must be jobs-invariant"
-    );
-    assert_eq!(rerun.report.fingerprint(), two_host.report.fingerprint());
-
-    // Invariant 3: a chaos run killed mid-grid resumes per shard to the
-    // same bytes. Run checkpointed, truncate every shard journal to a
-    // prefix, resume, and compare grid bits and sealed shard records.
-    let kill_hosts = 4;
-    let dir = std::env::temp_dir().join(format!(
-        "green-automl-cluster-{}-{}",
-        cfg.seed,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    let ckpt = dir.join("cluster.ckpt");
-    let full = run_grid_cluster(
-        &systems,
-        &datasets,
-        &budgets,
-        &chaos_spec,
-        &opts,
-        &ClusterOptions::uniform(kill_hosts),
-        Some(&ckpt),
-    )
-    .expect("cluster spec is valid");
-    let full_shards = shard_lines(&ckpt, kill_hosts);
-    kill_shards(&ckpt, kill_hosts);
-    let resumed = run_grid_cluster(
-        &systems,
-        &datasets,
-        &budgets,
-        &chaos_spec,
-        &opts,
-        &ClusterOptions::uniform(kill_hosts),
-        Some(&ckpt),
-    )
-    .expect("cluster spec is valid");
-    assert!(
-        resumed.grid.resumed_cells > 0,
-        "the truncated journals must still replay some cells"
-    );
-    assert_eq!(
-        grid_bits(&resumed.grid),
-        grid_bits(&full.grid),
-        "a killed chaos run must resume to the same grid bytes"
-    );
-    assert_eq!(
-        shard_lines(&ckpt, kill_hosts),
-        full_shards,
-        "resumed shard journals must seal the same records"
-    );
-    let resumed_cells = resumed.grid.resumed_cells;
-    let _ = std::fs::remove_dir_all(&dir);
-
     let shapes_table = Table::new(
-        "cluster: the same grid at every (hosts x jobs) shape, clean and chaos",
+        "cluster: the same grid at 1, 2 and 4 hosts, clean and chaos",
         vec![
             "plan",
             "hosts",
-            "jobs",
             "grid_bits",
             "makespan_s",
             "transfer_j",
@@ -265,10 +108,9 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
 
     // The headline topology for the per-host breakdown.
     let headline = chaos_runs
-        .iter()
-        .find(|(h, _, _)| *h == cfg.hosts)
-        .map(|(_, _, r)| r.clone())
-        .unwrap_or_else(|| run_shape(&chaos_spec, cfg.hosts, cfg.parallelism));
+        .into_iter()
+        .find(|r| r.report.n_hosts == cfg.hosts)
+        .unwrap_or_else(|| run_hosts(&chaos_spec, cfg.hosts));
     let report = &headline.report;
     let host_rows = report
         .hosts
@@ -328,12 +170,6 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
 
     let notes = vec![
         format!(
-            "determinism asserted: grid bits identical at {} shapes (clean and chaos), \
-             cluster report byte-identical across jobs counts, and a mid-grid kill \
-             resumed {resumed_cells} cell(s) from truncated shard journals to the same bytes",
-            SHAPES.len()
-        ),
-        format!(
             "chaos plan: host crash {:.0}% / straggler {:.0}% (x{:.0} slowdown) / \
              partition {:.0}% ({:.1}s) on top of the trial-fault chaos profile",
             chaos_plan.host_crash_p * 100.0,
@@ -372,17 +208,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cluster_artefact_asserts_equivalence_and_reports_hosts() {
+    fn cluster_artefact_reports_every_host_count() {
         let out = run(&ExpConfig::smoke());
         assert_eq!(out.id, "cluster");
         assert_eq!(out.tables.len(), 2);
-        // 2 plans x 3 shapes.
-        assert_eq!(out.tables[0].rows.len(), 6);
-        // Grid bits agree within each plan (the run() asserts already
-        // enforce this — spot-check the rendered rows too).
-        let bits = |row: &Vec<String>| row[3].clone();
-        assert_eq!(bits(&out.tables[0].rows[0]), bits(&out.tables[0].rows[2]));
-        assert_eq!(bits(&out.tables[0].rows[3]), bits(&out.tables[0].rows[5]));
+        // 2 plans x 3 host counts.
+        let rows = &out.tables[0].rows;
+        assert_eq!(rows.len(), 6);
+        // One grid per plan: its fingerprint is the same on every host row.
+        for plan in rows.chunks(3) {
+            assert!(plan
+                .iter()
+                .all(|r| r[0] == plan[0][0] && r[2] == plan[0][2]));
+        }
         // Per-host table covers the default 4-host headline topology.
         assert_eq!(out.tables[1].rows.len(), 4);
         let names: Vec<&str> = out.files.iter().map(|(n, _)| n.as_str()).collect();
@@ -395,6 +233,5 @@ mod tests {
             ]
         );
         assert!(out.files[1].1.lines().count() >= 4, "trace has host spans");
-        assert!(out.notes.iter().any(|n| n.contains("determinism asserted")));
     }
 }

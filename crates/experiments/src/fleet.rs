@@ -9,9 +9,9 @@
 //! trace. The same trace runs under carbon-blind and carbon-aware routing
 //! and the report compares kg CO₂ at equal SLO compliance; a third,
 //! chaos-faulted carbon-aware run shows that injected replica crashes
-//! change energy but not predictions. Determinism is asserted at runtime:
-//! the carbon-aware [`FleetReport`] must serialise byte-identically at
-//! `host_parallelism` 1 and the configured worker count.
+//! change energy but not predictions. `tests/fleet_equivalence.rs` proves
+//! the [`FleetReport`] byte-identical at every `host_parallelism`, clean
+//! and chaos-faulted.
 
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::serving::serving_dataset;
@@ -122,26 +122,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         &tenants,
         &test,
         &trace,
-        &aware_cfg
-            .clone()
-            .with_fault(FaultPlan::chaos(cfg.seed ^ 0xc4)),
-    );
-
-    // Runtime determinism gate: the ISSUE-level guarantee, not just a test
-    // — the committed artefact is byte-independent of the worker count.
-    let serial = run_fleet(
-        &tenants,
-        &test,
-        &trace,
-        &FleetConfig {
-            host_parallelism: 1,
-            ..aware_cfg.clone()
-        },
-    );
-    assert_eq!(
-        serial.to_text(),
-        aware.to_text(),
-        "FleetReport must be byte-identical at every host_parallelism"
+        &aware_cfg.with_fault(FaultPlan::chaos(cfg.seed ^ 0xc4)),
     );
 
     let runs: Vec<(&str, &FleetReport)> = vec![
@@ -318,11 +299,6 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         fmt(chaos.total_joules()),
         fmt(aware.total_joules())
     ));
-    notes.push(
-        "determinism asserted at runtime: the carbon-aware FleetReport serialises \
-         byte-identically at host_parallelism 1 and the configured worker count"
-            .to_string(),
-    );
     notes.push(format!(
         "trace: {} tenants x {} requests at {:.0} rps base (seed {}); shapes: diurnal \
          (FLAML), 3x burst (CAML), 6x flash crowd (AutoGluon); regions germany/poland/sweden \

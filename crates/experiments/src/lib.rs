@@ -21,15 +21,19 @@
 //! | [`table8`] | Table 8 — top-k representative datasets sweep |
 //! | [`table9`] | Table 9 — BO-iteration sweep |
 //! | [`serving`] | `serve` — one traffic trace replayed against every system's deployment (O1 / Fig. 4 under load) |
-//! | [`chaos`] | `chaos` — energy under injected faults (crash/timeout/OOM trials, replica crashes), with determinism asserted |
-//! | [`cluster`] | `cluster` — the multi-host executor under host-level chaos (crash/straggler/partition): grid bytes asserted identical at every (hosts × jobs) shape, kill/resume per shard, per-host energy accounting |
+//! | [`chaos`] | `chaos` — energy under injected faults (crash/timeout/OOM trials, replica crashes) |
+//! | [`cluster`] | `cluster` — the multi-host executor under host-level chaos (crash/straggler/partition) at 1, 2 and 4 hosts: grid fingerprints and per-host energy accounting |
 //! | [`fleet`] | `fleet` — multi-tenant multi-region serving: carbon-blind vs carbon-aware routing, elastic replica pools, seeded diurnal grid curves |
-//! | [`trace`] | `trace` — span-level energy flamegraph (per-stage attribution + JSONL / Chrome `trace_event` sinks), byte-identical at every `--jobs` |
+//! | [`trace`] | `trace` — span-level energy flamegraph (per-stage attribution + JSONL / Chrome `trace_event` sinks) |
 //!
 //! All runners consume an [`ExpConfig`] controlling scale (the paper's full
 //! protocol — 39 datasets × 10 runs × 28 compute-days — is reproduced in
 //! *shape* at reduced repetition counts; see EXPERIMENTS.md) and return
-//! [`report::ExperimentOutput`]s that render to text and CSV.
+//! [`report::ExperimentOutput`]s that render to text and CSV. Each runner
+//! computes its results once; that they are byte-identical at every
+//! jobs, hosts, cache and fault shape is proved by the workspace's
+//! equivalence matrix (`tests/matrix/`) and
+//! `tests/fleet_equivalence.rs`, not re-checked at runtime.
 
 pub mod chaos;
 pub mod cli;

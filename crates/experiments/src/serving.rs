@@ -57,6 +57,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
             Device::xeon_gold_6132()
         }
     };
+    // Not a grid: these fits return deployable predictors, not points.
     let fitted: Vec<(SystemId, AutoMlRun)> =
         run_indexed(systems.len(), resolve_parallelism(cfg.parallelism), |i| {
             let id = systems[i].id();

@@ -3,9 +3,7 @@
 
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::suite::ExpConfig;
-use green_automl_core::benchmark::run_once_on;
-use green_automl_core::executor::{resolve_parallelism, run_indexed, DatasetCache};
-use green_automl_dataset::MaterializeOptions;
+use green_automl_core::benchmark::run_grid_checked;
 use green_automl_energy::Device;
 use green_automl_systems::{AutoGluon, AutoMlSystem, RunSpec, TabPfn};
 
@@ -23,48 +21,36 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
 
     let mut rows = Vec::new();
     let mut notes = Vec::new();
+    let mut failed = 0;
     let systems: Vec<Box<dyn AutoMlSystem>> =
         vec![Box::new(AutoGluon::default()), Box::new(TabPfn::default())];
-    let cache = DatasetCache::new();
     for system in &systems {
-        // Enumerate (dataset, run, device) cells in the reference order,
-        // fan them out, then fold serially so sums are bit-stable at any
-        // parallelism.
-        let mut cells = Vec::new();
-        for meta in &datasets {
-            for r in 0..opts.runs {
-                for (di, device) in [Device::gpu_node(), Device::gpu_node_cpu_only()]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let spec = RunSpec {
-                        budget_s: budget,
-                        cores: device.cpu.cores,
-                        device,
-                        seed: cfg.seed ^ (r as u64) ^ meta.openml_id as u64,
-                        constraints: Default::default(),
-                        fault: Default::default(),
-                        trace: false,
-                    };
-                    cells.push((meta, spec, di));
-                }
-            }
-        }
-        let points = run_indexed(cells.len(), resolve_parallelism(opts.parallelism), |i| {
-            let (meta, spec, di) = &cells[i];
-            let m_opts = MaterializeOptions {
-                seed: spec.seed,
-                ..opts.materialize
-            };
-            let ds = cache.materialize(meta, &m_opts);
-            (run_once_on(system.as_ref(), meta, &ds, spec, &opts), *di)
-        });
         let mut agg = [[0.0f64; 2]; 4]; // [exec kwh, exec s, inf kwh, inf s] x [gpu, cpu]
-        for (p, di) in &points {
-            agg[0][*di] += p.execution.kwh();
-            agg[1][*di] += p.execution.duration_s;
-            agg[2][*di] += p.inference_kwh_per_row;
-            agg[3][*di] += p.inference_s_per_row;
+        for (di, device) in [Device::gpu_node(), Device::gpu_node_cpu_only()]
+            .into_iter()
+            .enumerate()
+        {
+            let spec = RunSpec {
+                cores: device.cpu.cores,
+                device,
+                ..cfg.base_spec()
+            };
+            let grid = run_grid_checked(
+                std::slice::from_ref(system),
+                &datasets,
+                &[budget],
+                &spec,
+                &opts,
+                None,
+            )
+            .expect("ExpConfig produces a valid RunSpec");
+            failed += grid.failures.len();
+            for p in &grid.points {
+                agg[0][di] += p.execution.kwh();
+                agg[1][di] += p.execution.duration_s;
+                agg[2][di] += p.inference_kwh_per_row;
+                agg[3][di] += p.inference_s_per_row;
+            }
         }
         let ratio = |i: usize| agg[i][0] / agg[i][1].max(1e-30);
         rows.push(vec![
@@ -83,6 +69,11 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
             } else {
                 "2.39"
             }
+        ));
+    }
+    if failed > 0 {
+        notes.push(format!(
+            "{failed} grid cell(s) failed; their ratios sum the remaining cells"
         ));
     }
 

@@ -8,15 +8,14 @@
 //! `trace_event` JSON (load `trace.chrome.json` in `chrome://tracing` or
 //! Perfetto to see the flamegraph).
 //!
-//! Determinism is **asserted**, not claimed: the serialized trace must be
-//! byte-identical on the serial and parallel grid schedules, and every
-//! execution root span must reconcile bitwise with the run-level
-//! [`Measurement`](green_automl_energy::Measurement) the tables are
-//! built from.
+//! `tests/trace_determinism.rs` proves the serialized trace byte-identical
+//! at every worker count, and every execution root span bitwise equal to the
+//! run-level [`Measurement`](green_automl_energy::Measurement) the tables
+//! are built from.
 
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::suite::ExpConfig;
-use green_automl_core::benchmark::{run_grid, run_once, BenchmarkOptions, BenchmarkPoint};
+use green_automl_core::benchmark::{run_grid, run_once, BenchmarkPoint};
 use green_automl_core::devtune::{DevTuneOptions, DevTuner};
 use green_automl_dataset::dev_binary_pool;
 use green_automl_energy::{MetricsRegistry, Trace};
@@ -65,45 +64,8 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         Box::new(TabPfn::default()),
     ];
 
-    // The grid on the configured schedule, and again on the reference
-    // serial one — the serialized traces must match byte for byte.
     let points = run_grid(&systems, &[meta], &[budget], &spec, &opts);
-    let serial = run_grid(
-        &systems,
-        &[meta],
-        &[budget],
-        &spec,
-        &BenchmarkOptions {
-            parallelism: 1,
-            ..opts
-        },
-    );
     let picked = pick(&points);
-    assert_eq!(
-        merge_tracks(&picked).to_jsonl(),
-        merge_tracks(&pick(&serial)).to_jsonl(),
-        "trace must be byte-identical at every --jobs setting"
-    );
-
-    // Every execution root span carries exactly the energy the run-level
-    // measurement reports — bitwise, not approximately.
-    for (id, t) in &picked {
-        let p = points
-            .iter()
-            .find(|p| p.system == *id)
-            .expect("picked from points");
-        let root = t
-            .roots()
-            .find(|r| r.track == 0)
-            .expect("execution trace has a root span");
-        let e = &p.execution.energy;
-        assert!(
-            root.energy.package_j.to_bits() == e.package_j.to_bits()
-                && root.energy.dram_j.to_bits() == e.dram_j.to_bits()
-                && root.energy.gpu_j.to_bits() == e.gpu_j.to_bits(),
-            "{id}: execution root span must reconcile bitwise with the Measurement"
-        );
-    }
 
     // CAML(tuned): the one deployment whose development stage costs real
     // energy — the off-the-shelf systems ship with development = 0 by the
@@ -196,12 +158,6 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
 
     let notes = vec![
         format!(
-            "determinism asserted: the serialized trace is byte-identical on the serial \
-             and parallel grid schedules, and all {} execution root spans reconcile \
-             bitwise with their run-level Measurement",
-            picked.len()
-        ),
-        format!(
             "{} spans across {} runs ({:.3} J total); load trace.chrome.json in \
              chrome://tracing or Perfetto for the flamegraph",
             registry.counter("spans_total"),
@@ -243,6 +199,6 @@ mod tests {
         );
         let jsonl = &out.files[0].1;
         assert!(jsonl.lines().count() > 8, "merged trace has spans");
-        assert!(out.notes.iter().any(|n| n.contains("byte-identical")));
+        assert!(out.notes[0].contains("spans across 4 runs"));
     }
 }

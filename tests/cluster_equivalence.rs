@@ -1,310 +1,101 @@
-//! The cluster executor's headline guarantee: the grid's scientific
-//! output — points (every float by bits), span traces, failures, and the
-//! sealed checkpoint records — is **byte-identical at every
-//! (hosts × jobs) shape** in {1,2,4} × {1,2,4}, on a clean run and under
-//! an active host-chaos [`FaultPlan`]; the cluster report is a pure
-//! function of the topology (jobs-invariant); and a chaos run killed
-//! mid-grid — shard journals truncated, the last record torn mid-line —
-//! resumes per shard to the same bytes.
+//! The cluster executor's rows of the equivalence matrix (`tests/matrix`):
+//! the grid is byte-identical at every (hosts x jobs) shape in {1,2,4}²,
+//! on a clean run and under host chaos, and so are its shard journals
+//! across topologies; the cluster report is a function of the topology
+//! alone; and a host-chaos run killed mid-grid (one shard torn mid-line,
+//! the others cut) resumes at another job count to the same grid and the
+//! same sealed records.
 
-use green_automl::core::benchmark::BenchmarkPoint;
-use green_automl::core::checkpoint::shard_path;
-use green_automl::core::cluster::ClusterGridRun;
-use green_automl::prelude::*;
+mod matrix;
+
+use matrix::{
+    check, outcome, reference, sweep, trial_faults, Ckpt::*, Grid::*, Outcome, Row, BASE,
+};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 
-const SEED: u64 = 11;
-const SHAPES: [(usize, usize); 9] = [
-    (1, 1),
-    (1, 2),
-    (1, 4),
-    (2, 1),
-    (2, 2),
-    (2, 4),
-    (4, 1),
-    (4, 2),
-    (4, 4),
-];
-
-/// One multi-budget cluster grid at the given (hosts, jobs) shape. The
-/// shape sweeps run traced; the checkpointed runs don't (replayed points
-/// deliberately carry no trace, so a traced spec could not round-trip).
-fn cluster(
-    hosts: usize,
-    jobs: usize,
-    fault: Option<FaultPlan>,
-    ckpt: Option<&Path>,
-) -> ClusterGridRun {
-    let systems = all_systems();
-    let datasets: Vec<_> = amlb39().into_iter().take(2).collect();
-    let budgets = [10.0, 60.0];
-    let mut spec = RunSpec::single_core(10.0, SEED);
-    if ckpt.is_none() {
-        spec = spec.with_trace();
+/// Every jobs count at one host count must reproduce the cluster report
+/// byte for byte.
+fn assert_reports_depend_on_the_topology_alone(rows: &[(Row, &Outcome)]) {
+    let mut first = HashMap::new();
+    for (row, o) in rows {
+        let fp = o.run.report.fingerprint();
+        let &mut (jobs, want) = first.entry(row.hosts).or_insert((row.jobs, fp));
+        assert_eq!(fp, want, "{row:?}: report differs from {jobs} jobs");
     }
-    if let Some(plan) = fault {
-        spec = spec.with_fault(plan);
-    }
-    let opts = BenchmarkOptions {
-        materialize: MaterializeOptions::tiny(),
-        runs: 1,
-        test_frac: 0.34,
-        parallelism: jobs,
-        eval_cache: true,
-    };
-    run_grid_cluster(
-        &systems,
-        &datasets,
-        &budgets,
-        &spec,
-        &opts,
-        &ClusterOptions::uniform(hosts),
-        ckpt,
-    )
-    .expect("the equivalence spec is valid")
-}
-
-/// Every float in a point, as raw bit patterns (`-0.0` vs `0.0` or NaN
-/// payload differences would be caught).
-fn point_bits(p: &BenchmarkPoint) -> [u64; 13] {
-    [
-        p.budget_s.to_bits(),
-        p.balanced_accuracy.to_bits(),
-        p.execution.duration_s.to_bits(),
-        p.execution.energy.package_j.to_bits(),
-        p.execution.energy.dram_j.to_bits(),
-        p.execution.energy.gpu_j.to_bits(),
-        p.execution.ops.scalar_flops.to_bits(),
-        p.execution.ops.matmul_flops.to_bits(),
-        p.execution.ops.tree_steps.to_bits(),
-        p.execution.ops.mem_bytes.to_bits(),
-        p.inference_kwh_per_row.to_bits(),
-        p.inference_s_per_row.to_bits(),
-        p.wasted_j.to_bits(),
-    ]
-}
-
-fn assert_grids_identical(ctx: &str, reference: &GridRun, other: &GridRun) {
-    assert_eq!(
-        reference.points.len(),
-        other.points.len(),
-        "{ctx}: point count"
-    );
-    for (i, (a, b)) in reference.points.iter().zip(&other.points).enumerate() {
-        assert_eq!(
-            point_bits(a),
-            point_bits(b),
-            "{ctx}[{i}]: float bits ({} on {})",
-            a.system,
-            a.dataset
-        );
-        // Serialized traces compare the full span tree — ids, nesting,
-        // labels, and per-span energy — byte for byte.
-        assert_eq!(
-            a.trace.as_ref().map(Trace::to_jsonl),
-            b.trace.as_ref().map(Trace::to_jsonl),
-            "{ctx}[{i}]: trace ({} on {})",
-            a.system,
-            a.dataset
-        );
-    }
-    // Structural equality last: covers every remaining field (system,
-    // dataset, seed, n_models, n_evaluations, fault counters).
-    assert_eq!(reference.points, other.points, "{ctx}: full points");
-    assert_eq!(reference.failures, other.failures, "{ctx}: failures");
-}
-
-/// Run every shape under `fault`, asserting the grid artefact matches the
-/// 1×1 reference bitwise and the cluster report depends on hosts only.
-fn sweep_shapes(label: &str, fault: Option<FaultPlan>) -> Vec<ClusterGridRun> {
-    let mut runs = Vec::new();
-    let mut report_fp: HashMap<usize, u64> = HashMap::new();
-    for (hosts, jobs) in SHAPES {
-        let run = cluster(hosts, jobs, fault, None);
-        if let Some(reference) = runs.first() {
-            let reference: &ClusterGridRun = reference;
-            assert_grids_identical(
-                &format!("{label} @ {hosts}x{jobs}"),
-                &reference.grid.clone(),
-                &run.grid,
-            );
-        } else {
-            assert!(!run.grid.points.is_empty(), "{label}: empty grid");
-        }
-        // The report is deterministic per topology: every jobs count at
-        // the same host count must reproduce it byte for byte.
-        let fp = run.report.fingerprint();
-        match report_fp.get(&hosts) {
-            None => {
-                report_fp.insert(hosts, fp);
-            }
-            Some(&prev) => assert_eq!(
-                fp, prev,
-                "{label}: cluster report must be jobs-invariant at {hosts} hosts"
-            ),
-        }
-        runs.push(run);
-    }
-    runs
 }
 
 #[test]
 fn clean_grid_is_bit_identical_at_every_hosts_x_jobs_shape() {
-    let runs = sweep_shapes("clean", None);
+    let rows = check(&sweep(Clean));
+    assert_reports_depend_on_the_topology_alone(&rows);
     // Multi-host clean runs still pay for dataset shipping and result
-    // collection — the network is real, the science is unchanged.
-    let four_hosts = &runs[6].report;
-    assert_eq!(four_hosts.n_hosts, 4);
-    assert!(four_hosts.transfer_j > 0.0, "workers must ship bytes");
-    assert_eq!(four_hosts.host_crashes, 0, "clean run must not crash");
-    let delivered: usize = four_hosts.hosts.iter().map(|h| h.cells_run).sum();
-    assert_eq!(delivered, four_hosts.scheduled_cells);
-}
-
-/// The stock `cluster_chaos` rates are tuned for full-size grids; this
-/// reduced one needs amplified host-fault probabilities so every fault
-/// class actually fires (layered on the trial-chaos profile).
-fn violent_chaos() -> FaultPlan {
-    FaultPlan {
-        host_crash_p: 0.20,
-        host_straggler_p: 0.20,
-        host_straggler_slowdown: 4.0,
-        host_partition_p: 0.15,
-        host_partition_s: 2.0,
-        ..FaultPlan::chaos(SEED)
+    // collection: the network is real, the science is unchanged.
+    for (row, o) in rows.iter().filter(|(row, _)| row.hosts > 1) {
+        let report = &o.run.report;
+        assert!(report.transfer_j > 0.0, "{row:?}: workers must ship bytes");
+        assert_eq!(report.host_crashes, 0, "{row:?}: a clean run crashed");
+        let delivered: usize = report.hosts.iter().map(|h| h.cells_run).sum();
+        assert_eq!(delivered, report.scheduled_cells, "{row:?}");
     }
 }
 
 #[test]
 fn chaos_grid_is_bit_identical_at_every_hosts_x_jobs_shape() {
-    let runs = sweep_shapes("chaos", Some(violent_chaos()));
-    // The chaos plan must actually fire at the widest topology…
-    let four_hosts = &runs[6].report;
-    assert!(
-        four_hosts.host_crashes + four_hosts.stragglers + four_hosts.partitions > 0,
-        "host chaos must fire at 4 hosts"
-    );
-    // …and on trials too (cluster_chaos layers on the trial profile).
-    let trial_faults: usize = runs[0].grid.points.iter().map(|p| p.n_trial_faults).sum();
-    assert!(trial_faults > 0, "trial chaos must fire");
-    // Recovery machinery is visible in the grid's scheduler counters at
-    // 4 hosts whenever a crash happened, and a single host never retries.
-    assert_eq!(runs[0].grid.retried_cells, 0);
-    assert!(runs[6].grid.retried_cells >= four_hosts.host_crashes);
-}
-
-// ---------------------------------------------------------- checkpoint ----
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("green-automl-cluster-eq")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// All data lines sealed across a run's shard journals, sorted — the
-/// topology-independent record set (headers excluded; every shard of one
-/// run carries the same fingerprint header).
-fn sorted_shard_records(path: &Path, n_hosts: usize) -> Vec<String> {
-    let mut lines = Vec::new();
-    for h in 0..n_hosts {
-        let text = std::fs::read_to_string(shard_path(path, h, n_hosts)).expect("shard written");
-        let mut it = text.lines();
-        let header = it.next().expect("shard header");
-        assert!(
-            header.starts_with("green-automl-checkpoint"),
-            "malformed shard header: {header}"
-        );
-        lines.extend(it.filter(|l| !l.is_empty()).map(str::to_string));
+    let rows = check(&sweep(HostChaos));
+    assert_reports_depend_on_the_topology_alone(&rows);
+    for (row, o) in &rows {
+        let (report, grid) = (&o.run.report, &o.run.grid);
+        // Host chaos layers on the trial-chaos profile.
+        assert!(trial_faults(grid) > 0, "{row:?}: trial chaos must fire");
+        if row.hosts == 1 {
+            assert_eq!(grid.retried_cells, 0, "{row:?}: one host never retries");
+        }
+        if row.hosts == 4 {
+            let faults = report.host_crashes + report.stragglers + report.partitions;
+            assert!(faults > 0, "{row:?}: host chaos must fire");
+            assert!(grid.retried_cells >= report.host_crashes, "{row:?}");
+        }
     }
-    lines.sort();
-    lines
-}
-
-fn shard_header(path: &Path, host: usize, n_hosts: usize) -> String {
-    std::fs::read_to_string(shard_path(path, host, n_hosts))
-        .expect("shard written")
-        .lines()
-        .next()
-        .expect("shard header")
-        .to_string()
 }
 
 #[test]
 fn checkpoint_records_and_fingerprints_are_identical_across_topologies() {
-    let one = tmp_dir("one").join("grid.ckpt");
-    let two = tmp_dir("two").join("grid.ckpt");
-    let four = tmp_dir("four").join("grid.ckpt");
-    cluster(1, 2, None, Some(&one));
-    cluster(2, 4, None, Some(&two));
-    cluster(4, 1, None, Some(&four));
-
-    // The grid fingerprint deliberately excludes the topology, so every
-    // shard of every shape opens under the same header…
-    let reference = shard_header(&one, 0, 1);
-    for h in 0..2 {
-        assert_eq!(shard_header(&two, h, 2), reference);
-    }
-    for h in 0..4 {
-        assert_eq!(shard_header(&four, h, 4), reference);
-    }
-    // …and the union of sealed records is byte-identical regardless of
-    // how they were sharded.
-    let reference = sorted_shard_records(&one, 1);
-    assert!(!reference.is_empty());
-    assert_eq!(sorted_shard_records(&two, 2), reference);
-    assert_eq!(sorted_shard_records(&four, 4), reference);
+    // The grid fingerprint excludes the topology, so every shard of every
+    // shape opens under the reference's header, and the union of sealed
+    // records is the same however it was sharded.
+    check(&[(1, 2), (2, 4), (4, 1)].map(|(hosts, jobs)| Row {
+        hosts,
+        jobs,
+        ckpt: Fresh,
+        ..BASE
+    }));
 }
 
 #[test]
 fn killed_chaos_cluster_resumes_per_shard_to_the_same_bytes() {
-    let plan = violent_chaos();
-    let hosts = 4;
-    let ckpt = tmp_dir("killed").join("grid.ckpt");
-    let full = cluster(hosts, 2, Some(plan), Some(&ckpt));
-    let n_cells: usize = {
-        let delivered: usize = full.report.hosts.iter().map(|h| h.cells_run).sum();
-        delivered
+    // Killed at 4 hosts x 2 jobs, resumed at 4 jobs and replayed at 1: the
+    // resumed grid, its replay and its sealed records match the reference.
+    let killed = Row {
+        grid: HostChaos,
+        hosts: 4,
+        jobs: 2,
+        trace: false,
+        ckpt: Killed,
+        ..BASE
     };
-    assert!(n_cells > 2, "need enough cells to chop");
-
-    // Kill the run mid-grid: shard 0 loses its tail *mid-record* (a torn
-    // write — the final line is cut in half, no trailing newline), the
-    // other shards lose their last sealed record cleanly.
-    for h in 0..hosts {
-        let shard = shard_path(&ckpt, h, hosts);
-        let text = std::fs::read_to_string(&shard).expect("shard written");
-        let lines: Vec<&str> = text.lines().collect();
-        let damaged = if h == 0 {
-            let keep = lines.len().saturating_sub(1).max(1);
-            let torn = &lines[keep][..lines[keep].len() / 2];
-            format!("{}\n{}", lines[..keep].join("\n"), torn)
-        } else {
-            let keep = lines.len().saturating_sub(2).max(1);
-            format!("{}\n", lines[..keep].join("\n"))
-        };
-        std::fs::write(&shard, damaged).expect("rewrite damaged shard");
-    }
-
-    // The resumed run replays every sealed record, recomputes the torn
-    // and chopped cells, and lands on the same grid bytes.
-    let resumed = cluster(hosts, 4, Some(plan), Some(&ckpt));
+    let o = check(&[killed])[0].1;
+    let cells = outcome(reference(killed)).run.report.scheduled_cells;
+    let resumed = o.run.grid.resumed_cells;
     assert!(
-        resumed.grid.resumed_cells > 0,
+        resumed > 0,
         "damaged shards must still replay their sealed prefix"
     );
     assert!(
-        resumed.grid.resumed_cells < n_cells,
-        "the chopped cells must be recomputed, not silently replayed"
+        resumed < cells,
+        "the cut cells must be recomputed, not replayed"
     );
-    assert_grids_identical("killed chaos resume", &full.grid, &resumed.grid);
-
-    // And a further resume finds every cell sealed again: the repaired
+    // A further resume finds every cell sealed again: the repaired
     // journals are complete despite the torn write.
-    let replayed = cluster(hosts, 1, Some(plan), Some(&ckpt));
-    assert_eq!(replayed.grid.resumed_cells, n_cells);
-    assert_grids_identical("fully sealed replay", &full.grid, &replayed.grid);
+    let replay = o.replay.as_ref().expect("killed rows replay");
+    assert_eq!(replay.resumed_cells, cells);
 }

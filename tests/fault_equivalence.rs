@@ -1,161 +1,21 @@
-//! The robustness headline, mirroring `serving_equivalence`: with a seeded
-//! chaos [`FaultPlan`] active, the benchmark grid and the serving layer
-//! still produce **bit-identical** results at every worker count.
-//! Injected failures are part of the deterministic record — a function of
-//! `(seed, site)` only — never of thread scheduling, so a chaos run is as
+//! Trial chaos's rows of the equivalence matrix (`tests/matrix`): with a
+//! seeded chaos `FaultPlan` active, the grid is byte-identical at every
+//! worker count, two runs a cell. Injected failures are a function of
+//! `(seed, site)` only, never of thread scheduling, so a chaos run is as
 //! replayable as a clean one.
 
-use green_automl::core::BenchmarkPoint;
-use green_automl::prelude::*;
+mod matrix;
 
-const SEED: u64 = 5;
-
-fn chaos_plan() -> FaultPlan {
-    FaultPlan::chaos(SEED)
-}
-
-// ---------------------------------------------------------------- grid ----
-
-fn faulted_grid(workers: usize) -> GridRun {
-    let systems = all_systems();
-    let datasets: Vec<_> = amlb39().into_iter().take(2).collect();
-    // 60 s clears every budget floor, so all seven systems participate.
-    let budgets = [10.0, 60.0];
-    let spec = RunSpec::single_core(10.0, SEED).with_fault(chaos_plan());
-    let opts = BenchmarkOptions {
-        materialize: MaterializeOptions::tiny(),
-        runs: 2,
-        test_frac: 0.34,
-        parallelism: workers,
-        eval_cache: true,
-    };
-    run_grid_checked(&systems, &datasets, &budgets, &spec, &opts, None)
-        .expect("the chaos spec is valid")
-}
-
-/// Every float in a point, as raw bit patterns (`-0.0` vs `0.0` or NaN
-/// payload differences would be caught).
-fn point_bits(p: &BenchmarkPoint) -> [u64; 13] {
-    [
-        p.budget_s.to_bits(),
-        p.balanced_accuracy.to_bits(),
-        p.execution.duration_s.to_bits(),
-        p.execution.energy.package_j.to_bits(),
-        p.execution.energy.dram_j.to_bits(),
-        p.execution.energy.gpu_j.to_bits(),
-        p.execution.ops.scalar_flops.to_bits(),
-        p.execution.ops.matmul_flops.to_bits(),
-        p.execution.ops.tree_steps.to_bits(),
-        p.execution.ops.mem_bytes.to_bits(),
-        p.inference_kwh_per_row.to_bits(),
-        p.inference_s_per_row.to_bits(),
-        p.wasted_j.to_bits(),
-    ]
-}
-
-fn assert_points_identical(ctx: &str, serial: &[BenchmarkPoint], parallel: &[BenchmarkPoint]) {
-    assert_eq!(serial.len(), parallel.len(), "{ctx}: point count");
-    for (i, (a, b)) in serial.iter().zip(parallel).enumerate() {
-        assert_eq!(a.system, b.system, "{ctx}[{i}]: system");
-        assert_eq!(a.dataset, b.dataset, "{ctx}[{i}]: dataset");
-        assert_eq!(a.seed, b.seed, "{ctx}[{i}]: seed");
-        assert_eq!(a.n_models, b.n_models, "{ctx}[{i}]: n_models");
-        assert_eq!(
-            a.n_evaluations, b.n_evaluations,
-            "{ctx}[{i}]: n_evaluations"
-        );
-        assert_eq!(
-            a.n_trial_faults, b.n_trial_faults,
-            "{ctx}[{i}]: n_trial_faults"
-        );
-        assert_eq!(
-            point_bits(a),
-            point_bits(b),
-            "{ctx}[{i}]: float bits ({} on {})",
-            a.system,
-            a.dataset
-        );
-    }
-}
+use matrix::{check, outcome, reference, trial_faults, Grid::*, Row, BASE};
 
 #[test]
 fn faulted_grid_is_bit_identical_at_every_worker_count() {
-    let serial = faulted_grid(1);
-    assert!(!serial.points.is_empty(), "the faulted grid must still run");
-    let faults: usize = serial.points.iter().map(|p| p.n_trial_faults).sum();
-    assert!(faults > 0, "the chaos plan must actually kill trials");
-    for workers in [4, 8] {
-        let parallel = faulted_grid(workers);
-        assert_points_identical(
-            &format!("grid @ {workers} workers"),
-            &serial.points,
-            &parallel.points,
-        );
-        assert_eq!(
-            serial.failures, parallel.failures,
-            "cell failures @ {workers} workers"
-        );
-    }
-}
-
-// ------------------------------------------------------------- serving ----
-
-fn serve_chaos(predictor: &Predictor, pool: &Dataset, host_parallelism: usize) -> ServingReport {
-    let trace = TrafficConfig {
-        rps: 400.0,
-        n_requests: 600,
-        seed: 77,
-    }
-    .generate(pool.n_rows());
-    let cfg = ServeConfig {
-        host_parallelism,
-        ..ServeConfig::cpu_testbed(3).with_fault(chaos_plan())
-    };
-    serve(predictor, pool, &trace, &cfg)
-}
-
-/// Every float in a serving report, as raw bit patterns.
-fn report_bits(r: &ServingReport) -> [u64; 14] {
-    [
-        r.latency.p50_s.to_bits(),
-        r.latency.p95_s.to_bits(),
-        r.latency.p99_s.to_bits(),
-        r.latency.mean_s.to_bits(),
-        r.latency.max_s.to_bits(),
-        r.mean_queue_depth.to_bits(),
-        r.busy_j.to_bits(),
-        r.idle_j.to_bits(),
-        r.wasted_j.to_bits(),
-        r.makespan_s.to_bits(),
-        r.ops.scalar_flops.to_bits(),
-        r.ops.matmul_flops.to_bits(),
-        r.ops.tree_steps.to_bits(),
-        r.ops.mem_bytes.to_bits(),
-    ]
-}
-
-#[test]
-fn faulted_serving_report_is_bit_identical_at_every_host_parallelism() {
-    let data = TaskSpec::new("fault-eq-serve", 300, 6, 3).generate();
-    let (train, test) = train_test_split(&data, 0.34, 11);
-    let run = Flaml::default().fit(&train, &RunSpec::single_core(10.0, 11));
-
-    let serial = serve_chaos(&run.predictor, &test, 1);
-    assert!(
-        serial.retried_requests > 0 || serial.failed_requests > 0,
-        "the chaos plan must crash at least one replica attempt"
-    );
-    assert!(serial.wasted_j > 0.0, "crashed attempts must waste energy");
-
-    for workers in [4, 8] {
-        let parallel = serve_chaos(&run.predictor, &test, workers);
-        // Structural equality first (counters, predictions, histogram)...
-        assert_eq!(serial, parallel, "report @ {workers} host threads");
-        // ...then the stricter bitwise check on every float field.
-        assert_eq!(
-            report_bits(&serial),
-            report_bits(&parallel),
-            "float bits @ {workers} host threads"
-        );
-    }
+    let rows = check(&[4, 8].map(|jobs| Row {
+        grid: Chaos,
+        jobs,
+        trace: false,
+        ..BASE
+    }));
+    let serial = &outcome(reference(rows[0].0)).run.grid;
+    assert!(trial_faults(serial) > 0, "the chaos plan must kill trials");
 }

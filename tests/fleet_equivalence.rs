@@ -9,7 +9,7 @@
 //!
 //! Single-model [`serve`] is a one-tenant `run_fleet` call, so its
 //! [`ServingReport`] carries the same guarantee; the second half of this
-//! suite checks it field by field, bit for bit.
+//! suite checks it field by field, bit for bit, clean and under chaos.
 
 use green_automl::prelude::*;
 
@@ -166,90 +166,31 @@ fn serve_at(
     serve(predictor, pool, &trace, &cfg)
 }
 
-/// Compare every report field bit-exactly (floats via `to_bits`, so
-/// `-0.0` vs `0.0` or NaN payloads would also be caught).
+/// Compare every report field: structurally, then every float by its bits
+/// (so `-0.0` vs `0.0` or NaN payloads would also be caught).
 fn assert_reports_identical(ctx: &str, serial: &ServingReport, parallel: &ServingReport) {
-    assert_eq!(serial.n_requests, parallel.n_requests, "{ctx}: n_requests");
-    assert_eq!(serial.n_batches, parallel.n_batches, "{ctx}: n_batches");
-    assert_eq!(
-        serial.predictions, parallel.predictions,
-        "{ctx}: predictions"
-    );
-    assert_eq!(
-        serial.max_queue_depth, parallel.max_queue_depth,
-        "{ctx}: max_queue_depth"
-    );
-    let counts = [
-        (
-            "retried",
-            serial.retried_requests,
-            parallel.retried_requests,
-        ),
-        ("shed", serial.shed_requests, parallel.shed_requests),
-        ("failed", serial.failed_requests, parallel.failed_requests),
-    ];
-    for (name, a, b) in counts {
-        assert_eq!(a, b, "{ctx}: {name}");
-    }
-    let bits = [
-        (
-            "latency.p50_s",
-            serial.latency.p50_s,
-            parallel.latency.p50_s,
-        ),
-        (
-            "latency.p95_s",
-            serial.latency.p95_s,
-            parallel.latency.p95_s,
-        ),
-        (
-            "latency.p99_s",
-            serial.latency.p99_s,
-            parallel.latency.p99_s,
-        ),
-        (
-            "latency.mean_s",
-            serial.latency.mean_s,
-            parallel.latency.mean_s,
-        ),
-        (
-            "latency.max_s",
-            serial.latency.max_s,
-            parallel.latency.max_s,
-        ),
-        (
-            "mean_queue_depth",
-            serial.mean_queue_depth,
-            parallel.mean_queue_depth,
-        ),
-        ("busy_j", serial.busy_j, parallel.busy_j),
-        ("idle_j", serial.idle_j, parallel.idle_j),
-        ("wasted_j", serial.wasted_j, parallel.wasted_j),
-        ("makespan_s", serial.makespan_s, parallel.makespan_s),
-        (
-            "ops.scalar_flops",
-            serial.ops.scalar_flops,
-            parallel.ops.scalar_flops,
-        ),
-        (
-            "ops.matmul_flops",
-            serial.ops.matmul_flops,
-            parallel.ops.matmul_flops,
-        ),
-        (
-            "ops.tree_steps",
-            serial.ops.tree_steps,
-            parallel.ops.tree_steps,
-        ),
-        (
-            "ops.mem_bytes",
-            serial.ops.mem_bytes,
-            parallel.ops.mem_bytes,
-        ),
-    ];
-    for (name, a, b) in bits {
-        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {name} ({a} vs {b})");
-    }
+    assert_eq!(serial, parallel, "{ctx}: ServingReport fields");
+    let bits = |r: &ServingReport| {
+        let (l, o) = (&r.latency, &r.ops);
+        [
+            l.p50_s,
+            l.p95_s,
+            l.p99_s,
+            l.mean_s,
+            l.max_s,
+            r.mean_queue_depth,
+            r.busy_j,
+            r.idle_j,
+            r.wasted_j,
+            r.makespan_s,
+            o.scalar_flops,
+            o.matmul_flops,
+            o.tree_steps,
+            o.mem_bytes,
+        ]
+        .map(f64::to_bits)
+    };
+    assert_eq!(bits(serial), bits(parallel), "{ctx}: float bits");
 }
 
 #[test]
@@ -275,6 +216,23 @@ fn serving_auto_host_parallelism_matches_serial_too() {
     let serial = serve_at(predictor, &pool, cfg, 1);
     let auto = serve_at(predictor, &pool, cfg, 0);
     assert_reports_identical(&format!("{name} @ auto"), &serial, &auto);
+}
+
+#[test]
+fn faulted_serving_report_is_bit_identical_at_every_host_parallelism() {
+    let (pool, preds) = deployments();
+    let (name, predictor) = &preds[0];
+    let cfg = ServeConfig::cpu_testbed(3).with_fault(FaultPlan::chaos(5));
+    let serial = serve_at(predictor, &pool, cfg, 1);
+    assert!(
+        serial.retried_requests > 0 || serial.failed_requests > 0,
+        "the chaos plan must crash at least one replica attempt"
+    );
+    assert!(serial.wasted_j > 0.0, "crashed attempts must waste energy");
+    for workers in [4, 8] {
+        let parallel = serve_at(predictor, &pool, cfg, workers);
+        assert_reports_identical(&format!("{name} chaos @ {workers}"), &serial, &parallel);
+    }
 }
 
 #[test]

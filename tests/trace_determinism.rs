@@ -1,108 +1,54 @@
-//! The tracing headline, mirroring `fault_equivalence`: the serialized
-//! span trace of a benchmark grid is **byte-identical** at every worker
-//! count — with and without an active chaos [`FaultPlan`] — and every
-//! span's energy reconciles bitwise with the run-level [`Measurement`]
-//! the tables are built from. Tracing observes the virtual timeline; it
+//! Tracing's rows of the equivalence matrix (`tests/matrix`): a grid's
+//! span traces are byte-identical at every worker count, on a clean run
+//! and under trial chaos (the fingerprint hashes each point's trace
+//! JSONL, which holds every field both trace sinks render). Every
+//! execution root span reconciles bitwise with the measurement the
+//! tables are built from: tracing observes the virtual timeline, it
 //! never perturbs it.
 
-use green_automl::core::BenchmarkPoint;
-use green_automl::prelude::*;
+mod matrix;
 
-const SEED: u64 = 11;
-
-fn traced_grid(workers: usize, fault: Option<FaultPlan>) -> Vec<BenchmarkPoint> {
-    let systems = all_systems();
-    let datasets: Vec<_> = amlb39().into_iter().take(2).collect();
-    // 60 s clears every budget floor, so all seven systems participate.
-    let budgets = [10.0, 60.0];
-    let mut spec = RunSpec::single_core(10.0, SEED).with_trace();
-    if let Some(plan) = fault {
-        spec = spec.with_fault(plan);
-    }
-    let opts = BenchmarkOptions {
-        materialize: MaterializeOptions::tiny(),
-        runs: 1,
-        test_frac: 0.34,
-        parallelism: workers,
-        eval_cache: true,
-    };
-    run_grid_checked(&systems, &datasets, &budgets, &spec, &opts, None)
-        .expect("the traced spec is valid")
-        .points
-}
-
-/// Both sinks over the grid's merged trace, in grid order.
-fn sinks(points: &[BenchmarkPoint]) -> (String, String) {
-    let merged = Trace::merge(points.iter().filter_map(|p| p.trace.clone()));
-    assert!(!merged.spans.is_empty(), "traced grid must produce spans");
-    (merged.to_jsonl(), merged.to_chrome_trace())
-}
+use matrix::{assert_same_grid, check, outcome, outcomes, reference, Grid, Grid::*, Row, BASE};
 
 #[test]
 fn clean_grid_trace_is_byte_identical_at_every_worker_count() {
-    let reference = sinks(&traced_grid(1, None));
-    for workers in [4, 8] {
-        assert_eq!(
-            sinks(&traced_grid(workers, None)),
-            reference,
-            "trace diverged at {workers} workers"
-        );
-    }
+    check(&[4, 8].map(|jobs| Row { jobs, ..BASE }));
 }
 
 #[test]
 fn faulted_grid_trace_is_byte_identical_at_every_worker_count() {
-    let plan = FaultPlan::chaos(SEED);
-    let reference = sinks(&traced_grid(1, Some(plan)));
-    for workers in [4, 8] {
-        assert_eq!(
-            sinks(&traced_grid(workers, Some(plan))),
-            reference,
-            "faulted trace diverged at {workers} workers"
-        );
-    }
-    // The chaos plan actually bites: some spans carry a fault tag.
-    let points = traced_grid(1, Some(plan));
-    let tagged = points
-        .iter()
-        .filter_map(|p| p.trace.as_ref())
-        .flat_map(|t| t.spans.iter())
-        .filter(|s| s.fault.is_some())
-        .count();
-    assert!(tagged > 0, "chaos plan must tag some spans");
+    let rows = check(&[4, 8].map(|jobs| Row {
+        grid: Chaos,
+        jobs,
+        ..BASE
+    }));
+    // The chaos plan bites: some spans carry a fault tag.
+    let serial = &outcome(reference(rows[0].0)).run.grid;
+    let spans = serial.points.iter().filter_map(|p| p.trace.as_ref());
+    let tagged = spans.flat_map(|t| &t.spans).filter(|s| s.fault.is_some());
+    assert!(tagged.count() > 0, "the chaos plan must tag some spans");
+}
+
+/// The traced serial, uncached reference of `grid`.
+fn traced_reference(grid: Grid) -> Row {
+    reference(Row { grid, ..BASE })
 }
 
 #[test]
 fn execution_root_spans_reconcile_bitwise_with_the_measurement() {
-    for points in [
-        traced_grid(4, None),
-        traced_grid(4, Some(FaultPlan::chaos(SEED))),
-    ] {
-        for p in &points {
+    let rows = [traced_reference(Clean), traced_reference(Chaos)];
+    for (row, o) in rows.iter().zip(outcomes(&rows)) {
+        for p in &o.run.grid.points {
             let t = p.trace.as_ref().expect("tracing was on");
             // Execution spans render on track 0, inference on track 1.
-            let root = t
-                .roots()
-                .find(|r| r.track == 0)
-                .expect("execution trace has a root span");
+            let root = t.roots().find(|r| r.track == 0).expect("a root span");
+            let (a, b) = (root.energy, p.execution.energy);
             assert_eq!(
-                root.energy.package_j.to_bits(),
-                p.execution.energy.package_j.to_bits(),
-                "{} on {}: package energy must reconcile bitwise",
+                [a.package_j, a.dram_j, a.gpu_j, root.ops.scalar_flops].map(f64::to_bits),
+                [b.package_j, b.dram_j, b.gpu_j, p.execution.ops.scalar_flops].map(f64::to_bits),
+                "{row:?}: {} on {}",
                 p.system,
                 p.dataset
-            );
-            assert_eq!(
-                root.energy.dram_j.to_bits(),
-                p.execution.energy.dram_j.to_bits()
-            );
-            assert_eq!(
-                root.energy.gpu_j.to_bits(),
-                p.execution.energy.gpu_j.to_bits()
-            );
-            assert_eq!(
-                root.ops.scalar_flops.to_bits(),
-                p.execution.ops.scalar_flops.to_bits()
             );
         }
     }
@@ -110,44 +56,15 @@ fn execution_root_spans_reconcile_bitwise_with_the_measurement() {
 
 #[test]
 fn tracing_never_perturbs_the_measured_numbers() {
-    // The same grid, traced vs untraced: every measured float is bitwise
-    // unchanged — the tracer is an observer, not a participant.
-    let systems = all_systems();
-    let datasets: Vec<_> = amlb39().into_iter().take(2).collect();
-    let budgets = [10.0];
-    let opts = BenchmarkOptions {
-        materialize: MaterializeOptions::tiny(),
-        runs: 1,
-        test_frac: 0.34,
-        parallelism: 0,
-        eval_cache: true,
+    let traced = traced_reference(Clean);
+    let plain = Row {
+        trace: false,
+        ..traced
     };
-    let spec = RunSpec::single_core(10.0, SEED);
-    let plain = run_grid_checked(&systems, &datasets, &budgets, &spec, &opts, None)
-        .expect("valid spec")
-        .points;
-    let traced = run_grid_checked(
-        &systems,
-        &datasets,
-        &budgets,
-        &spec.with_trace(),
-        &opts,
-        None,
-    )
-    .expect("valid spec")
-    .points;
-    assert_eq!(plain.len(), traced.len());
-    for (a, b) in plain.iter().zip(&traced) {
-        assert_eq!(a.system, b.system);
-        assert_eq!(a.balanced_accuracy.to_bits(), b.balanced_accuracy.to_bits());
-        assert_eq!(
-            a.execution.energy.total_joules().to_bits(),
-            b.execution.energy.total_joules().to_bits()
-        );
-        assert_eq!(
-            a.inference_kwh_per_row.to_bits(),
-            b.inference_kwh_per_row.to_bits()
-        );
-        assert!(a.trace.is_none() && b.trace.is_some());
+    let [traced, plain] = [traced, plain].map(|row| &outcome(row).run.grid);
+    let mut stripped = traced.clone();
+    for p in &mut stripped.points {
+        assert!(p.trace.take().is_some(), "an untraced point");
     }
+    assert_same_grid("traced, then stripped", plain, &stripped);
 }
