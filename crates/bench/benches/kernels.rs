@@ -2,7 +2,8 @@
 //! The kernel-layer perf baseline: microbenches the shared `ml::kernel`
 //! primitives (cache-blocked matmul vs the naive reference), times the
 //! rewritten model predict paths and the tree family's fit and ensemble
-//! predict paths, and re-times the evaluation grid so the
+//! predict paths (forest and boosting fits also on a tie-heavy 165 × 86
+//! matrix shaped like the grid's), and re-times the evaluation grid so the
 //! raw-speed pass shows up in the committed perf trajectory. Writes the
 //! machine-readable `BENCH_kernels.json` at the workspace root — the
 //! committed point CI compares against (see `.github/workflows/ci.yml`).
@@ -146,6 +147,36 @@ fn bench_models() -> (f64, f64, f64) {
     (attention_s, knn_s, mlp_s)
 }
 
+/// A fit matrix shaped like the ones the evaluation grid's tree learners
+/// fit: 165 rows of 20 features, 60% categorical, one-hot encoded to 86
+/// columns in which 90% of adjacent sorted values tie; 2 classes.
+fn grid_shaped_task() -> (Matrix, Vec<u32>) {
+    let ds = TaskSpec {
+        categorical_frac: 0.6,
+        ..TaskSpec::new("grid-shaped", 165, 20, 2)
+    }
+    .generate();
+    let x = matrix::encode(&ds, &mut tracker());
+    assert_eq!((x.rows(), x.cols()), (165, 86), "grid-shaped fixture");
+    (x, ds.labels)
+}
+
+/// Seconds per default forest and boosting fit on [`grid_shaped_task`].
+fn bench_grid_shaped_fits() -> [f64; 2] {
+    let (x, y) = grid_shaped_task();
+    [
+        ModelSpec::RandomForest(Default::default()),
+        ModelSpec::GradientBoosting(Default::default()),
+    ]
+    .map(|spec| {
+        best_of(3, || {
+            per_call(4, || {
+                black_box(spec.fit(black_box(&x), &y, 2, &mut tracker(), SEED));
+            })
+        })
+    })
+}
+
 /// Seconds per fit of each tree family (tree, forest, extra trees,
 /// boosting) on the 600 training rows, and per predict_proba batch of the
 /// forest and the boosting ensemble over the 200-row query set.
@@ -205,6 +236,7 @@ fn main() {
     let (attention_s, knn_s, mlp_s) = bench_models();
     let ([tree_fit_s, forest_fit_s, extra_fit_s, boosting_fit_s], [forest_s, boosting_s]) =
         bench_trees();
+    let [forest_grid_fit_s, boosting_grid_fit_s] = bench_grid_shaped_fits();
 
     let systems = all_systems();
     let datasets: Vec<DatasetMeta> = amlb39().into_iter().take(N_DATASETS).collect();
@@ -218,7 +250,8 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"config\": {{ \"matmul\": [176, 160, 144], \
-         \"task\": [800, 16, 3], \"grid_datasets\": {n_ds}, \"budgets\": [10, 30, 60] }},\n  \
+         \"task\": [800, 16, 3], \"grid_shaped_task\": [165, 86, 2], \
+         \"grid_datasets\": {n_ds}, \"budgets\": [10, 30, 60] }},\n  \
          \"matmul\": {{\n    \"blocked_s\": {matmul_blocked:.6},\n    \
          \"naive_s\": {matmul_naive:.6},\n    \"speedup\": {matmul_speedup:.3},\n    \
          \"gflops\": {matmul_gflops:.2}\n  }},\n  \"predict_s\": {{\n    \
@@ -226,7 +259,9 @@ fn main() {
          \"mlp\": {mlp_s:.4},\n    \"forest\": {forest_s:.4},\n    \
          \"boosting\": {boosting_s:.4}\n  }},\n  \"fit_s\": {{\n    \
          \"tree\": {tree_fit_s:.4},\n    \"forest\": {forest_fit_s:.4},\n    \
-         \"extra_trees\": {extra_fit_s:.4},\n    \"boosting\": {boosting_fit_s:.4}\n  }},\n  \
+         \"extra_trees\": {extra_fit_s:.4},\n    \"boosting\": {boosting_fit_s:.4},\n    \
+         \"forest_grid_shaped\": {forest_grid_fit_s:.4},\n    \
+         \"boosting_grid_shaped\": {boosting_grid_fit_s:.4}\n  }},\n  \
          \"grid_wall_s\": {{\n    \
          \"cold_serial\": {grid_cold:.4},\n    \"fresh_serial\": {grid_fresh:.4},\n    \
          \"seed_cold_serial\": {SEED_COLD_SERIAL:.4},\n    \

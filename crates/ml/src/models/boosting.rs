@@ -6,7 +6,7 @@
 
 use crate::matrix::Matrix;
 use crate::models::softmax_inplace;
-use crate::models::tree::{DecisionTree, Presort, TreeParams};
+use crate::models::tree::{DecisionTree, Ranked, TreeParams};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
@@ -19,7 +19,9 @@ pub struct GbParams {
     pub learning_rate: f64,
     /// Depth of the per-round regression trees.
     pub max_depth: usize,
-    /// Row subsampling fraction per round, `(0, 1]`.
+    /// Row subsampling fraction per round, `(0, 1]`. Below 1.0 each round
+    /// draws `n_sub = max(2, floor(n * subsample))` rows with replacement;
+    /// at 1.0, or when `n_sub` reaches `n`, it takes every row once.
     pub subsample: f64,
 }
 
@@ -88,6 +90,8 @@ impl GradientBoosting {
         };
 
         let n_sub = ((n as f64 * params.subsample) as usize).max(2).min(n);
+        // Every round's split lists come from one ranking of `x`.
+        let ranked = Ranked::new(x);
         let mut trees = Vec::with_capacity(params.n_rounds);
         // Buffers reused across rounds (refilled before every use, so the
         // fitted ensemble is bitwise unchanged).
@@ -119,8 +123,8 @@ impl GradientBoosting {
                 rows.extend(0..n);
             }
             let xs = x.take_rows(&rows);
-            // Every class tree of the round fits `xs`: sort its columns once.
-            let presort = Presort::new(&xs);
+            // Every class tree of the round fits `xs`: derive its lists once.
+            let draw = ranked.shared_draw(&rows);
 
             let mut round = Vec::with_capacity(n_classes);
             for (k, res) in residuals.iter().enumerate() {
@@ -130,7 +134,7 @@ impl GradientBoosting {
                     &tree_params,
                     &xs,
                     &ys,
-                    &presort,
+                    &draw,
                     tracker,
                     rng,
                     ParallelProfile::model_training(),

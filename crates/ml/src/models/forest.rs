@@ -7,7 +7,7 @@
 //! optimisation.
 
 use crate::matrix::Matrix;
-use crate::models::tree::{DecisionTree, TreeParams};
+use crate::models::tree::{DecisionTree, Ranked, TreeParams};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
@@ -83,29 +83,35 @@ impl Forest {
             random_thresholds,
             ..params.tree
         };
+        // Every tree's split lists come from one ranking of `x`; without
+        // bootstrap every tree fits all of `x` and they share one
+        // derivation.
+        let ranked = Ranked::new(x);
+        let all_rows: Vec<usize> = (0..n).collect();
+        let all = ranked.shared_draw(&all_rows);
         let trees = (0..params.n_trees)
             .map(|_| {
                 if params.bootstrap {
                     let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
                     let bx = x.take_rows(&rows);
                     let by: Vec<u32> = rows.iter().map(|&r| y[r]).collect();
-                    DecisionTree::fit_classifier(
+                    DecisionTree::fit_classifier_presorted(
                         &tree_params,
                         &bx,
                         &by,
                         n_classes,
+                        &ranked.draw(&rows),
                         tracker,
                         rng,
                         ParallelProfile::embarrassing(),
                     )
                 } else {
-                    // Extra-trees style: fit straight on the shared data
-                    // (the old per-tree `x.clone()` was pure overhead).
-                    DecisionTree::fit_classifier(
+                    DecisionTree::fit_classifier_presorted(
                         &tree_params,
                         x,
                         y,
                         n_classes,
+                        &all,
                         tracker,
                         rng,
                         ParallelProfile::embarrassing(),

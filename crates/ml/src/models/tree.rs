@@ -5,14 +5,17 @@
 //! reduction for regression, exhaustive sorted-scan split search (or random
 //! thresholds in extra-trees mode), optional per-node feature subsampling.
 //!
-//! The sorted scan never sorts at a node: every feature column of the fit
-//! matrix is sorted once per tree (`Presort`), and each split stably
-//! partitions those sorted lists into its two children. A fitted tree is
-//! one flat pre-order node array plus one leaf-value array.
+//! The sorted scan never sorts at a node, and an ensemble never sorts per
+//! tree: every feature column of the ensemble's fit matrix is ranked once
+//! (`RankTable`), each tree derives the sorted lists of the rows it fits
+//! from those ranks by a counting sort, and each split stably partitions
+//! the lists into its two children. A fitted tree is one flat pre-order
+//! node array plus one leaf-value array.
 
 use crate::matrix::Matrix;
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
+use std::cell::OnceCell;
 
 /// Decision-tree hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,32 +116,193 @@ fn unpack_row(p: u128) -> usize {
     p as u64 as usize
 }
 
-/// Every feature column of a fit matrix, sorted once in packed
-/// `(value, row)` order: feature `f` occupies `keys[f * n..(f + 1) * n]`.
-///
-/// Gradient boosting builds one per round and shares it across the
-/// round's per-class trees, which all fit the same row subsample.
-#[derive(Debug)]
-pub(crate) struct Presort {
-    keys: Vec<u128>,
+/// One sorted-list entry: the value's rank in the high 32 bits, the row in
+/// the low 32. Integer order on entries is `(rank, row)` order, which is
+/// the packed keys' `(value, row)` order.
+#[inline]
+fn entry(rank: u32, row: usize) -> u64 {
+    (u64::from(rank) << 32) | row as u64
 }
 
-impl Presort {
-    /// Sort every column of `x`.
-    pub(crate) fn new(x: &Matrix) -> Presort {
-        let n = x.rows();
-        let mut keys = Vec::with_capacity(n * x.cols());
-        for f in 0..x.cols() {
-            let start = keys.len();
+#[inline]
+fn entry_rank(e: u64) -> usize {
+    (e >> 32) as usize
+}
+
+#[inline]
+fn entry_row(e: u64) -> usize {
+    e as u32 as usize
+}
+
+/// Every feature column of a fit matrix sorted once, as dense ranks: rows
+/// whose packed value keys are equal share a rank, and ranks ascend with
+/// the key. Column `f`'s ranks sit at `ranks[f * n..(f + 1) * n]` (by
+/// row), its distinct values in ascending order at
+/// `values[starts[f]..starts[f + 1]]` (each decoded from its packed key,
+/// so `-0.0` reads as `+0.0`, as the packed scan read it).
+///
+/// Any matrix whose rows are drawn from this one — with duplicates, in any
+/// order — gets its sorted lists from [`RankTable::derive`] without a
+/// comparison sort.
+#[derive(Debug)]
+struct RankTable {
+    n: usize,
+    ranks: Vec<u32>,
+    values: Vec<f64>,
+    starts: Vec<usize>,
+}
+
+impl RankTable {
+    /// Rank every column of `x`: one packed-key sort per column.
+    fn new(x: &Matrix) -> RankTable {
+        let (n, d) = (x.rows(), x.cols());
+        let mut ranks = vec![0u32; n * d];
+        let mut values = Vec::new();
+        let mut starts = Vec::with_capacity(d + 1);
+        let mut keys = Vec::with_capacity(n);
+        for f in 0..d {
+            keys.clear();
             keys.extend((0..n).map(|r| pack(x.get(r, f), r)));
-            keys[start..].sort_unstable();
+            keys.sort_unstable();
+            let start = values.len();
+            starts.push(start);
+            let col = &mut ranks[f * n..(f + 1) * n];
+            let (mut last, mut rank) = (None, 0);
+            for &k in &keys {
+                if last != Some(k >> 64) {
+                    last = Some(k >> 64);
+                    rank = narrow(values.len() - start);
+                    values.push(unpack_value(k));
+                }
+                col[unpack_row(k)] = rank;
+            }
         }
-        Presort { keys }
+        starts.push(values.len());
+        RankTable {
+            n,
+            ranks,
+            values,
+            starts,
+        }
+    }
+
+    /// Column `f`'s distinct values in ascending order, indexed by rank.
+    fn values(&self, f: usize) -> &[f64] {
+        &self.values[self.starts[f]..self.starts[f + 1]]
+    }
+
+    /// The sorted lists of `x.take_rows(rows)`, where `x` is the ranked
+    /// matrix: feature `f`'s `rows.len()` entries sit at
+    /// `lists[f * rows.len()..]` in ascending `(rank, row)` order, `row`
+    /// being the position in `rows`. A stable counting sort on rank over
+    /// ascending positions: equal ranks keep ascending row order, exactly
+    /// as the packed `(value, row)` keys of the gathered matrix sort.
+    fn derive(&self, rows: &[usize]) -> Vec<u64> {
+        let m = rows.len();
+        // Every row index below `m` fits an entry's low half.
+        narrow(m);
+        let d = self.starts.len() - 1;
+        let mut lists = vec![0; m * d];
+        let mut drawn: Vec<u32> = Vec::with_capacity(m);
+        let mut slots: Vec<u32> = Vec::new();
+        for f in 0..d {
+            let ranks = &self.ranks[f * self.n..(f + 1) * self.n];
+            let out = &mut lists[f * m..(f + 1) * m];
+            drawn.clear();
+            drawn.extend(rows.iter().map(|&r| ranks[r]));
+            // Count each rank, then turn the counts into each rank's first
+            // slot.
+            slots.clear();
+            slots.resize(self.starts[f + 1] - self.starts[f], 0);
+            for &k in &drawn {
+                slots[k as usize] += 1;
+            }
+            let mut at = 0;
+            for slot in &mut slots {
+                let count = *slot;
+                *slot = at;
+                at += count;
+            }
+            for (row, &k) in drawn.iter().enumerate() {
+                let slot = &mut slots[k as usize];
+                out[*slot as usize] = entry(k, row);
+                *slot += 1;
+            }
+        }
+        lists
+    }
+}
+
+/// A fit matrix whose [`RankTable`] is built on first use, so a fit whose
+/// trees never scan sorted values (extra trees, or roots that stop at
+/// once) never sorts. Forests and boosting rank their fit matrix once and
+/// fit every tree on a [`Draw`] of its rows.
+pub(crate) struct Ranked<'a> {
+    x: &'a Matrix,
+    table: OnceCell<RankTable>,
+}
+
+impl<'a> Ranked<'a> {
+    pub(crate) fn new(x: &'a Matrix) -> Ranked<'a> {
+        Ranked {
+            x,
+            table: OnceCell::new(),
+        }
+    }
+
+    fn table(&self) -> &RankTable {
+        self.table.get_or_init(|| RankTable::new(self.x))
+    }
+
+    /// Rows `rows` (duplicates allowed, in draw order) for one tree, which
+    /// derives its own lists.
+    pub(crate) fn draw(&'a self, rows: &'a [usize]) -> Draw<'a> {
+        Draw {
+            ranked: self,
+            rows,
+            shared: None,
+        }
+    }
+
+    /// Rows `rows` for several trees (boosting's per-class trees, or every
+    /// tree of a forest without bootstrap): the lists are derived once, on
+    /// first use, and each tree partitions its own copy.
+    pub(crate) fn shared_draw(&'a self, rows: &'a [usize]) -> Draw<'a> {
+        Draw {
+            shared: Some(OnceCell::new()),
+            ..self.draw(rows)
+        }
+    }
+}
+
+/// The rows a tree fits, drawn from a [`Ranked`] matrix `x`: the tree's fit
+/// matrix must be `x.take_rows(rows)`.
+pub(crate) struct Draw<'a> {
+    ranked: &'a Ranked<'a>,
+    rows: &'a [usize],
+    shared: Option<OnceCell<Vec<u64>>>,
+}
+
+impl Draw<'_> {
+    /// The draw's sorted lists, for one tree to partition.
+    fn lists(&self) -> Vec<u64> {
+        let table = self.ranked.table();
+        match &self.shared {
+            None => table.derive(self.rows),
+            Some(memo) => memo.get_or_init(|| table.derive(self.rows)).clone(),
+        }
+    }
+
+    /// Feature `f`'s distinct values, indexed by rank.
+    fn values(&self, f: usize) -> &[f64] {
+        self.ranked.table().values(f)
     }
 }
 
 struct FitCtx<'a> {
     x: &'a Matrix,
+    /// Where `x`'s rows were drawn from; the source of `lists`.
+    draw: &'a Draw<'a>,
     params: &'a TreeParams,
     /// Per-row class label (classification) or target (regression).
     targets: Targets<'a>,
@@ -148,15 +312,15 @@ struct FitCtx<'a> {
     /// `[start, end)`: a split stably partitions its segment into the
     /// left child's rows followed by the right child's.
     rows: Vec<usize>,
-    /// The presorted feature lists, partitioned in lockstep with `rows`:
-    /// feature `f`'s entries for segment `[start, end)` sit at
-    /// `lists[f * n + start..f * n + end]` in `(value, row)` order. Empty
+    /// The sorted feature lists, partitioned in lockstep with `rows`:
+    /// feature `f`'s [`entry`]s for segment `[start, end)` sit at
+    /// `lists[f * n + start..f * n + end]` in `(rank, row)` order. Empty
     /// in extra-trees mode, which never scans sorted values.
-    lists: Vec<u128>,
+    lists: Vec<u64>,
     /// Split direction of each row of the node being partitioned.
     goes_left: Vec<bool>,
     /// Right-side spill buffers of the stable partitions.
-    spill: Vec<u128>,
+    spill: Vec<u64>,
     spill_rows: Vec<usize>,
     /// Regression target sum and sum of squares of the node being split.
     sum: f64,
@@ -263,19 +427,21 @@ impl DecisionTree {
         rng: &mut SplitMix64,
         profile: ParallelProfile,
     ) -> DecisionTree {
-        assert_eq!(x.rows(), y.len(), "row/label mismatch");
-        Self::fit_inner(
+        let ranked = Ranked::new(x);
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        Self::fit_classifier_presorted(
             params,
             x,
-            Targets::Classes { y, k: n_classes },
-            None,
+            y,
+            n_classes,
+            &ranked.draw(&rows),
             tracker,
             rng,
             profile,
         )
     }
 
-    /// Fit a regression tree (used by gradient boosting).
+    /// Fit a regression tree.
     pub fn fit_regressor(
         params: &TreeParams,
         x: &Matrix,
@@ -284,37 +450,56 @@ impl DecisionTree {
         rng: &mut SplitMix64,
         profile: ParallelProfile,
     ) -> DecisionTree {
-        assert_eq!(x.rows(), y.len(), "row/target mismatch");
+        let ranked = Ranked::new(x);
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        Self::fit_regressor_presorted(params, x, y, &ranked.draw(&rows), tracker, rng, profile)
+    }
+
+    /// [`DecisionTree::fit_classifier`] on `x`, which must be the rows of
+    /// `draw` (`x.take_rows(rows)` of the ranked matrix): the split lists
+    /// come from the ranked matrix's table, so the tree sorts nothing.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fit_classifier_presorted(
+        params: &TreeParams,
+        x: &Matrix,
+        y: &[u32],
+        n_classes: usize,
+        draw: &Draw<'_>,
+        tracker: &mut CostTracker,
+        rng: &mut SplitMix64,
+        profile: ParallelProfile,
+    ) -> DecisionTree {
+        assert_eq!(x.rows(), y.len(), "row/label mismatch");
         Self::fit_inner(
             params,
             x,
-            Targets::Regression { y },
-            None,
+            Targets::Classes { y, k: n_classes },
+            draw,
             tracker,
             rng,
             profile,
         )
     }
 
-    /// [`DecisionTree::fit_regressor`] starting from `presort`, which must
-    /// be [`Presort::new`] of this very `x`; the tree works on a copy, so
-    /// one presort serves any number of fits.
+    /// [`DecisionTree::fit_regressor`] on `x`, which must be the rows of
+    /// `draw`: the split lists come from the ranked matrix's table (gradient
+    /// boosting's per-class trees of a round share one derivation of them
+    /// through a [`Ranked::shared_draw`]).
     pub(crate) fn fit_regressor_presorted(
         params: &TreeParams,
         x: &Matrix,
         y: &[f64],
-        presort: &Presort,
+        draw: &Draw<'_>,
         tracker: &mut CostTracker,
         rng: &mut SplitMix64,
         profile: ParallelProfile,
     ) -> DecisionTree {
         assert_eq!(x.rows(), y.len(), "row/target mismatch");
-        assert_eq!(presort.keys.len(), x.rows() * x.cols(), "presort shape");
         Self::fit_inner(
             params,
             x,
             Targets::Regression { y },
-            Some(presort),
+            draw,
             tracker,
             rng,
             profile,
@@ -325,11 +510,13 @@ impl DecisionTree {
         params: &TreeParams,
         x: &Matrix,
         targets: Targets<'_>,
-        presort: Option<&Presort>,
+        draw: &Draw<'_>,
         tracker: &mut CostTracker,
         rng: &mut SplitMix64,
         profile: ParallelProfile,
     ) -> DecisionTree {
+        assert_eq!(x.rows(), draw.rows.len(), "draw/matrix rows mismatch");
+        assert_eq!(x.cols(), draw.ranked.x.cols(), "draw/matrix cols mismatch");
         assert!(params.max_depth >= 1, "max_depth must be >= 1");
         assert!(
             params.max_features_frac > 0.0 && params.max_features_frac <= 1.0,
@@ -342,6 +529,7 @@ impl DecisionTree {
         let n = x.rows();
         let mut ctx = FitCtx {
             x,
+            draw,
             params,
             targets,
             steps: 0.0,
@@ -360,10 +548,7 @@ impl DecisionTree {
         };
         let impurity = Self::impurity(&mut ctx, 0, n);
         if !params.random_thresholds && !ctx.stops(0, n, impurity) {
-            ctx.lists = match presort {
-                Some(p) => p.keys.clone(),
-                None => Presort::new(x).keys,
-            };
+            ctx.lists = draw.lists();
         }
         let mut tree = DecisionTree {
             nodes: Vec::new(),
@@ -480,7 +665,7 @@ impl DecisionTree {
         }
 
         // Children see their rows in parent order, and each feature list
-        // stays in `(value, row)` order: exactly the slices the per-node
+        // stays in `(rank, row)` order: exactly the slices the per-node
         // gather-and-sort produced.
         let FitCtx {
             rows,
@@ -514,7 +699,7 @@ impl DecisionTree {
             for f in 0..d {
                 stable_partition(
                     &mut lists[f * stride + start..f * stride + end],
-                    |p| goes_left[unpack_row(p)],
+                    |e| goes_left[entry_row(e)],
                     spill,
                     keep,
                 );
@@ -541,11 +726,13 @@ impl DecisionTree {
     /// Exhaustive sorted-scan search for the best threshold on feature `f`
     /// over segment `[start, end)`.
     ///
-    /// The feature's list segment is already in `(value, row)` order, so
-    /// the scan reads it directly. The charges still model a per-node
-    /// `n log n` sort, a scan step per row and the per-row target
-    /// arithmetic. `parent` is the node impurity and the totals come from
-    /// [`FitCtx::fill_totals`]; both are pure values.
+    /// The feature's list segment is already in `(rank, row)` order, so
+    /// the scan reads it directly: equal ranks are equal values, and a
+    /// threshold is the midpoint of two adjacent ranks' values. The
+    /// charges still model a per-node `n log n` sort, a scan step per row
+    /// and the per-row target arithmetic. `parent` is the node impurity
+    /// and the totals come from [`FitCtx::fill_totals`]; both are pure
+    /// values.
     fn best_split(
         ctx: &mut FitCtx<'_>,
         start: usize,
@@ -556,6 +743,7 @@ impl DecisionTree {
         let n = end - start;
         let FitCtx {
             x,
+            draw,
             targets,
             steps,
             scalar,
@@ -569,6 +757,9 @@ impl DecisionTree {
         } = ctx;
         let stride = x.rows();
         let vals = &lists[f * stride + start..f * stride + end];
+        let values = draw.values(f);
+        let threshold =
+            |i: usize| 0.5 * (values[entry_rank(vals[i])] + values[entry_rank(vals[i + 1])]);
         *scalar += n as f64 * (n as f64).log2().max(1.0); // sort
         *steps += n as f64; // scan
 
@@ -581,8 +772,8 @@ impl DecisionTree {
                 right_counts.resize(*k, 0.0);
                 let mut best: Option<(f64, f64)> = None;
                 for i in 0..n - 1 {
-                    left_counts[y[unpack_row(vals[i])] as usize] += 1.0;
-                    if vals[i] >> 64 == vals[i + 1] >> 64 {
+                    left_counts[y[entry_row(vals[i])] as usize] += 1.0;
+                    if entry_rank(vals[i]) == entry_rank(vals[i + 1]) {
                         continue;
                     }
                     let nl = (i + 1) as f64;
@@ -596,7 +787,7 @@ impl DecisionTree {
                     }
                     let gr = gini(right_counts, nr);
                     let gain = parent - (nl * gl + nr * gr) / n as f64;
-                    let thr = 0.5 * (unpack_value(vals[i]) + unpack_value(vals[i + 1]));
+                    let thr = threshold(i);
                     if best.is_none_or(|(_, g)| gain > g) {
                         best = Some((thr, gain));
                     }
@@ -610,10 +801,10 @@ impl DecisionTree {
                 let mut lq = 0.0;
                 let mut best: Option<(f64, f64)> = None;
                 for i in 0..n - 1 {
-                    let v = y[unpack_row(vals[i])];
+                    let v = y[entry_row(vals[i])];
                     ls += v;
                     lq += v * v;
-                    if vals[i] >> 64 == vals[i + 1] >> 64 {
+                    if entry_rank(vals[i]) == entry_rank(vals[i + 1]) {
                         continue;
                     }
                     let nl = (i + 1) as f64;
@@ -623,7 +814,7 @@ impl DecisionTree {
                     let rq = total_sq - lq;
                     let var_r = (rq - rs * rs / nr).max(0.0);
                     let gain = parent - (var_l + var_r) / n as f64;
-                    let thr = 0.5 * (unpack_value(vals[i]) + unpack_value(vals[i + 1]));
+                    let thr = threshold(i);
                     if best.is_none_or(|(_, g)| gain > g) {
                         best = Some((thr, gain));
                     }
@@ -945,6 +1136,61 @@ mod tests {
         }
     }
 
+    /// Rows drawn from an `n`-row matrix the three ways the fits draw
+    /// them: every row once (single trees, forests without bootstrap,
+    /// boosting at `subsample` 1.0), `n` draws with replacement (a
+    /// forest's bootstrap), or fewer than `n` draws with replacement (a
+    /// boosting round's subsample).
+    fn draw_rows(way: usize, n: usize, gen: &mut SplitMix64) -> Vec<usize> {
+        let draws = match way {
+            0 => return (0..n).collect(),
+            1 => n,
+            _ => gen.gen_range(1..n.max(2)),
+        };
+        (0..draws).map(|_| gen.gen_range(0..n)).collect()
+    }
+
+    #[test]
+    fn derived_lists_match_the_sorted_keys_of_every_draw() {
+        let mut gen = SplitMix64::seed_from_u64(0xd3a5);
+        for case in 0..240 {
+            let n = gen.gen_range(2..120usize);
+            let d = gen.gen_range(1..6usize);
+            // `d` tie-heavy columns with signed zeros, then a constant one.
+            let mut data = Vec::with_capacity(n * (d + 1));
+            for _ in 0..n {
+                data.extend((0..d).map(|_| tied_value(&mut gen)));
+                data.push(-0.0);
+            }
+            let x = Matrix::from_vec(data, n, d + 1);
+            let rows = draw_rows(case % 3, n, &mut gen);
+            let table = RankTable::new(&x);
+            let lists = table.derive(&rows);
+            let m = rows.len();
+            assert_eq!(lists.len(), m * x.cols(), "case {case}");
+            let xs = x.take_rows(&rows);
+            for f in 0..x.cols() {
+                let values = table.values(f);
+                // Equal ranks are equal keys, and only equal keys.
+                assert!(
+                    values.windows(2).all(|w| pack(w[0], 0) < pack(w[1], 0)),
+                    "case {case}, feature {f}: values not strictly ascending"
+                );
+                let mut keys: Vec<u128> = (0..m).map(|r| pack(xs.get(r, f), r)).collect();
+                keys.sort_unstable();
+                let want: Vec<(u64, usize)> = keys
+                    .iter()
+                    .map(|&k| (unpack_value(k).to_bits(), unpack_row(k)))
+                    .collect();
+                let got: Vec<(u64, usize)> = lists[f * m..(f + 1) * m]
+                    .iter()
+                    .map(|&e| (values[entry_rank(e)].to_bits(), entry_row(e)))
+                    .collect();
+                assert_eq!(got, want, "case {case}, feature {f}, rows {rows:?}");
+            }
+        }
+    }
+
     #[test]
     fn presorted_split_search_matches_the_gather_and_sort_reference() {
         let before = ORACLE_NODES.with(|c| c.get());
@@ -953,7 +1199,14 @@ mod tests {
             let n = gen.gen_range(2..160usize);
             let d = gen.gen_range(1..7usize);
             let data: Vec<f64> = (0..n * d).map(|_| tied_value(&mut gen)).collect();
-            let x = Matrix::from_vec(data, n, d);
+            let parent = Matrix::from_vec(data, n, d);
+            // Half the cases fit every row of `parent`, the other half a
+            // bootstrap or subsample draw from it, with lists derived from
+            // the parent's table as forests and boosting derive them.
+            let way = if case % 4 < 2 { 0 } else { 1 + (case / 4) % 2 };
+            let rows = draw_rows(way, n, &mut gen);
+            let x = parent.take_rows(&rows);
+            let ranked = Ranked::new(&parent);
             let params = TreeParams {
                 max_depth: gen.gen_range(1..9usize),
                 min_samples_split: gen.gen_range(2..6usize),
@@ -965,27 +1218,40 @@ mod tests {
             let profile = ParallelProfile::model_training();
             if case % 2 == 1 {
                 let k = gen.gen_range(2..5usize);
-                let y: Vec<u32> = (0..n).map(|_| gen.gen_range(0..k) as u32).collect();
-                let _ = DecisionTree::fit_classifier(
+                let labels: Vec<u32> = (0..n).map(|_| gen.gen_range(0..k) as u32).collect();
+                let y: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
+                let _ = DecisionTree::fit_classifier_presorted(
                     &params,
                     &x,
                     &y,
                     k,
+                    &ranked.draw(&rows),
                     &mut tracker(),
                     &mut rng,
                     profile,
                 );
             } else {
-                // Two regression targets through one shared presort, as
-                // gradient boosting fits its per-class trees.
-                let presort = Presort::new(&x);
+                // Two regression targets through one shared draw, as
+                // gradient boosting fits its per-class trees. Half the
+                // targets are continuous, so the order of a tie group's
+                // running sums moves bits.
+                let draw = ranked.shared_draw(&rows);
                 for _ in 0..2 {
-                    let y: Vec<f64> = (0..n).map(|_| tied_value(&mut gen)).collect();
+                    let target: Vec<f64> = (0..n)
+                        .map(|_| {
+                            if gen.gen_bool(0.5) {
+                                tied_value(&mut gen)
+                            } else {
+                                gen.next_f64()
+                            }
+                        })
+                        .collect();
+                    let y: Vec<f64> = rows.iter().map(|&r| target[r]).collect();
                     let _ = DecisionTree::fit_regressor_presorted(
                         &params,
                         &x,
                         &y,
-                        &presort,
+                        &draw,
                         &mut tracker(),
                         &mut rng,
                         profile,

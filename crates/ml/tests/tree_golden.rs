@@ -3,11 +3,13 @@
 //! Seeded fits of `DecisionTree`, `RandomForest`, `ExtraTrees` and
 //! `GradientBoosting` (binary and 4-class) on a fixture with heavily tied
 //! values, `-0.0`/`+0.0` mixes, a constant column and — through the
-//! forests' bootstrap — duplicated rows. Every number below is an IEEE-754
-//! bit pattern (or an exact count): a change to the split search, the node
-//! layout or the predict loops that moves a single bit of a prediction, a
-//! per-row inference cost, a size proxy, or a charged fit/predict
-//! `Measurement` fails here. The CI runs this file in release mode too, so
+//! forests' bootstrap and boosting's row subsample — duplicated rows. The
+//! `_all_rows` cases (a forest without bootstrap, boosting at `subsample`
+//! 1.0) fit every tree on every row of the fixture. Every number below is
+//! an IEEE-754 bit pattern (or an exact count): a change to the split
+//! search, the node layout or the predict loops that moves a single bit
+//! of a prediction, a per-row inference cost, a size proxy, or a charged
+//! fit/predict `Measurement` fails here. The CI runs this file in release mode too, so
 //! optimised float codegen cannot move a bit unseen either.
 //!
 //! On a mismatch the test prints the whole actual table in source form.
@@ -70,6 +72,20 @@ fn specs() -> Vec<(&'static str, ModelSpec)> {
             ModelSpec::ExtraTrees(ForestParams::default()),
         ),
         ("boosting", ModelSpec::GradientBoosting(GbParams::default())),
+        (
+            "forest_all_rows",
+            ModelSpec::RandomForest(ForestParams {
+                bootstrap: false,
+                ..ForestParams::default()
+            }),
+        ),
+        (
+            "boosting_all_rows",
+            ModelSpec::GradientBoosting(GbParams {
+                subsample: 1.0,
+                ..GbParams::default()
+            }),
+        ),
     ]
 }
 
@@ -193,6 +209,22 @@ const GOLDEN: &[Golden] = &[
         ops_per_row: [0x4028000000000000, 0x0000000000000000, 0x40bbbc0000000000, 0x0000000000000000],
         fit: [0x3f808b9da7451997, 0x3fd808697a96be60, 0x3fa8d16c7ae7a653, 0x0000000000000000, 0x416be3ff2fa9d512, 0x0000000000000000, 0x41555c2a80000000, 0x0000000000000000],
         predict: [0x3f47a060bfdc8b80, 0x3fa36dcbfda5a6c8, 0x3f71b8488fe56900, 0x0000000000000000, 0x40a0e00000000000, 0x0000000000000000, 0x4132a9a800000000, 0x0000000000000000] },
+    Golden { name: "forest_all_rows", k: 2, pred: 0xa0610363b1a4aef1, n_params: 3006,
+        ops_per_row: [0x4058000000000000, 0x0000000000000000, 0x40bef00000000000, 0x0000000000000000],
+        fit: [0x3f55c68d4166d32a, 0x3fb366bdc72085ee, 0x3f8054e9f10d1e5f, 0x0000000000000000, 0x41565831cb2037e9, 0x0000000000000000, 0x412c92fc00000000, 0x0000000000000000],
+        predict: [0x3f41b180918e3048, 0x3f9d198ad8f3dc84, 0x3f6a8a40da554870, 0x0000000000000000, 0x40d0e00000000000, 0x0000000000000000, 0x412bcf1000000000, 0x0000000000000000] },
+    Golden { name: "forest_all_rows", k: 4, pred: 0xa1fb64854074a7a5, n_params: 4466,
+        ops_per_row: [0x4068000000000000, 0x0000000000000000, 0x40c46e0000000000, 0x0000000000000000],
+        fit: [0x3f5eae66301d8dd7, 0x3fbb56028d2338e8, 0x3f8702cca4162a63, 0x0000000000000000, 0x4160c6a9a9c9d079, 0x0000000000000000, 0x4131a5a600000000, 0x0000000000000000],
+        predict: [0x3f45d05e4112c64e, 0x3fa1f0399ec151c4, 0x3f705c46b0ce14b6, 0x0000000000000000, 0x40e0e00000000000, 0x0000000000000000, 0x413114f800000000, 0x0000000000000000] },
+    Golden { name: "boosting_all_rows", k: 2, pred: 0x39268e858c370dcb, n_params: 874,
+        ops_per_row: [0x4018000000000000, 0x0000000000000000, 0x40ac200000000000, 0x0000000000000000],
+        fit: [0x3f741976b0c7ba8d, 0x3fccf8a61b32e082, 0x3f9e2632092b97d4, 0x0000000000000000, 0x4161f4963568b513, 0x0000000000000000, 0x4147bab600000000, 0x0000000000000000],
+        predict: [0x3f38d62dd7525b60, 0x3f946c8eaf505060, 0x3f62a0a2617dc470, 0x0000000000000000, 0x4090e00000000000, 0x0000000000000000, 0x41239e8000000000, 0x0000000000000000] },
+    Golden { name: "boosting_all_rows", k: 4, pred: 0x899ed4fb4e0afb2f, n_params: 1540,
+        ops_per_row: [0x4028000000000000, 0x0000000000000000, 0x40bb300000000000, 0x0000000000000000],
+        fit: [0x3f835acd812d3a18, 0x3fdbe01aff1b6044, 0x3fad083441c3d714, 0x0000000000000000, 0x417171785f37e042, 0x0000000000000000, 0x415690f980000000, 0x0000000000000000],
+        predict: [0x3f47857d8285b3d0, 0x3fa357afa84e2370, 0x3f71a41e21e446b0, 0x0000000000000000, 0x40a0e00000000000, 0x0000000000000000, 0x4132946800000000, 0x0000000000000000] },
 ];
 
 #[test]
