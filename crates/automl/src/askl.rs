@@ -15,8 +15,8 @@ use crate::id::SystemId;
 use crate::metastore::MetaStore;
 use crate::pipespace::PipelineSpace;
 use crate::system::{
-    execution_tracker, majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FaultState,
-    FitContext, Predictor, RunSpec,
+    majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FitContext, Predictor, RunSpec,
+    Search,
 };
 use green_automl_dataset::split::train_test_split;
 use green_automl_dataset::{Dataset, MetaFeatures};
@@ -119,14 +119,12 @@ fn fit_impl(
     sys: SysParams,
     ctx: &FitContext<'_>,
 ) -> AutoMlRun {
-    let mut tracker = execution_tracker(sys.id, spec);
-    let scope = ctx.scope(train, &tracker);
+    let mut search = Search::new(sys.id, spec, train, ctx);
     let split_seed = spec.seed ^ 0xa5c1;
     let (tr, val) = train_test_split(train, 0.33, split_seed);
     let space = PipelineSpace::askl();
     let store = MetaStore::builtin(&space);
     let mut bo = BayesOpt::new(space.space().clone(), spec.seed);
-    let mut faults = FaultState::new(sys.id, spec);
 
     let init = match version {
         Version::V1 => store.warm_start(&MetaFeatures::from_dataset(train), sys.n_init),
@@ -138,88 +136,73 @@ fn fit_impl(
     let mut evals: Vec<EvalRec> = Vec::new();
     let mut init_iter = init.into_iter();
     while evals.len() < cap
-        && faults.trials_started() < max_started
-        && tracker.now() < spec.budget_s
+        && search.trials_started() < max_started
+        && search.tracker.now() < spec.budget_s
     {
         let config = match init_iter.next() {
             Some(c) => c,
             None => {
                 let (c, ops) = bo.suggest();
-                tracker.charge(ops, ParallelProfile::serial());
+                search.tracker.charge(ops, ParallelProfile::serial());
                 c
             }
         };
 
-        tracker.span_open(SpanKind::Trial, || {
-            format!("trial {}", faults.trials_started())
-        });
-        // Injected fault: pynisher kills the trial process. Burn the wasted
-        // partial work, tell BO the config failed, and move on.
-        if let Some(fault) = faults.next_trial() {
-            faults.charge(&mut tracker, fault);
-            bo.observe(config, 0.0);
-            tracker.span_close_fault(fault.kind);
-            continue;
-        }
-        let trial_start = tracker.now();
-
-        // ASKL2 fidelity screen: a 30%-sample dry run; configs scoring
-        // below the running median are not evaluated at full fidelity.
-        if version == Version::V2 && evals.len() >= 4 {
-            let small = tr.head((tr.n_rows() as f64 * 0.3) as usize);
-            let probe = evaluate(
+        let outcome = search.trial(|tracker, scope| {
+            // ASKL2 fidelity screen: a 30%-sample dry run; configs scoring
+            // below the running median are not evaluated at full fidelity.
+            if version == Version::V2 && evals.len() >= 4 {
+                let small = tr.head((tr.n_rows() as f64 * 0.3) as usize);
+                let probe = evaluate(
+                    &space.decode(&config),
+                    &small,
+                    &val,
+                    &[split_seed, small.n_rows() as u64],
+                    spec.seed,
+                    tracker,
+                    scope,
+                );
+                let mut scores: Vec<f64> = evals.iter().map(|e| e.score).collect();
+                scores.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                let median = scores[scores.len() / 2];
+                bo.observe(config.clone(), probe.score);
+                if probe.score < median - 0.02 {
+                    return None;
+                }
+            }
+            Some(evaluate(
                 &space.decode(&config),
-                &small,
+                &tr,
                 &val,
-                &[split_seed, small.n_rows() as u64],
-                spec.seed,
-                &mut tracker,
-                scope.as_ref(),
-            );
-            let mut scores: Vec<f64> = evals.iter().map(|e| e.score).collect();
-            scores.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let median = scores[scores.len() / 2];
-            bo.observe(config.clone(), probe.score);
-            if probe.score < median - 0.02 {
-                faults.observe_ok(tracker.now() - trial_start);
-                tracker.span_close();
-                continue;
+                &[split_seed, u64::MAX],
+                spec.seed ^ evals.len() as u64,
+                tracker,
+                scope,
+            ))
+        });
+        match outcome {
+            // Injected fault: pynisher killed the trial process; tell BO
+            // the config failed.
+            None => bo.observe(config, 0.0),
+            // Screened out at low fidelity.
+            Some(None) => {}
+            Some(Some(rec)) => {
+                bo.observe(config, rec.score);
+                evals.push(rec);
             }
         }
-
-        let rec = evaluate(
-            &space.decode(&config),
-            &tr,
-            &val,
-            &[split_seed, u64::MAX],
-            spec.seed ^ evals.len() as u64,
-            &mut tracker,
-            scope.as_ref(),
-        );
-        bo.observe(config, rec.score);
-        faults.observe_ok(tracker.now() - trial_start);
-        tracker.span_close();
-        evals.push(rec);
     }
     let n_evaluations = evals.len();
 
     // The real system searches until the wall clock expires.
-    if tracker.now() < spec.budget_s {
-        crate::system::burn_active_until(&mut tracker, spec.budget_s);
+    if search.tracker.now() < spec.budget_s {
+        crate::system::burn_active_until(&mut search.tracker, spec.budget_s);
     }
 
     // Every started trial died: there is nothing to ensemble. Deploy the
     // constant-class fallback instead of panicking in Caruana selection.
     if evals.is_empty() {
-        return AutoMlRun {
-            predictor: majority_class_predictor(train),
-            execution: tracker.measurement(),
-            n_evaluations: 0,
-            budget_s: spec.budget_s,
-            n_trial_faults: faults.n_faults(),
-            wasted_j: faults.wasted_j(),
-            trace: tracker.take_trace(),
-        };
+        return search.finish(majority_class_predictor(train), 0);
     }
 
     // Post-hoc Caruana ensembling — deliberately NOT budget-checked.
@@ -235,14 +218,16 @@ fn fit_impl(
     } else {
         pool
     };
-    tracker.span_open(SpanKind::Trial, || "ensemble".to_string());
+    search
+        .tracker
+        .span_open(SpanKind::Trial, || "ensemble".to_string());
     let candidates: Vec<Matrix> = evals[..pool].iter().map(|e| e.val_proba.clone()).collect();
     let mut weights = caruana_selection(
         &candidates,
         &val.labels,
         val.n_classes,
         sys.ensemble_iters,
-        &mut tracker,
+        &mut search.tracker,
     );
     // On the small validation sets of this simulation, greedy selection
     // with replacement concentrates on one or two members; the real system
@@ -259,17 +244,9 @@ fn fit_impl(
     }
     let pipelines: Vec<FittedPipeline> = evals.drain(..pool).map(|e| e.fitted).collect();
     let ensemble = WeightedEnsemble::new(pipelines, &weights, val.n_classes);
-    tracker.span_close();
+    search.tracker.span_close();
 
-    AutoMlRun {
-        predictor: Predictor::Ensemble(ensemble),
-        execution: tracker.measurement(),
-        n_evaluations,
-        budget_s: spec.budget_s,
-        n_trial_faults: faults.n_faults(),
-        wasted_j: faults.wasted_j(),
-        trace: tracker.take_trace(),
-    }
+    search.finish(Predictor::Ensemble(ensemble), n_evaluations)
 }
 
 struct SysParams {

@@ -15,12 +15,12 @@
 use crate::ensemble::{caruana_selection, BaggedModel, StackedEnsemble};
 use crate::id::SystemId;
 use crate::system::{
-    execution_tracker, majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FaultState,
-    FitContext, Predictor, RunSpec,
+    majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FitContext, Predictor, RunSpec,
+    Search,
 };
 use green_automl_dataset::Dataset;
 use green_automl_energy::{CostTracker, SpanKind};
-use green_automl_ml::evalcache::{self, kind, CachedValue};
+use green_automl_ml::evalcache::{self, kind, memo};
 use green_automl_ml::matrix::encode;
 use green_automl_ml::models::ModelSpec;
 use green_automl_ml::preprocess::PreprocSpec;
@@ -167,24 +167,17 @@ fn bag_with_oof(
                 let xv = x.take_rows(&val_rows);
                 model.predict_proba(&xv, t)
             };
-            CachedValue::ModelProba { model, proba }
+            (model, proba)
         };
-        let outcome = match scope {
-            None => fold_unit(tracker),
-            Some(sc) => {
-                let key = sc.key(
-                    kind::FOLD_FIT,
-                    model_fp,
-                    &[x_fp, fold as u64, k as u64, fold_seed],
-                    x.rows() as u64,
-                );
-                sc.cache().get_or_compute(key, tracker, fold_unit)
-            }
+        let fold_key = |sc: &EvalScope<'_>| {
+            sc.key(
+                kind::FOLD_FIT,
+                model_fp,
+                &[x_fp, fold as u64, k as u64, fold_seed],
+                x.rows() as u64,
+            )
         };
-        let (model, p) = match outcome {
-            CachedValue::ModelProba { model, proba } => (model, proba),
-            other => unreachable!("fold unit stored {other:?}"),
-        };
+        let (model, p) = memo(scope, tracker, fold_key, fold_unit);
         for (i, &r) in val_rows.iter().enumerate() {
             oof.row_mut(r).copy_from_slice(p.row(i));
         }
@@ -262,86 +255,93 @@ impl AutoMlSystem for AutoGluon {
     }
 
     fn fit_with(&self, train: &Dataset, spec: &RunSpec, ctx: &FitContext<'_>) -> AutoMlRun {
-        let mut tracker = execution_tracker(self.id(), spec);
         // AutoGluon parallelises its fold/bag training across all allocated
         // cores — "an embarrassingly parallel workload" (paper §3.3); the
         // system-level profile overrides the per-model ones.
-        tracker.set_profile_override(Some(green_automl_energy::ParallelProfile::embarrassing()));
-        // The scope must capture the override just installed — it is part
-        // of every memo key's context fingerprint.
-        let scope = ctx.scope(train, &tracker);
+        let profile = green_automl_energy::ParallelProfile::embarrassing();
+        let mut search = Search::with_profile(self.id(), spec, train, ctx, Some(profile));
         let y = &train.labels;
         let k = N_FOLDS.min(train.n_rows().max(2) / 2).max(2);
         let folds = fold_assignment(y, train.n_classes, k);
 
-        let x_raw = encode(train, &mut tracker);
-        let imputer = PreprocSpec::MeanImputer.fit(&x_raw, y, train.n_classes, &mut tracker);
-        let x = imputer.transform(&x_raw, &mut tracker);
-        let x_fp = if scope.is_some() {
-            evalcache::fingerprint_matrix(&x)
-        } else {
-            0
+        let x_raw = encode(train, &mut search.tracker);
+        let imputer = PreprocSpec::MeanImputer.fit(&x_raw, y, train.n_classes, &mut search.tracker);
+        let x = imputer.transform(&x_raw, &mut search.tracker);
+        // Matrix fingerprints key the memo units; uncached fits skip them.
+        let cached = search.scope.is_some();
+        let fingerprint = |m: &Matrix| {
+            if cached {
+                evalcache::fingerprint_matrix(m)
+            } else {
+                0
+            }
+        };
+        let x_fp = fingerprint(&x);
+
+        // Train one stack layer on `m`: bag each portfolio model in order
+        // while the (optimistic) estimate says it fits. At least
+        // `min_models` bags always train — but on data subsampled to
+        // roughly fit the window, as the real system does for large
+        // datasets. Estimation error is what produces Table 7's overshoot.
+        // A faulted trial loses its model (AutoGluon logs the failure and
+        // trains the next one).
+        let scale = train.scale();
+        let train_layer = |search: &mut Search,
+                           portfolio: Vec<ModelSpec>,
+                           m: &Matrix,
+                           m_fp: u64,
+                           min_models: usize,
+                           seed: &dyn Fn(usize) -> u64| {
+            let mut bags: Vec<BaggedModel> = Vec::new();
+            let mut oofs: Vec<Matrix> = Vec::new();
+            for (i, model) in portfolio.into_iter().enumerate() {
+                let must_train = bags.len() < min_models;
+                let remaining = (spec.budget_s - search.tracker.now()).max(0.0);
+                let est = k as f64
+                    * model.estimate_fit_seconds(
+                        m.rows(),
+                        m.cols(),
+                        train.n_classes,
+                        scale,
+                        spec.device,
+                        spec.cores,
+                    );
+                if !must_train && est * 0.6 > remaining {
+                    break;
+                }
+                let window = remaining.max(spec.budget_s * 0.4) * 2.0;
+                let rows_frac = if must_train && est > window {
+                    (window / est).clamp(0.02, 1.0)
+                } else {
+                    1.0
+                };
+                let trained = search.trial(|tracker, scope| {
+                    bag_subsampled(
+                        &model,
+                        m,
+                        m_fp,
+                        y,
+                        train.n_classes,
+                        &folds,
+                        k,
+                        rows_frac,
+                        tracker,
+                        seed(i),
+                        scope,
+                    )
+                });
+                if let Some((bag, oof)) = trained {
+                    bags.push(bag);
+                    oofs.push(oof);
+                }
+            }
+            (bags, oofs)
         };
 
-        // Layer 1: train portfolio models while the (optimistic) estimate
-        // says they fit. At least two bags always train — but on data
-        // subsampled to roughly fit the window, as the real system does for
-        // large datasets. Estimation error is what produces Table 7's
-        // overshoot.
-        let scale = train.scale();
-        let mut faults = FaultState::new(self.id(), spec);
-        let mut layer1: Vec<BaggedModel> = Vec::new();
-        let mut l1_oof: Vec<Matrix> = Vec::new();
-        for (i, model) in layer1_portfolio().into_iter().enumerate() {
-            let must_train = layer1.len() < 2;
-            let remaining = (spec.budget_s - tracker.now()).max(0.0);
-            let est = k as f64
-                * model.estimate_fit_seconds(
-                    x.rows(),
-                    x.cols(),
-                    train.n_classes,
-                    scale,
-                    spec.device,
-                    spec.cores,
-                );
-            if !must_train && est * 0.6 > remaining {
-                break;
-            }
-            tracker.span_open(SpanKind::Trial, || {
-                format!("trial {}", faults.trials_started())
-            });
-            // Injected fault: this portfolio model's bag training dies
-            // (AutoGluon logs the failure and trains the next model).
-            if let Some(fault) = faults.next_trial() {
-                faults.charge(&mut tracker, fault);
-                tracker.span_close_fault(fault.kind);
-                continue;
-            }
-            let trial_start = tracker.now();
-            let window = remaining.max(spec.budget_s * 0.4) * 2.0;
-            let rows_frac = if must_train && est > window {
-                (window / est).clamp(0.02, 1.0)
-            } else {
-                1.0
-            };
-            let (bag, oof) = bag_subsampled(
-                &model,
-                &x,
-                x_fp,
-                y,
-                train.n_classes,
-                &folds,
-                k,
-                rows_frac,
-                &mut tracker,
-                spec.seed.wrapping_add(i as u64 * 31),
-                scope.as_ref(),
-            );
-            faults.observe_ok(tracker.now() - trial_start);
-            tracker.span_close();
-            layer1.push(bag);
-            l1_oof.push(oof);
-        }
+        // Layer 1 always trains two bags.
+        let (layer1, l1_oof) = train_layer(&mut search, layer1_portfolio(), &x, x_fp, 2, &|i| {
+            spec.seed.wrapping_add(i as u64 * 31)
+        });
 
         // Layer 2 trains on features ++ layer-1 OOF probabilities; at least
         // one stacker is always trained (this is where the 10 s budget
@@ -356,80 +356,23 @@ impl AutoMlSystem for AutoGluon {
                 aug.row_mut(r)[base..base + train.n_classes].copy_from_slice(oof.row(r));
             }
         }
-        let aug_fp = if scope.is_some() {
-            evalcache::fingerprint_matrix(&aug)
-        } else {
-            0
-        };
-        let mut layer2: Vec<BaggedModel> = Vec::new();
-        let mut l2_oof: Vec<Matrix> = Vec::new();
-        for (i, model) in layer2_portfolio().into_iter().enumerate() {
-            let must_train = layer2.is_empty();
-            let remaining = (spec.budget_s - tracker.now()).max(0.0);
-            let est = k as f64
-                * model.estimate_fit_seconds(
-                    aug.rows(),
-                    aug.cols(),
-                    train.n_classes,
-                    scale,
-                    spec.device,
-                    spec.cores,
-                );
-            if !must_train && est * 0.6 > remaining {
-                break;
-            }
-            tracker.span_open(SpanKind::Trial, || {
-                format!("trial {}", faults.trials_started())
+        let aug_fp = fingerprint(&aug);
+        let (layer2, l2_oof) =
+            train_layer(&mut search, layer2_portfolio(), &aug, aug_fp, 1, &|i| {
+                spec.seed.wrapping_add(1000 + i as u64)
             });
-            if let Some(fault) = faults.next_trial() {
-                faults.charge(&mut tracker, fault);
-                tracker.span_close_fault(fault.kind);
-                continue;
-            }
-            let trial_start = tracker.now();
-            let window = remaining.max(spec.budget_s * 0.4) * 2.0;
-            let rows_frac = if must_train && est > window {
-                (window / est).clamp(0.02, 1.0)
-            } else {
-                1.0
-            };
-            let (bag, oof) = bag_subsampled(
-                &model,
-                &aug,
-                aug_fp,
-                y,
-                train.n_classes,
-                &folds,
-                k,
-                rows_frac,
-                &mut tracker,
-                spec.seed.wrapping_add(1000 + i as u64),
-                scope.as_ref(),
-            );
-            faults.observe_ok(tracker.now() - trial_start);
-            tracker.span_close();
-            layer2.push(bag);
-            l2_oof.push(oof);
-        }
 
         // Faults can leave the stack without any layer-2 model: nothing can
         // be ensembled, so the constant-class fallback deploys instead of
         // panicking inside Caruana selection.
         if layer2.is_empty() {
-            return AutoMlRun {
-                predictor: majority_class_predictor(train),
-                execution: tracker.measurement(),
-                n_evaluations: layer1.len(),
-                budget_s: spec.budget_s,
-                n_trial_faults: faults.n_faults(),
-                wasted_j: faults.wasted_j(),
-                trace: tracker.take_trace(),
-            };
+            return search.finish(majority_class_predictor(train), layer1.len());
         }
 
         // Caruana weights over the layer-2 out-of-fold predictions.
+        let tracker = &mut search.tracker;
         tracker.span_open(SpanKind::Trial, || "ensemble".to_string());
-        let weights = caruana_selection(&l2_oof, y, train.n_classes, 25, &mut tracker);
+        let weights = caruana_selection(&l2_oof, y, train.n_classes, 25, tracker);
         tracker.span_close();
         let n_evaluations = layer1.len() + layer2.len();
 
@@ -446,7 +389,7 @@ impl AutoMlSystem for AutoGluon {
                 train.n_classes,
                 x.cols(),
             );
-            let teacher_proba = stacked.predict_proba(train, &mut tracker);
+            let teacher_proba = stacked.predict_proba(train, tracker);
             let pseudo: Vec<u32> = green_automl_ml::models::argmax_rows(&teacher_proba);
             let student_spec = ModelSpec::Mlp(MlpParams {
                 hidden1: 48,
@@ -455,13 +398,8 @@ impl AutoMlSystem for AutoGluon {
                 lr: 0.02,
                 batch: 32,
             });
-            let student = student_spec.fit(
-                &x,
-                &pseudo,
-                train.n_classes,
-                &mut tracker,
-                spec.seed ^ 0xd157,
-            );
+            let student =
+                student_spec.fit(&x, &pseudo, train.n_classes, tracker, spec.seed ^ 0xd157);
             let deployed = green_automl_ml::FittedPipeline::from_parts(
                 green_automl_ml::Pipeline::new(vec![], student_spec),
                 vec![imputer],
@@ -470,15 +408,7 @@ impl AutoMlSystem for AutoGluon {
                 x.cols(),
             );
             tracker.span_close();
-            return AutoMlRun {
-                predictor: Predictor::Single(deployed),
-                execution: tracker.measurement(),
-                n_evaluations,
-                budget_s: spec.budget_s,
-                n_trial_faults: faults.n_faults(),
-                wasted_j: faults.wasted_j(),
-                trace: tracker.take_trace(),
-            };
+            return search.finish(Predictor::Single(deployed), n_evaluations);
         }
 
         // Refit preset: collapse each bag into one model trained on all data.
@@ -489,27 +419,22 @@ impl AutoMlSystem for AutoGluon {
                 // Collapse each bag: refit its portfolio model once on the
                 // full training data (one model replaces k fold models).
                 // Each collapse fit is a memo unit of its own.
+                let scope = search.scope.as_ref();
                 let refit_one =
                     |model: &ModelSpec, m: &Matrix, m_fp: u64, seed: u64, t: &mut CostTracker| {
-                        let unit = |t: &mut CostTracker| {
-                            CachedValue::Model(model.fit(m, y, train.n_classes, t, seed))
-                        };
-                        let outcome = match scope.as_ref() {
-                            None => unit(t),
-                            Some(sc) => {
-                                let key = sc.key(
+                        memo(
+                            scope,
+                            t,
+                            |sc| {
+                                sc.key(
                                     kind::REFIT,
                                     evalcache::fingerprint_model(model),
                                     &[m_fp, seed],
                                     m.rows() as u64,
-                                );
-                                sc.cache().get_or_compute(key, t, unit)
-                            }
-                        };
-                        match outcome {
-                            CachedValue::Model(fitted) => fitted,
-                            other => unreachable!("refit unit stored {other:?}"),
-                        }
+                                )
+                            },
+                            |t| model.fit(m, y, train.n_classes, t, seed),
+                        )
                     };
                 let mut l1 = Vec::new();
                 for (i, model) in layer1_portfolio()
@@ -517,7 +442,7 @@ impl AutoMlSystem for AutoGluon {
                     .enumerate()
                     .take(layer1.len())
                 {
-                    let m = refit_one(&model, &x, x_fp, spec.seed ^ (i as u64 + 7), &mut tracker);
+                    let m = refit_one(&model, &x, x_fp, spec.seed ^ (i as u64 + 7), tracker);
                     l1.push(BaggedModel::new(vec![m], train.n_classes));
                 }
                 let mut l2 = Vec::new();
@@ -526,13 +451,7 @@ impl AutoMlSystem for AutoGluon {
                     .enumerate()
                     .take(layer2.len())
                 {
-                    let m = refit_one(
-                        &model,
-                        &aug,
-                        aug_fp,
-                        spec.seed ^ (i as u64 + 77),
-                        &mut tracker,
-                    );
+                    let m = refit_one(&model, &aug, aug_fp, spec.seed ^ (i as u64 + 77), tracker);
                     l2.push(BaggedModel::new(vec![m], train.n_classes));
                 }
                 tracker.span_close();
@@ -549,15 +468,7 @@ impl AutoMlSystem for AutoGluon {
             x.cols(),
         );
 
-        AutoMlRun {
-            predictor: Predictor::Stacked(stacked),
-            execution: tracker.measurement(),
-            n_evaluations,
-            budget_s: spec.budget_s,
-            n_trial_faults: faults.n_faults(),
-            wasted_j: faults.wasted_j(),
-            trace: tracker.take_trace(),
-        }
+        search.finish(Predictor::Stacked(stacked), n_evaluations)
     }
 }
 

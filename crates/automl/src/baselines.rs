@@ -10,8 +10,8 @@
 use crate::id::SystemId;
 use crate::pipespace::PipelineSpace;
 use crate::system::{
-    execution_tracker, majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FaultState,
-    FitContext, Predictor, RunSpec,
+    majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FitContext, Predictor, RunSpec,
+    Search,
 };
 use green_automl_dataset::split::train_test_split;
 use green_automl_dataset::Dataset;
@@ -63,87 +63,69 @@ fn search_loop<I: Iterator<Item = Config>>(
     val_frac: f64,
     ctx: &FitContext<'_>,
 ) -> AutoMlRun {
-    let mut tracker = execution_tracker(id, spec);
-    let scope = ctx.scope(train, &tracker);
+    let mut search = Search::new(id, spec, train, ctx);
     let space = PipelineSpace::caml();
     let split_seed = spec.seed ^ 0xba5e;
     let split_words = [split_seed, val_frac.to_bits()];
     let (tr, val) = train_test_split(train, val_frac, split_seed);
     let eval_cap = ((spec.budget_s * 0.4) as usize).clamp(8, 120);
 
-    let mut faults = FaultState::new(id, spec);
     let mut best: Option<(f64, green_automl_ml::Pipeline)> = None;
     let mut n_evaluations = 0usize;
     for config in configs {
-        if tracker.now() >= spec.budget_s || n_evaluations >= eval_cap {
+        if search.tracker.now() >= spec.budget_s || n_evaluations >= eval_cap {
             break;
         }
-        tracker.span_open(SpanKind::Trial, || {
-            format!("trial {}", faults.trials_started())
+        let scored = search.trial(|tracker, scope| {
+            let pipeline = space.decode(&config);
+            // Same charges as fit + predict: `predict` is argmax over
+            // `predict_proba`, which is what the memoised unit records.
+            let (score, _, _) = proba_eval_scoped(
+                &pipeline,
+                &tr,
+                &val,
+                &split_words,
+                spec.seed ^ n_evaluations as u64,
+                tracker,
+                scope,
+            );
+            (score, pipeline)
         });
-        if let Some(fault) = faults.next_trial() {
-            faults.charge(&mut tracker, fault);
-            tracker.span_close_fault(fault.kind);
+        let Some((score, pipeline)) = scored else {
             continue;
-        }
-        let trial_start = tracker.now();
-        let pipeline = space.decode(&config);
-        // Same charges as fit + predict: `predict` is argmax over
-        // `predict_proba`, which is what the memoised unit records.
-        let (score, _, _) = proba_eval_scoped(
-            &pipeline,
-            &tr,
-            &val,
-            &split_words,
-            spec.seed ^ n_evaluations as u64,
-            &mut tracker,
-            scope.as_ref(),
-        );
-        faults.observe_ok(tracker.now() - trial_start);
-        tracker.span_close();
+        };
         if best.as_ref().is_none_or(|(s, _)| score > *s) {
             best = Some((score, pipeline));
         }
         n_evaluations += 1;
     }
-    crate::system::burn_active_until(&mut tracker, spec.budget_s);
+    crate::system::burn_active_until(&mut search.tracker, spec.budget_s);
 
-    tracker.span_open(SpanKind::Trial, || "refit".to_string());
-    let predictor = match best {
-        Some((_, winner)) => Predictor::Single(fit_scoped(
-            &winner,
+    search
+        .tracker
+        .span_open(SpanKind::Trial, || "refit".to_string());
+    let refit = |search: &mut Search<'_>, pipeline: &green_automl_ml::Pipeline| {
+        Predictor::Single(fit_scoped(
+            pipeline,
             &tr,
             &split_words,
             spec.seed ^ 0xdeb,
-            &mut tracker,
-            scope.as_ref(),
-        )),
+            &mut search.tracker,
+            search.scope.as_ref(),
+        ))
+    };
+    let predictor = match best {
+        Some((_, winner)) => refit(&mut search, &winner),
         // Every candidate died: deploy the constant-class fallback rather
         // than refitting a model the search never validated.
-        None if faults.n_faults() > 0 => majority_class_predictor(train),
-        None => {
-            let naive =
-                green_automl_ml::Pipeline::new(vec![], green_automl_ml::ModelSpec::GaussianNb);
-            Predictor::Single(fit_scoped(
-                &naive,
-                &tr,
-                &split_words,
-                spec.seed ^ 0xdeb,
-                &mut tracker,
-                scope.as_ref(),
-            ))
-        }
+        None if search.n_faults() > 0 => majority_class_predictor(train),
+        None => refit(
+            &mut search,
+            &green_automl_ml::Pipeline::new(vec![], green_automl_ml::ModelSpec::GaussianNb),
+        ),
     };
-    tracker.span_close();
-    AutoMlRun {
-        predictor,
-        execution: tracker.measurement(),
-        n_evaluations,
-        budget_s: spec.budget_s,
-        n_trial_faults: faults.n_faults(),
-        wasted_j: faults.wasted_j(),
-        trace: tracker.take_trace(),
-    }
+    search.tracker.span_close();
+    search.finish(predictor, n_evaluations)
 }
 
 impl AutoMlSystem for RandomSearchBaseline {

@@ -15,16 +15,16 @@
 use crate::id::SystemId;
 use crate::pipespace::{Bounds, Family, PipelineSpace, PreprocChoices};
 use crate::system::{
-    execution_tracker, majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FaultState,
-    FitContext, Predictor, RunSpec,
+    majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FitContext, Predictor, RunSpec,
+    Search,
 };
 use green_automl_dataset::split::train_test_split;
 use green_automl_dataset::Dataset;
 use green_automl_energy::{CostTracker, ParallelProfile, SpanKind};
-use green_automl_ml::evalcache::{self, kind, CachedValue};
+use green_automl_ml::evalcache::{self, kind, memo};
 use green_automl_ml::metrics::balanced_accuracy;
 use green_automl_ml::validation::fit_scoped;
-use green_automl_ml::FittedPipeline;
+use green_automl_ml::{EvalScope, FittedPipeline};
 use green_automl_optim::BayesOpt;
 
 /// CAML's tunable AutoML-system parameters: the search-space definition
@@ -142,8 +142,7 @@ impl AutoMlSystem for Caml {
         let p = &self.params;
         // The tuned variant keeps its own id (`Custom("CAML(tuned)")` via
         // the trait default) so its fault stream stays distinct.
-        let mut tracker = execution_tracker(self.id(), spec);
-        let scope = ctx.scope(train, &tracker);
+        let mut search = Search::new(self.id(), spec, train, ctx);
 
         // ③ Upfront sampling. `keep_word` records the derivation from the
         // scope's training set for memo keys (`u64::MAX` = no sampling).
@@ -176,109 +175,95 @@ impl AutoMlSystem for Caml {
         let mut n_evaluations = 0usize;
         let mut stall = 0usize;
         let mut stopped_early = false;
-        let mut faults = FaultState::new(self.id(), spec);
         let holdout = p.holdout_frac.clamp(0.1, 0.5);
         let (tr_fixed, val_fixed) = train_test_split(data, holdout, spec.seed ^ 0xca31);
 
-        while tracker.now() < spec.budget_s && n_evaluations < eval_cap {
+        while search.tracker.now() < spec.budget_s && n_evaluations < eval_cap {
             let (config, ops) = bo.suggest();
-            tracker.charge(ops, ParallelProfile::serial());
-            tracker.span_open(SpanKind::Trial, || {
-                format!("trial {}", faults.trials_started())
-            });
-            // Injected fault: the evaluation process dies. Burn the wasted
-            // partial work, score the config as failed for BO, move on.
-            if let Some(fault) = faults.next_trial() {
-                faults.charge(&mut tracker, fault);
-                bo.observe(config, 0.0);
-                tracker.span_close_fault(fault.kind);
-                continue;
-            }
-            let trial_start = tracker.now();
+            search.tracker.charge(ops, ParallelProfile::serial());
             let pipeline = space.decode(&config);
-
-            // ⑤ Validation resampling.
-            let resplit;
-            let split_seed = if p.resample_validation {
-                spec.seed ^ 0xca31 ^ (n_evaluations as u64 + 1)
-            } else {
-                spec.seed ^ 0xca31
-            };
-            let (tr, val) = if p.resample_validation {
-                resplit = train_test_split(data, holdout, split_seed);
-                (&resplit.0, &resplit.1)
-            } else {
-                (&tr_fixed, &val_fixed)
-            };
-
-            let eval_deadline = tracker.now() + p.eval_fraction.clamp(0.01, 1.0) * spec.budget_s;
-
-            // ⑥ Incremental training ladder (10 instances per class, then
-            // x4 per rung), pruning poor pipelines — and pipelines that
-            // violate the inference-time constraint — at the cheapest rung.
-            // The first rung shrinks until its *estimated* cost fits the
-            // per-evaluation window, and later rungs only start if they are
-            // estimated to fit — CAML's strict budget adherence (Table 7)
-            // even on heavily charged datasets.
-            let eval_budget = p.eval_fraction.clamp(0.01, 1.0) * spec.budget_s;
-            let d_enc = green_automl_ml::matrix::encoded_width(tr);
-            let rung_fits = |n: usize| {
-                pipeline.model.estimate_fit_seconds(
-                    n,
-                    d_enc,
-                    val.n_classes,
-                    tr.scale(),
-                    spec.device,
-                    spec.cores,
-                ) <= eval_budget
-            };
-            let fidelities: Vec<usize> = if p.incremental_training {
-                let floor = (2 * val.n_classes).max(8).min(tr.n_rows());
-                let mut n = (10 * val.n_classes).min(tr.n_rows());
-                while n > floor && !rung_fits(n) {
-                    n = (n / 2).max(floor);
-                }
-                let mut ladder = vec![n];
-                while n < tr.n_rows() && rung_fits((n * 4).min(tr.n_rows())) {
-                    n = (n * 4).min(tr.n_rows());
-                    ladder.push(n);
-                }
-                ladder
-            } else {
-                vec![tr.n_rows()]
-            };
-
-            let mut rung_fit: Option<(f64, FittedPipeline)> = None;
-            for (rung, &n_rows) in fidelities.iter().enumerate() {
-                // Strict budget adherence: never start a rung past the
-                // budget (Table 7: CAML 301.4s for a 300s budget).
-                if rung > 0 && tracker.now() >= spec.budget_s {
-                    break;
-                }
-                let sub = tr.head(n_rows);
-                let eval_seed = spec.seed ^ n_evaluations as u64;
-                let limit = spec.constraints.max_inference_s_per_row;
-                // One rung = fit + early constraint check + validation
-                // scoring (successive halving "prunes ML pipelines that
-                // violate constraints"). A constraint-pruned rung still
-                // burned its fit energy, so it memoises as `Skipped` with
-                // the recorded charges; the limit is part of the key.
-                let rung_unit = |t: &mut CostTracker| {
-                    let fitted = pipeline.fit(&sub, t, eval_seed);
-                    if let Some(limit) = limit {
-                        let per_row = fitted.inference_seconds_per_row(spec.device, spec.cores);
-                        if per_row > limit {
-                            return CachedValue::Skipped;
-                        }
-                    }
-                    let pred = fitted.predict(val, t);
-                    let score = balanced_accuracy(&val.labels, &pred, val.n_classes);
-                    CachedValue::Scored { score, fitted }
+            let outcome = search.trial(|tracker, scope| {
+                // ⑤ Validation resampling.
+                let resplit;
+                let split_seed = if p.resample_validation {
+                    spec.seed ^ 0xca31 ^ (n_evaluations as u64 + 1)
+                } else {
+                    spec.seed ^ 0xca31
                 };
-                let outcome = match scope.as_ref() {
-                    None => rung_unit(&mut tracker),
-                    Some(sc) => {
-                        let key = sc.key(
+                let (tr, val) = if p.resample_validation {
+                    resplit = train_test_split(data, holdout, split_seed);
+                    (&resplit.0, &resplit.1)
+                } else {
+                    (&tr_fixed, &val_fixed)
+                };
+
+                let eval_deadline =
+                    tracker.now() + p.eval_fraction.clamp(0.01, 1.0) * spec.budget_s;
+
+                // ⑥ Incremental training ladder (10 instances per class, then
+                // x4 per rung), pruning poor pipelines — and pipelines that
+                // violate the inference-time constraint — at the cheapest rung.
+                // The first rung shrinks until its *estimated* cost fits the
+                // per-evaluation window, and later rungs only start if they are
+                // estimated to fit — CAML's strict budget adherence (Table 7)
+                // even on heavily charged datasets.
+                let eval_budget = p.eval_fraction.clamp(0.01, 1.0) * spec.budget_s;
+                let d_enc = green_automl_ml::matrix::encoded_width(tr);
+                let rung_fits = |n: usize| {
+                    pipeline.model.estimate_fit_seconds(
+                        n,
+                        d_enc,
+                        val.n_classes,
+                        tr.scale(),
+                        spec.device,
+                        spec.cores,
+                    ) <= eval_budget
+                };
+                let fidelities: Vec<usize> = if p.incremental_training {
+                    let floor = (2 * val.n_classes).max(8).min(tr.n_rows());
+                    let mut n = (10 * val.n_classes).min(tr.n_rows());
+                    while n > floor && !rung_fits(n) {
+                        n = (n / 2).max(floor);
+                    }
+                    let mut ladder = vec![n];
+                    while n < tr.n_rows() && rung_fits((n * 4).min(tr.n_rows())) {
+                        n = (n * 4).min(tr.n_rows());
+                        ladder.push(n);
+                    }
+                    ladder
+                } else {
+                    vec![tr.n_rows()]
+                };
+
+                let mut rung_fit: Option<(f64, FittedPipeline)> = None;
+                for (rung, &n_rows) in fidelities.iter().enumerate() {
+                    // Strict budget adherence: never start a rung past the
+                    // budget (Table 7: CAML 301.4s for a 300s budget).
+                    if rung > 0 && tracker.now() >= spec.budget_s {
+                        break;
+                    }
+                    let sub = tr.head(n_rows);
+                    let eval_seed = spec.seed ^ n_evaluations as u64;
+                    let limit = spec.constraints.max_inference_s_per_row;
+                    // One rung = fit + early constraint check + validation
+                    // scoring (successive halving "prunes ML pipelines that
+                    // violate constraints"). A constraint-pruned rung still
+                    // burned its fit energy, so it memoises as `None` with the
+                    // recorded charges; the limit is part of the key.
+                    let rung_unit = |t: &mut CostTracker| {
+                        let fitted = pipeline.fit(&sub, t, eval_seed);
+                        if let Some(limit) = limit {
+                            let per_row = fitted.inference_seconds_per_row(spec.device, spec.cores);
+                            if per_row > limit {
+                                return None;
+                            }
+                        }
+                        let pred = fitted.predict(val, t);
+                        let score = balanced_accuracy(&val.labels, &pred, val.n_classes);
+                        Some((score, fitted))
+                    };
+                    let rung_key = |sc: &EvalScope<'_>| {
+                        sc.key(
                             kind::RUNG,
                             evalcache::fingerprint_pipeline(&pipeline),
                             &[
@@ -290,34 +275,36 @@ impl AutoMlSystem for Caml {
                                 limit.map_or(0, f64::to_bits),
                             ],
                             n_rows as u64,
-                        );
-                        sc.cache().get_or_compute(key, &mut tracker, rung_unit)
-                    }
-                };
-                let (score, fitted) = match outcome {
-                    CachedValue::Scored { score, fitted } => (score, fitted),
-                    CachedValue::Skipped => {
+                        )
+                    };
+                    let Some((score, fitted)) = memo(scope, tracker, rung_key, rung_unit) else {
                         rung_fit = None;
                         break;
-                    }
-                    other => unreachable!("rung unit stored {other:?}"),
-                };
-                rung_fit = Some((score, fitted));
+                    };
+                    rung_fit = Some((score, fitted));
 
-                // Prune pipelines that are clearly losing at low fidelity.
-                if rung + 1 < fidelities.len() {
-                    if let Some(b) = &best {
-                        if score < b.score * 0.7 {
-                            break;
+                    // Prune pipelines that are clearly losing at low fidelity.
+                    if rung + 1 < fidelities.len() {
+                        if let Some(b) = &best {
+                            if score < b.score * 0.7 {
+                                break;
+                            }
                         }
                     }
+                    // ② Evaluation fraction: stop when the per-eval budget is
+                    // spent.
+                    if tracker.now() > eval_deadline {
+                        break;
+                    }
                 }
-                // ② Evaluation fraction: stop when the per-eval budget is
-                // spent.
-                if tracker.now() > eval_deadline {
-                    break;
-                }
-            }
+                rung_fit
+            });
+            // Injected fault: the evaluation process died. Score the
+            // config as failed for BO and move on.
+            let Some(rung_fit) = outcome else {
+                bo.observe(config, 0.0);
+                continue;
+            };
 
             let score = match rung_fit {
                 Some((score, fitted)) => {
@@ -350,8 +337,6 @@ impl AutoMlSystem for Caml {
                 }
             };
             bo.observe(config, score);
-            faults.observe_ok(tracker.now() - trial_start);
-            tracker.span_close();
             n_evaluations += 1;
             if let Some(patience) = p.early_stop_patience {
                 if stall >= patience {
@@ -364,19 +349,11 @@ impl AutoMlSystem for Caml {
         // Every started evaluation was killed by a fault: nothing was ever
         // scored, so deploy the constant-class fallback (still consuming the
         // budget — CAML holds its allocation either way).
-        if best.is_none() && faults.n_faults() > 0 {
+        if best.is_none() && search.n_faults() > 0 {
             if !stopped_early {
-                crate::system::burn_active_until(&mut tracker, spec.budget_s);
+                crate::system::burn_active_until(&mut search.tracker, spec.budget_s);
             }
-            return AutoMlRun {
-                predictor: majority_class_predictor(train),
-                execution: tracker.measurement(),
-                n_evaluations,
-                budget_s: spec.budget_s,
-                n_trial_faults: faults.n_faults(),
-                wasted_j: faults.wasted_j(),
-                trace: tracker.take_trace(),
-            };
+            return search.finish(majority_class_predictor(train), n_evaluations);
         }
 
         let winner = best.map(|b| b.pipeline).unwrap_or_else(|| {
@@ -389,7 +366,9 @@ impl AutoMlSystem for Caml {
         // refit — on the merged training + validation data. The sample is
         // capped to what a reserved 20% budget slice can afford, preserving
         // strict adherence on heavily charged datasets.
-        tracker.span_open(SpanKind::Trial, || "refit".to_string());
+        search
+            .tracker
+            .span_open(SpanKind::Trial, || "refit".to_string());
         let final_data = if p.refit { data } else { &tr_fixed };
         let final_budget = 0.2 * spec.budget_s;
         let d_enc = green_automl_ml::matrix::encoded_width(final_data);
@@ -424,39 +403,31 @@ impl AutoMlSystem for Caml {
                 holdout.to_bits(),
             ],
             spec.seed ^ 0xf17,
-            &mut tracker,
-            scope.as_ref(),
+            &mut search.tracker,
+            search.scope.as_ref(),
         );
         // A refit on more data may nudge a model past the inference limit
         // (e.g. k-NN stores more rows); fall back to the training-part fit.
         if let Some(limit) = spec.constraints.max_inference_s_per_row {
             if deployed.inference_seconds_per_row(spec.device, spec.cores) > limit {
                 let shrunk = final_ref.head((final_ref.n_rows() / 2).max(floor));
-                deployed = deployed
-                    .spec()
-                    .clone()
-                    .fit(&shrunk, &mut tracker, spec.seed ^ 0xf18);
+                deployed =
+                    deployed
+                        .spec()
+                        .clone()
+                        .fit(&shrunk, &mut search.tracker, spec.seed ^ 0xf18);
             }
         }
-        tracker.span_close();
+        search.tracker.span_close();
 
         // CAML holds its allocation and keeps searching until the budget is
         // fully consumed (the final fit above happens within the window) —
         // unless the early-stopping extension fired, in which case the
         // remaining budget is the energy saved.
         if !stopped_early {
-            crate::system::burn_active_until(&mut tracker, spec.budget_s);
+            crate::system::burn_active_until(&mut search.tracker, spec.budget_s);
         }
-
-        AutoMlRun {
-            predictor: Predictor::Single(deployed),
-            execution: tracker.measurement(),
-            n_evaluations,
-            budget_s: spec.budget_s,
-            n_trial_faults: faults.n_faults(),
-            wasted_j: faults.wasted_j(),
-            trace: tracker.take_trace(),
-        }
+        search.finish(Predictor::Single(deployed), n_evaluations)
     }
 }
 

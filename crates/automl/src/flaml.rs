@@ -12,8 +12,8 @@
 
 use crate::id::SystemId;
 use crate::system::{
-    execution_tracker, majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FaultState,
-    FitContext, Predictor, RunSpec,
+    majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FitContext, Predictor, RunSpec,
+    Search,
 };
 use green_automl_dataset::Dataset;
 use green_automl_energy::SpanKind;
@@ -130,8 +130,7 @@ impl AutoMlSystem for Flaml {
     }
 
     fn fit_with(&self, train: &Dataset, spec: &RunSpec, ctx: &FitContext<'_>) -> AutoMlRun {
-        let mut tracker = execution_tracker(self.id(), spec);
-        let scope = ctx.scope(train, &tracker);
+        let mut search = Search::new(self.id(), spec, train, ctx);
         let preprocs = if train.nominal_features() > self.feature_prune_above {
             vec![PreprocSpec::SelectKBest { frac: 0.2 }]
         } else {
@@ -146,43 +145,35 @@ impl AutoMlSystem for Flaml {
         let mut best: Option<(f64, Pipeline)> = None;
         let mut n_evaluations = 0usize;
         let mut stalled_rounds = 0usize;
-        let mut faults = FaultState::new(self.id(), spec);
 
         // Cost-frugal loop: round-robin the families at their current rung;
         // each started evaluation runs to completion (Table 7 semantics).
         'outer: loop {
             let mut improved = false;
             for fam in 0..ladders.len() {
-                if tracker.now() >= spec.budget_s {
+                if search.tracker.now() >= spec.budget_s {
                     break 'outer;
                 }
                 if exhausted[fam] && sample >= train.n_rows() {
                     continue;
                 }
                 let r = rung[fam].min(ladders[fam].len() - 1);
-                tracker.span_open(SpanKind::Trial, || {
-                    format!("trial {}", faults.trials_started())
-                });
-                // An injected fault kills this family's trial: charge the
-                // wasted work and move on without a score.
-                if let Some(fault) = faults.next_trial() {
-                    faults.charge(&mut tracker, fault);
-                    tracker.span_close_fault(fault.kind);
-                    continue;
-                }
                 let pipeline = Pipeline::new(preprocs.clone(), ladders[fam][r].clone());
-                let trial_start = tracker.now();
-                let (score, _) = holdout_eval_scoped(
-                    &pipeline,
-                    train,
-                    self.val_frac,
-                    Some(sample),
-                    spec.seed.wrapping_add(n_evaluations as u64),
-                    &mut tracker,
-                    scope.as_ref(),
-                );
-                faults.observe_ok(tracker.now() - trial_start);
-                tracker.span_close();
+                // An injected fault kills this family's trial: the wasted
+                // work is billed and the search moves on without a score.
+                let Some((score, _)) = search.trial(|tracker, scope| {
+                    holdout_eval_scoped(
+                        &pipeline,
+                        train,
+                        self.val_frac,
+                        Some(sample),
+                        spec.seed.wrapping_add(n_evaluations as u64),
+                        tracker,
+                        scope,
+                    )
+                }) else {
+                    continue;
+                };
                 n_evaluations += 1;
                 let better = best.as_ref().is_none_or(|(s, _)| score > *s + 1e-6);
                 if better {
@@ -215,40 +206,33 @@ impl AutoMlSystem for Flaml {
             } else if stalled_rounds >= 2 && sample >= train.n_rows() {
                 // Fully converged: FLAML idles out the rest of the budget
                 // re-validating candidates (charged as active search).
-                crate::system::burn_active_until(&mut tracker, spec.budget_s);
+                crate::system::burn_active_until(&mut search.tracker, spec.budget_s);
                 break;
             }
             if n_evaluations >= ((spec.budget_s * 0.5) as usize).clamp(10, 150) {
-                crate::system::burn_active_until(&mut tracker, spec.budget_s);
+                crate::system::burn_active_until(&mut search.tracker, spec.budget_s);
                 break;
             }
         }
 
         // Final refit of the winner on the full training data — or, if
         // every started trial was killed, the constant-class fallback.
-        tracker.span_open(SpanKind::Trial, || "refit".to_string());
+        search
+            .tracker
+            .span_open(SpanKind::Trial, || "refit".to_string());
         let predictor = match best {
             Some((_, winner)) => Predictor::Single(fit_scoped(
                 &winner,
                 train,
                 &[],
                 spec.seed,
-                &mut tracker,
-                scope.as_ref(),
+                &mut search.tracker,
+                search.scope.as_ref(),
             )),
             None => majority_class_predictor(train),
         };
-        tracker.span_close();
-
-        AutoMlRun {
-            predictor,
-            execution: tracker.measurement(),
-            n_evaluations,
-            budget_s: spec.budget_s,
-            n_trial_faults: faults.n_faults(),
-            wasted_j: faults.wasted_j(),
-            trace: tracker.take_trace(),
-        }
+        search.tracker.span_close();
+        search.finish(predictor, n_evaluations)
     }
 }
 

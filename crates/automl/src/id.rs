@@ -1,7 +1,7 @@
 //! Typed system identifiers.
 //!
 //! The benchmark used to pass systems around as `&'static str` display
-//! names — in `FaultState::new`, grid points, cell failures, serving
+//! names — in `Search::new`, grid points, cell failures, serving
 //! tables — which made typos silent and cross-layer joins stringly.
 //! [`SystemId`] replaces that: one `Copy` enum with a stable ordinal
 //! (paper order), `Display` producing exactly the names the paper's
@@ -82,15 +82,11 @@ impl SystemId {
             .unwrap_or(u8::MAX)
     }
 
-    /// 64-bit FNV-1a of the display name — a stable key for deriving
-    /// per-system seeds (trace ids) that survives enum reordering.
+    /// [`fnv1a_p44`](green_automl_energy::hash::fnv1a_p44) of the display
+    /// name — a stable key for deriving per-system seeds (trace ids) that
+    /// survives enum reordering.
     pub fn stable_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.as_str().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        green_automl_energy::hash::fnv1a_p44(self.as_str().bytes())
     }
 
     /// Resolve a `'static` display name: a known variant when the name

@@ -42,8 +42,8 @@ pub use ensemble::{caruana_selection, StackedEnsemble, WeightedEnsemble};
 pub use flaml::Flaml;
 pub use id::{ParseSystemIdError, SystemId};
 pub use system::{
-    execution_tracker, majority_class_predictor, AutoMlRun, AutoMlSystem, Constraints, DesignCard,
-    FaultState, FitContext, Predictor, RunSpec, RunSpecError,
+    majority_class_predictor, AutoMlRun, AutoMlSystem, Constraints, DesignCard, FitContext,
+    Predictor, RunSpec, RunSpecError, Search,
 };
 pub use tabpfn::TabPfn;
 pub use tpot::Tpot;

@@ -3,7 +3,7 @@
 use crate::ensemble::{StackedEnsemble, WeightedEnsemble};
 use crate::id::SystemId;
 use green_automl_dataset::Dataset;
-use green_automl_energy::fault::{FaultInjector, FaultPlan, TrialFault};
+use green_automl_energy::fault::{FaultInjector, FaultPlan};
 use green_automl_energy::trace::{span_id, SpanKind, Trace};
 use green_automl_energy::{CostTracker, Device, Measurement, OpCounts, ParallelProfile};
 use green_automl_ml::{CacheView, EvalCache, EvalScope, FittedPipeline, Matrix};
@@ -413,14 +413,6 @@ impl<'a> FitContext<'a> {
             ..self
         }
     }
-
-    /// Open an [`EvalScope`] over `train` for this fit, if a cache is
-    /// installed. Call **after** the tracker's profile override and core
-    /// count are final — both are part of the scope's context fingerprint.
-    pub fn scope(&self, train: &Dataset, tracker: &CostTracker) -> Option<EvalScope<'a>> {
-        self.eval_cache
-            .map(|c| EvalScope::new_with_view(c, self.cache_view, train, tracker))
-    }
 }
 
 /// The constant-class fallback deployed when every search candidate died:
@@ -441,106 +433,150 @@ pub fn majority_class_predictor(train: &Dataset) -> Predictor {
     }
 }
 
-/// Per-run fault bookkeeping shared by every system's search loop.
+/// One system's search run: the execution-stage tracker, the eval scope,
+/// and the fault tally, behind the one trial contract every search loop
+/// follows.
 ///
-/// A system asks [`FaultState::next_trial`] before evaluating each
-/// candidate. A `Some(fault)` answer means the trial process died:
-/// the system calls [`FaultState::charge`] to burn the wasted energy
-/// (estimated from the mean duration of the run's successful trials) and
-/// skips the candidate. Decisions come from the spec's [`FaultPlan`] keyed
-/// by `(run seed, system name, trial index)`, so they are identical at
-/// every worker count regardless of evaluation order.
-#[derive(Debug, Clone)]
-pub struct FaultState {
+/// [`Search::trial`] opens a `trial N` span and draws the trial's fate
+/// from the spec's [`FaultPlan`], keyed by `(run seed, system name, trial
+/// index)`, so the same trials die at every worker count regardless of
+/// evaluation order. A killed trial burns its wasted energy (estimated
+/// from the mean duration of the run's successful trials), closes its span
+/// with the fault's tag and yields `None`; a live trial runs its body and
+/// records its duration. [`Search::finish`] turns the run into an
+/// [`AutoMlRun`].
+///
+/// When `spec.trace` is set, a tracer seeded from `(run seed, system)` is
+/// attached and a `System` root span plus a `Stage` "execution" child are
+/// opened; they close when [`Search::finish`] takes the trace, so the root
+/// span covers the tracker's whole lifetime and its energy reconciles
+/// **bitwise** with the run's [`Measurement`].
+#[derive(Debug)]
+pub struct Search<'a> {
+    /// The execution-stage meter. Work outside trials (surrogate
+    /// suggestions, ensembling, refits) charges it directly.
+    pub tracker: CostTracker,
+    /// The fit's memo scope, when the context installs a cache.
+    pub scope: Option<EvalScope<'a>>,
     injector: Option<FaultInjector>,
     system: SystemId,
     run_seed: u64,
+    budget_s: f64,
     next_trial: u64,
     n_faults: usize,
     n_ok: usize,
     sum_ok_s: f64,
     wasted_j: f64,
     default_trial_s: f64,
-    deadline_s: f64,
 }
 
-impl FaultState {
-    /// Bookkeeping for one run of `system` under `spec`. Until a trial
+impl<'a> Search<'a> {
+    /// Open the run of `id` on `train` under `spec`. Until a trial
     /// succeeds, a killed trial's duration is estimated as 1/20 of the
     /// budget (the search loop's natural trial granularity).
-    pub fn new(system: SystemId, spec: &RunSpec) -> FaultState {
-        FaultState::with_trial_estimate(system, spec, spec.budget_s / 20.0)
+    pub fn new(id: SystemId, spec: &RunSpec, train: &Dataset, ctx: &FitContext<'a>) -> Search<'a> {
+        Search::with_profile(id, spec, train, ctx, None)
     }
 
-    /// Like [`FaultState::new`] but with an explicit estimate for the
-    /// duration of a typical trial — used by budget-free systems (TabPFN),
-    /// whose trial cost must not scale with the nominal budget.
-    pub fn with_trial_estimate(system: SystemId, spec: &RunSpec, trial_s: f64) -> FaultState {
-        let injector = if spec.fault.trial_fault_p() > 0.0 {
-            Some(FaultInjector::new(spec.fault))
-        } else {
-            None
-        };
-        FaultState {
+    /// [`Search::new`] with a system-wide `profile` override installed on
+    /// the tracker before the eval scope is taken: the override is part of
+    /// every memo key's context fingerprint.
+    pub fn with_profile(
+        id: SystemId,
+        spec: &RunSpec,
+        train: &Dataset,
+        ctx: &FitContext<'a>,
+        profile: Option<ParallelProfile>,
+    ) -> Search<'a> {
+        let mut tracker = CostTracker::new(spec.device, spec.cores);
+        if spec.trace {
+            tracker.enable_tracing(span_id(spec.seed, id.stable_hash()));
+            tracker.span_open(SpanKind::System, || id.to_string());
+            tracker.span_open(SpanKind::Stage, || "execution".to_string());
+        }
+        tracker.set_profile_override(profile);
+        // Taken after the override: device, cores and override are all
+        // part of the scope's context fingerprint.
+        let scope = ctx
+            .eval_cache
+            .map(|c| EvalScope::new_with_view(c, ctx.cache_view, train, &tracker));
+        let injector = (spec.fault.trial_fault_p() > 0.0).then(|| FaultInjector::new(spec.fault));
+        Search {
+            tracker,
+            scope,
             injector,
-            system,
+            system: id,
             run_seed: spec.seed,
+            budget_s: spec.budget_s,
             next_trial: 0,
             n_faults: 0,
             n_ok: 0,
             sum_ok_s: 0.0,
             wasted_j: 0.0,
-            default_trial_s: trial_s.max(1e-6),
-            deadline_s: spec.budget_s,
+            default_trial_s: (spec.budget_s / 20.0).max(1e-6),
         }
     }
 
-    /// Decide the fate of the next trial. Always advances the trial
-    /// counter, so the decision stream is a pure function of how many
-    /// trials the search has attempted.
-    pub fn next_trial(&mut self) -> Option<TrialFault> {
+    /// Estimate a killed trial's duration as `trial_s` until a trial
+    /// succeeds — for budget-free systems (TabPFN), whose trial cost must
+    /// not scale with the nominal budget.
+    pub fn with_trial_estimate(self, trial_s: f64) -> Search<'a> {
+        Search {
+            default_trial_s: trial_s.max(1e-6),
+            ..self
+        }
+    }
+
+    /// Run the next trial. Opens a `trial N` span and draws the trial's
+    /// fault. A killed trial charges the wasted fraction of a typical
+    /// trial's duration as active compute, clamped to the budget (kills
+    /// happen inside the allocation, pynisher-style), tags its span and
+    /// returns `None`. Otherwise `body` runs with the tracker and the
+    /// scope, its duration refines the waste estimate, and the span
+    /// closes. The fault stream depends only on how many trials started.
+    pub fn trial<T>(
+        &mut self,
+        body: impl FnOnce(&mut CostTracker, Option<&EvalScope<'a>>) -> T,
+    ) -> Option<T> {
         let trial = self.next_trial;
         self.next_trial += 1;
-        // The injector sites are keyed by the display name's bytes, so the
-        // typed-id migration leaves every historical fault stream intact.
-        self.injector
+        self.tracker
+            .span_open(SpanKind::Trial, || format!("trial {trial}"));
+        // Fault sites are keyed by the display name's bytes, so the
+        // typed-id migration left every historical fault stream intact.
+        let fault = self
+            .injector
             .as_ref()
-            .and_then(|inj| inj.trial_fault(self.run_seed, self.system.as_str(), trial))
-    }
-
-    /// Trials attempted so far (successful, faulted, or in flight) — also
-    /// the index of the trial currently being decided, which trial spans
-    /// use as their label.
-    pub fn trials_started(&self) -> u64 {
-        self.next_trial
-    }
-
-    /// Record the duration of a successful trial; refines the wasted-work
-    /// estimate for subsequent kills.
-    pub fn observe_ok(&mut self, duration_s: f64) {
+            .and_then(|inj| inj.trial_fault(self.run_seed, self.system.as_str(), trial));
+        if let Some(fault) = fault {
+            let typical_s = if self.n_ok > 0 {
+                self.sum_ok_s / self.n_ok as f64
+            } else {
+                self.default_trial_s
+            };
+            let now = self.tracker.now();
+            let target = (now + typical_s * fault.wasted_frac).min(self.budget_s.max(now));
+            let before_j = self.tracker.measurement().energy.total_joules();
+            burn_active_until(&mut self.tracker, target);
+            self.wasted_j += self.tracker.measurement().energy.total_joules() - before_j;
+            self.n_faults += 1;
+            self.tracker.span_close_fault(fault.kind);
+            return None;
+        }
+        let start = self.tracker.now();
+        let out = body(&mut self.tracker, self.scope.as_ref());
+        let duration_s = self.tracker.now() - start;
         if duration_s.is_finite() && duration_s > 0.0 {
             self.n_ok += 1;
             self.sum_ok_s += duration_s;
         }
+        self.tracker.span_close();
+        Some(out)
     }
 
-    /// Charge the energy a killed trial burned before dying: the fault's
-    /// wasted fraction of a typical trial's duration, as active compute,
-    /// clamped to the run's budget (kills happen inside the allocation,
-    /// pynisher-style).
-    pub fn charge(&mut self, tracker: &mut CostTracker, fault: TrialFault) {
-        let typical_s = if self.n_ok > 0 {
-            self.sum_ok_s / self.n_ok as f64
-        } else {
-            self.default_trial_s
-        };
-        let wasted_s = typical_s * fault.wasted_frac;
-        let now = tracker.now();
-        let target = (now + wasted_s).min(self.deadline_s.max(now));
-        let before_j = tracker.measurement().energy.total_joules();
-        burn_active_until(tracker, target);
-        self.wasted_j += tracker.measurement().energy.total_joules() - before_j;
-        self.n_faults += 1;
+    /// Trials started so far (killed or not).
+    pub fn trials_started(&self) -> u64 {
+        self.next_trial
     }
 
     /// Trials killed so far.
@@ -548,34 +584,24 @@ impl FaultState {
         self.n_faults
     }
 
-    /// Trials that completed successfully so far.
+    /// Trials that ran to completion so far.
     pub fn n_ok(&self) -> usize {
         self.n_ok
     }
 
-    /// Joules burned by killed trials so far.
-    pub fn wasted_j(&self) -> f64 {
-        self.wasted_j
+    /// End the run: the execution measurement, the fault tally and the
+    /// trace, around the deployed `predictor`.
+    pub fn finish(mut self, predictor: Predictor, n_evaluations: usize) -> AutoMlRun {
+        AutoMlRun {
+            predictor,
+            execution: self.tracker.measurement(),
+            n_evaluations,
+            budget_s: self.budget_s,
+            n_trial_faults: self.n_faults,
+            wasted_j: self.wasted_j,
+            trace: self.tracker.take_trace(),
+        }
     }
-}
-
-/// The execution-stage tracker for one fit of `id` under `spec`.
-///
-/// When `spec.trace` is set, a tracer seeded from `(run seed, system)` is
-/// attached and a `System` root span plus a `Stage` "execution" child are
-/// opened; they close automatically when the system takes the trace at the
-/// end of its fit, so the root span covers the tracker's whole lifetime
-/// and its energy reconciles **bitwise** with the run's
-/// [`Measurement`]. Without `spec.trace` this is exactly
-/// `CostTracker::new(spec.device, spec.cores)`.
-pub fn execution_tracker(id: SystemId, spec: &RunSpec) -> CostTracker {
-    let mut tracker = CostTracker::new(spec.device, spec.cores);
-    if spec.trace {
-        tracker.enable_tracing(span_id(spec.seed, id.stable_hash()));
-        tracker.span_open(SpanKind::System, || id.to_string());
-        tracker.span_open(SpanKind::Stage, || "execution".to_string());
-    }
-    tracker
 }
 
 /// Keep searching (charging active compute) until the virtual deadline —
@@ -709,42 +735,80 @@ mod tests {
     }
 
     #[test]
-    fn fault_state_charges_wasted_energy_within_the_budget() {
+    fn killed_trials_charge_wasted_energy_within_the_budget() {
+        let train = TaskSpec::new("t", 20, 3, 2).generate();
         let spec = RunSpec::single_core(10.0, 3)
             .with_fault(green_automl_energy::fault::FaultPlan::total_failure(7));
-        let mut faults = FaultState::new(SystemId::Custom("Test"), &spec);
-        let mut t = CostTracker::new(Device::xeon_gold_6132(), 1);
+        let mut search = Search::new(
+            SystemId::Custom("Test"),
+            &spec,
+            &train,
+            &FitContext::default(),
+        );
         for _ in 0..4 {
-            let f = faults.next_trial().expect("total-failure plan");
-            faults.charge(&mut t, f);
+            let ran = search.trial(|_, _| panic!("total-failure plan kills every trial"));
+            assert!(ran.is_none());
         }
-        assert_eq!(faults.n_faults(), 4);
-        assert!(faults.wasted_j() > 0.0);
-        assert!(t.now() <= 10.0 + 1e-9, "kills stay inside the budget");
+        assert_eq!(search.trials_started(), 4);
+        assert!(
+            search.tracker.now() <= 10.0 + 1e-9,
+            "kills stay inside the budget"
+        );
         // The wasted tally matches the tracker's total exactly: nothing else
         // was charged.
-        let total = t.measurement().energy.total_joules();
-        assert_eq!(faults.wasted_j().to_bits(), total.to_bits());
+        let total = search.tracker.measurement().energy.total_joules();
+        let run = search.finish(majority_class_predictor(&train), 0);
+        assert_eq!(run.n_trial_faults, 4);
+        assert!(run.wasted_j > 0.0);
+        assert_eq!(run.wasted_j.to_bits(), total.to_bits());
     }
 
     #[test]
-    fn fault_state_decisions_do_not_depend_on_call_interleaving() {
+    fn trial_fates_do_not_depend_on_what_the_trials_do() {
+        let train = TaskSpec::new("t", 20, 3, 2).generate();
         let spec = RunSpec::single_core(10.0, 3)
-            .with_fault(green_automl_energy::fault::FaultPlan::chaos(21));
-        let seq = |observe: bool| {
-            let mut faults = FaultState::new(SystemId::Custom("Interleave"), &spec);
-            let mut fates = Vec::new();
-            for i in 0..50 {
-                let fate = faults.next_trial();
-                if observe && fate.is_none() {
-                    faults.observe_ok(0.1 * (i + 1) as f64);
-                }
-                fates.push(fate);
-            }
-            fates
+            .with_fault(green_automl_energy::fault::FaultPlan::chaos(21))
+            .with_trace();
+        let fates = |work: bool| {
+            let id = SystemId::Custom("Interleave");
+            let mut search = Search::new(id, &spec, &train, &FitContext::default());
+            let fates: Vec<bool> = (0..50)
+                .map(|i| {
+                    search
+                        .trial(|t, _| {
+                            if work {
+                                t.charge(
+                                    OpCounts::scalar(1e6 * (i + 1) as f64),
+                                    ParallelProfile::serial(),
+                                );
+                            }
+                        })
+                        .is_none()
+                })
+                .collect();
+            (fates, search.finish(majority_class_predictor(&train), 0))
         };
-        // Observing successes refines the energy estimate but must never
-        // change which trials die.
-        assert_eq!(seq(false), seq(true));
+        // Successful trials' durations refine the energy estimate but must
+        // never change which trials die.
+        let (idle, idle_run) = fates(false);
+        let (busy, busy_run) = fates(true);
+        assert_eq!(idle, busy);
+        assert!(idle.iter().any(|&f| f) && idle.iter().any(|&f| !f));
+        // Every trial has one span, labelled by its index and tagged iff
+        // it was killed.
+        for (fates, run) in [(&idle, idle_run), (&busy, busy_run)] {
+            let trace = run.trace.expect("traced spec");
+            let trials: Vec<_> = trace
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Trial)
+                .collect();
+            assert_eq!(trials.len(), 50);
+            for (i, (span, &killed)) in trials.iter().zip(fates).enumerate() {
+                assert_eq!(span.label, format!("trial {i}"));
+                assert_eq!(span.fault.is_some(), killed);
+            }
+            assert_eq!(run.n_trial_faults, fates.iter().filter(|&&f| f).count());
+        }
     }
 }

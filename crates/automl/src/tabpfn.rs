@@ -10,8 +10,8 @@
 
 use crate::id::SystemId;
 use crate::system::{
-    execution_tracker, majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FaultState,
-    FitContext, Predictor, RunSpec,
+    majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FitContext, Predictor, RunSpec,
+    Search,
 };
 use green_automl_dataset::Dataset;
 use green_automl_energy::SpanKind;
@@ -60,68 +60,39 @@ impl AutoMlSystem for TabPfn {
     }
 
     fn fit_with(&self, train: &Dataset, spec: &RunSpec, ctx: &FitContext<'_>) -> AutoMlRun {
-        let mut tracker = execution_tracker(self.id(), spec);
-        let scope = ctx.scope(train, &tracker);
-        if train.n_classes > self.max_classes {
-            // The official implementation "only supports up to 10 classes";
-            // the benchmark then falls back to the majority class.
-            // Even the refusal costs the checkpoint load.
-            tracker.span_open(SpanKind::Trial, || "refusal".to_string());
-            tracker.charge(
-                green_automl_energy::OpCounts::mem(1.0e8),
-                green_automl_energy::ParallelProfile::serial(),
-            );
-            tracker.span_close();
-            return AutoMlRun {
-                predictor: majority_class_predictor(train),
-                execution: tracker.measurement(),
-                n_evaluations: 0,
-                budget_s: spec.budget_s,
-                n_trial_faults: 0,
-                wasted_j: 0.0,
-                trace: tracker.take_trace(),
-            };
-        }
-
         // TabPFN's single "trial" is the in-context fit itself. The wasted-
         // work estimate is the system's fixed ~0.3 s execution (Table 7),
         // not a budget fraction — TabPFN is budget-free, so its fault cost
         // must not scale with the nominal budget either.
-        let mut faults = FaultState::with_trial_estimate(self.id(), spec, 0.3);
-        tracker.span_open(SpanKind::Trial, || "trial 0".to_string());
-        if let Some(fault) = faults.next_trial() {
-            faults.charge(&mut tracker, fault);
-            tracker.span_close_fault(fault.kind);
-            return AutoMlRun {
-                predictor: majority_class_predictor(train),
-                execution: tracker.measurement(),
-                n_evaluations: 0,
-                budget_s: spec.budget_s,
-                n_trial_faults: faults.n_faults(),
-                wasted_j: faults.wasted_j(),
-                trace: tracker.take_trace(),
-            };
+        let mut search = Search::new(self.id(), spec, train, ctx).with_trial_estimate(0.3);
+        if train.n_classes > self.max_classes {
+            // The official implementation "only supports up to 10 classes";
+            // the benchmark then falls back to the majority class.
+            // Even the refusal costs the checkpoint load.
+            search
+                .tracker
+                .span_open(SpanKind::Trial, || "refusal".to_string());
+            search.tracker.charge(
+                green_automl_energy::OpCounts::mem(1.0e8),
+                green_automl_energy::ParallelProfile::serial(),
+            );
+            search.tracker.span_close();
+            return search.finish(majority_class_predictor(train), 0);
         }
 
-        let trial_start = tracker.now();
-        let fitted = fit_scoped(
-            &Pipeline::new(vec![], ModelSpec::InContextAttention(self.params)),
-            train,
-            &[],
-            spec.seed,
-            &mut tracker,
-            scope.as_ref(),
-        );
-        faults.observe_ok(tracker.now() - trial_start);
-        tracker.span_close();
-        AutoMlRun {
-            predictor: Predictor::Single(fitted),
-            execution: tracker.measurement(),
-            n_evaluations: 1,
-            budget_s: spec.budget_s,
-            n_trial_faults: faults.n_faults(),
-            wasted_j: faults.wasted_j(),
-            trace: tracker.take_trace(),
+        let fitted = search.trial(|tracker, scope| {
+            fit_scoped(
+                &Pipeline::new(vec![], ModelSpec::InContextAttention(self.params)),
+                train,
+                &[],
+                spec.seed,
+                tracker,
+                scope,
+            )
+        });
+        match fitted {
+            Some(fitted) => search.finish(Predictor::Single(fitted), 1),
+            None => search.finish(majority_class_predictor(train), 0),
         }
     }
 }

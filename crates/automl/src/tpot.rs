@@ -11,12 +11,12 @@
 use crate::id::SystemId;
 use crate::pipespace::PipelineSpace;
 use crate::system::{
-    execution_tracker, majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FaultState,
-    FitContext, Predictor, RunSpec,
+    majority_class_predictor, AutoMlRun, AutoMlSystem, DesignCard, FitContext, Predictor, RunSpec,
+    Search,
 };
 use green_automl_dataset::Dataset;
 use green_automl_energy::rng::SplitMix64;
-use green_automl_energy::{CostTracker, ParallelProfile, SpanKind};
+use green_automl_energy::{ParallelProfile, SpanKind};
 use green_automl_ml::validation::{cv_eval_scoped, fit_scoped};
 use green_automl_optim::nsga2;
 use green_automl_optim::Config;
@@ -77,8 +77,7 @@ impl AutoMlSystem for Tpot {
     }
 
     fn fit_with(&self, train: &Dataset, spec: &RunSpec, ctx: &FitContext<'_>) -> AutoMlRun {
-        let mut tracker = execution_tracker(self.id(), spec);
-        let scope = ctx.scope(train, &tracker);
+        let mut search = Search::new(self.id(), spec, train, ctx);
         let space = PipelineSpace::askl(); // TPOT searches data/feature preprocessors too
         let mut rng = SplitMix64::seed_from_u64(spec.seed ^ 0x790);
 
@@ -88,37 +87,27 @@ impl AutoMlSystem for Tpot {
             .collect();
         let mut scores: Vec<f64> = Vec::with_capacity(pop.len());
         let mut n_evaluations = 0usize;
-        let mut faults = FaultState::new(self.id(), spec);
 
         // A genome whose CV evaluation is killed by an injected fault keeps
         // the wasted energy on the meter and scores 0.0 — a legal worst
         // fitness, so NSGA-II simply selects against it.
-        let eval = |c: &Config, tracker: &mut CostTracker, faults: &mut FaultState, seed: u64| {
-            tracker.span_open(SpanKind::Trial, || {
-                format!("trial {}", faults.trials_started())
-            });
-            if let Some(fault) = faults.next_trial() {
-                faults.charge(tracker, fault);
-                tracker.span_close_fault(fault.kind);
-                return 0.0;
-            }
-            let trial_start = tracker.now();
-            let pipeline = space.decode(c);
-            let score = cv_eval_scoped(
-                &pipeline,
-                train,
-                self.cv_folds.min(train.n_rows() / 2).max(2),
-                seed,
-                tracker,
-                scope.as_ref(),
-            );
-            faults.observe_ok(tracker.now() - trial_start);
-            tracker.span_close();
-            score
+        let eval = |c: &Config, search: &mut Search<'_>, seed: u64| {
+            search
+                .trial(|tracker, scope| {
+                    cv_eval_scoped(
+                        &space.decode(c),
+                        train,
+                        self.cv_folds.min(train.n_rows() / 2).max(2),
+                        seed,
+                        tracker,
+                        scope,
+                    )
+                })
+                .unwrap_or(0.0)
         };
 
         for c in &pop {
-            scores.push(eval(c, &mut tracker, &mut faults, spec.seed));
+            scores.push(eval(c, &mut search, spec.seed));
             n_evaluations += 1;
         }
 
@@ -128,7 +117,7 @@ impl AutoMlSystem for Tpot {
         // window is charged as (phantom) continued evolution.
         let eval_cap = ((spec.budget_s * 0.3) as usize).clamp(2 * self.population, 150);
         for generation in 0..self.max_generations {
-            if tracker.now() >= spec.budget_s || n_evaluations >= eval_cap {
+            if search.tracker.now() >= spec.budget_s || n_evaluations >= eval_cap {
                 break;
             }
             let objectives: Vec<Vec<f64>> = pop
@@ -139,7 +128,7 @@ impl AutoMlSystem for Tpot {
             let (rank, crowd) = nsga2::rank_and_crowd(&objectives);
             // Charge NSGA-II bookkeeping.
             let (_, sel_ops) = nsga2::select(&objectives, pop.len());
-            tracker.charge(sel_ops, ParallelProfile::serial());
+            search.tracker.charge(sel_ops, ParallelProfile::serial());
 
             // Offspring via tournament + crossover + mutation.
             let mut children: Vec<Config> = Vec::with_capacity(pop.len());
@@ -159,8 +148,7 @@ impl AutoMlSystem for Tpot {
                     n_evaluations += 1;
                     eval(
                         c,
-                        &mut tracker,
-                        &mut faults,
+                        &mut search,
                         spec.seed ^ (generation as u64 * 97 + i as u64),
                     )
                 })
@@ -177,20 +165,22 @@ impl AutoMlSystem for Tpot {
                 .map(|(c, &s)| vec![s, -complexity(&space, c)])
                 .collect();
             let (kept, sel_ops) = nsga2::select(&all_objs, self.population);
-            tracker.charge(sel_ops, ParallelProfile::serial());
+            search.tracker.charge(sel_ops, ParallelProfile::serial());
             pop = kept.iter().map(|&i| all[i].clone()).collect();
             scores = kept.iter().map(|&i| all_scores[i]).collect();
         }
 
-        if tracker.now() < spec.budget_s {
-            crate::system::burn_active_until(&mut tracker, spec.budget_s);
+        if search.tracker.now() < spec.budget_s {
+            crate::system::burn_active_until(&mut search.tracker, spec.budget_s);
         }
 
         // Deploy the accuracy-best genome, refit on the full training data —
         // unless every evaluation was killed, in which case no genome ever
         // earned a score and the constant-class fallback ships instead.
-        tracker.span_open(SpanKind::Trial, || "refit".to_string());
-        let predictor = if faults.n_ok() == 0 && faults.n_faults() > 0 {
+        search
+            .tracker
+            .span_open(SpanKind::Trial, || "refit".to_string());
+        let predictor = if search.n_ok() == 0 && search.n_faults() > 0 {
             majority_class_predictor(train)
         } else {
             let best_idx = scores
@@ -204,23 +194,14 @@ impl AutoMlSystem for Tpot {
                 train,
                 &[],
                 spec.seed,
-                &mut tracker,
-                scope.as_ref(),
+                &mut search.tracker,
+                search.scope.as_ref(),
             ))
         };
-        tracker.span_close();
+        search.tracker.span_close();
         // Report completed evaluations; killed trials are tallied apart.
-        let n_evaluations = n_evaluations - faults.n_faults().min(n_evaluations);
-
-        AutoMlRun {
-            predictor,
-            execution: tracker.measurement(),
-            n_evaluations,
-            budget_s: spec.budget_s,
-            n_trial_faults: faults.n_faults(),
-            wasted_j: faults.wasted_j(),
-            trace: tracker.take_trace(),
-        }
+        let n_evaluations = n_evaluations - search.n_faults().min(n_evaluations);
+        search.finish(predictor, n_evaluations)
     }
 }
 
@@ -229,7 +210,7 @@ mod tests {
     use super::*;
     use green_automl_dataset::split::train_test_split;
     use green_automl_dataset::TaskSpec;
-    use green_automl_energy::Device;
+    use green_automl_energy::{CostTracker, Device};
     use green_automl_ml::metrics::balanced_accuracy;
 
     fn task() -> Dataset {

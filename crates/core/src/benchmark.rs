@@ -10,6 +10,7 @@
 use crate::checkpoint;
 use green_automl_dataset::split::train_test_split;
 use green_automl_dataset::{Dataset, DatasetMeta, MaterializeOptions};
+use green_automl_energy::hash::fnv1a_p44;
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::trace::span_id;
 use green_automl_energy::{CostTracker, Measurement, SpanKind, StableHasher, Trace};
@@ -38,7 +39,7 @@ pub struct BenchmarkOptions {
     pub runs: usize,
     /// Test fraction of the 66/34 split.
     pub test_frac: f64,
-    /// Worker threads for [`run_grid`]: `0` = one per available core,
+    /// Worker threads for [`run_grid_checked`]: `0` = one per available core,
     /// `1` = serial. Results are byte-identical at every setting.
     pub parallelism: usize,
     /// Memoise evaluations in a grid-wide [`EvalCache`]. Hits skip the
@@ -381,11 +382,7 @@ pub(crate) fn grid_fingerprint(
     opts: &BenchmarkOptions,
 ) -> u64 {
     let mut words: Vec<u64> = vec![2]; // format version
-    words.extend(
-        systems
-            .iter()
-            .map(|s| checkpoint::fingerprint_str(s.name())),
-    );
+    words.extend(systems.iter().map(|s| fnv1a_p44(s.name().bytes())));
     words.extend(datasets.iter().map(|m| m.openml_id as u64));
     words.extend(budgets.iter().map(|b| b.to_bits()));
     words.extend([
@@ -447,26 +444,6 @@ pub fn run_grid_checked(
         checkpoint_path,
     )
     .map(|run| run.grid)
-}
-
-/// [`run_grid_checked`] without checkpointing, returning the successful
-/// points only (failed cells are dropped; panics in cells still do not
-/// abort the grid).
-///
-/// # Panics
-///
-/// Panics if `spec_base` fails [`RunSpec::validate`] — use
-/// [`run_grid_checked`] to handle malformed specs as typed errors.
-pub fn run_grid(
-    systems: &[Box<dyn AutoMlSystem>],
-    datasets: &[DatasetMeta],
-    budgets: &[f64],
-    spec_base: &RunSpec,
-    opts: &BenchmarkOptions,
-) -> Vec<BenchmarkPoint> {
-    run_grid_checked(systems, datasets, budgets, spec_base, opts, None)
-        .expect("invalid RunSpec passed to run_grid")
-        .points
 }
 
 /// An aggregated cell of the benchmark grid.
@@ -587,13 +564,17 @@ mod tests {
             Box::new(green_automl_systems::Tpot::default()),
         ];
         let datasets = vec![small_meta()];
-        let points = run_grid(
+        let grid = run_grid_checked(
             &systems,
             &datasets,
             &[10.0, 60.0],
             &RunSpec::single_core(10.0, 0),
             &BenchmarkOptions::quick(),
-        );
+            None,
+        )
+        .unwrap();
+        assert!(grid.failures.is_empty());
+        let points = grid.points;
         // TabPFN reports at both budgets from one run; TPOT only at 60s.
         let tabpfn: Vec<_> = points
             .iter()
@@ -615,14 +596,17 @@ mod tests {
             runs: 2,
             ..BenchmarkOptions::quick()
         };
-        let points = run_grid(
+        let grid = run_grid_checked(
             &[Box::new(sys) as Box<dyn AutoMlSystem>],
             &[small_meta()],
             &[10.0],
             &RunSpec::single_core(10.0, 0),
             &opts,
-        );
-        let avg = average_points(&points, 50, 0);
+            None,
+        )
+        .unwrap();
+        assert!(grid.failures.is_empty());
+        let avg = average_points(&grid.points, 50, 0);
         assert_eq!(avg.len(), 1);
         let a = &avg[0];
         assert_eq!(a.n_points, 2);

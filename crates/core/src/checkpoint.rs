@@ -33,6 +33,7 @@
 //! file belongs to a different grid and is silently started fresh.
 
 use crate::benchmark::BenchmarkPoint;
+use green_automl_energy::hash::fnv1a_p44;
 use green_automl_energy::{Measurement, OpCounts};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -42,26 +43,11 @@ use std::sync::{Mutex, MutexGuard};
 
 const HEADER_PREFIX: &str = "green-automl-checkpoint v1 ";
 
-/// 64-bit FNV-1a over a word sequence — the grid-configuration fingerprint.
+/// [`fnv1a_p44`] over a word sequence's little-endian bytes — the
+/// grid-configuration fingerprint. Names fold in as their own
+/// [`fnv1a_p44`] words.
 pub fn fingerprint(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
-}
-
-/// 64-bit FNV-1a of a string — folds names into [`fingerprint`] words.
-pub fn fingerprint_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    fnv1a_p44(words.iter().flat_map(|w| w.to_le_bytes()))
 }
 
 /// The replayable outcome of a completed grid cell.

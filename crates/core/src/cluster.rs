@@ -62,6 +62,7 @@ use crate::benchmark::{
 use crate::checkpoint::{self, shard_path, Checkpoint};
 use crate::executor::{self, CellOutcome, DatasetCache};
 use green_automl_dataset::{DatasetMeta, MaterializeOptions};
+use green_automl_energy::hash::fnv1a_p44;
 use green_automl_energy::trace::span_id;
 use green_automl_energy::tracker::EnergyBreakdown;
 use green_automl_energy::{
@@ -337,8 +338,8 @@ impl ClusterReport {
     /// equal fingerprints mean byte-identical reports.
     pub fn fingerprint(&self) -> u64 {
         checkpoint::fingerprint(&[
-            checkpoint::fingerprint_str(&self.to_text()),
-            checkpoint::fingerprint_str(&self.trace.to_jsonl()),
+            fnv1a_p44(self.to_text().bytes()),
+            fnv1a_p44(self.trace.to_jsonl().bytes()),
         ])
     }
 
@@ -611,21 +612,20 @@ impl<'a> Sim<'a> {
     }
 
     /// Deliver a completed cell's result from host `h` at local time
-    /// `at`, plus `sync_bytes` of cache reconciliation; returns the
-    /// delivery completion time on `h`'s clock.
+    /// `at`, plus `sync_bytes` of cache reconciliation, and count the cell
+    /// as run on `h`; returns the delivery completion time on `h`'s clock.
     fn deliver(&mut self, h: usize, at: f64, sim: &CellSim, sync_bytes: f64) -> f64 {
+        self.hosts[h].stats.cells_run += 1;
         if h == 0 {
             return at; // results are born on the coordinator
         }
-        let t = self.transfer(
+        self.transfer(
             h,
             at,
             sim.result_bytes + sync_bytes,
             false,
             format!("collect {} <- host {h}", sim.label),
-        );
-        self.hosts[h].stats.cells_run += 1;
-        t
+        )
     }
 
     /// Run the event loop over `sims`, with each cell seeded on its
@@ -791,18 +791,12 @@ impl<'a> Sim<'a> {
                             self.report.wasted_j += busy_w2 * local_d2;
                             let t = self.deliver(h, t_primary, sim, 0.0);
                             self.hosts[h].clock = t;
-                            if h == 0 {
-                                self.hosts[h].stats.cells_run += 1;
-                            }
                         } else {
                             self.hosts[h2].stats.busy_j += busy_w2 * local_d2;
                             self.hosts[h].stats.wasted_j += busy_w * slowed;
                             self.report.wasted_j += busy_w * slowed;
                             let t = self.deliver(h2, t_copy, sim, 0.0);
                             self.hosts[h2].clock = t;
-                            if h2 == 0 {
-                                self.hosts[h2].stats.cells_run += 1;
-                            }
                         }
                     } else {
                         // Under the deadline (or nowhere to speculate):
@@ -827,9 +821,6 @@ impl<'a> Sim<'a> {
                         }
                         let t = self.deliver(h, t_primary, sim, 0.0);
                         self.hosts[h].clock = t;
-                        if h == 0 {
-                            self.hosts[h].stats.cells_run += 1;
-                        }
                     }
                 }
                 Some(HostFault::Partition { duration_s }) => {
@@ -849,9 +840,6 @@ impl<'a> Sim<'a> {
                     let sync_bytes = sim.n_evaluations as f64 * SYNC_BYTES_PER_EVAL;
                     let t = self.deliver(h, rejoin, sim, sync_bytes);
                     self.hosts[h].clock = t.max(finish);
-                    if h == 0 {
-                        self.hosts[h].stats.cells_run += 1;
-                    }
                 }
                 None => {
                     let finish = start + local_d;
@@ -865,9 +853,6 @@ impl<'a> Sim<'a> {
                     }
                     let t = self.deliver(h, finish, sim, 0.0);
                     self.hosts[h].clock = t;
-                    if h == 0 {
-                        self.hosts[h].stats.cells_run += 1;
-                    }
                 }
             }
         }

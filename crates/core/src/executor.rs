@@ -86,21 +86,6 @@ pub enum CellOutcome<T> {
     Failed(String),
 }
 
-impl<T> CellOutcome<T> {
-    /// The success value, if any.
-    pub fn ok(self) -> Option<T> {
-        match self {
-            CellOutcome::Ok(v) => Some(v),
-            CellOutcome::Failed(_) => None,
-        }
-    }
-
-    /// `true` when the task panicked.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, CellOutcome::Failed(_))
-    }
-}
-
 /// Render a panic payload as a human-readable message.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -13,13 +13,14 @@
 //!   AutoML-system parameters, median pruning, and the relative-improvement
 //!   meta-objective;
 //! * [`executor`] — the work-queue scheduler and dataset-materialization
-//!   cache that let [`benchmark::run_grid`] use every core while staying
-//!   byte-identical to the serial run, plus the per-cell panic isolation
-//!   ([`executor::catch_cell`]) behind the grid's fault tolerance;
-//! * [`evalcache`] — the grid-wide content-addressed evaluation memo table
-//!   whose hits skip real compute but replay the recorded virtual-energy
-//!   charges, keeping every artefact byte-identical with the cache on or
-//!   off;
+//!   cache that let [`benchmark::run_grid_checked`] use every core while
+//!   staying byte-identical to the serial run, plus the per-cell panic
+//!   isolation ([`executor::catch_cell`]) behind the grid's fault
+//!   tolerance;
+//! * [`EvalCache`] (from `ml::evalcache`) — the grid-wide
+//!   content-addressed evaluation memo table whose hits skip real compute
+//!   but replay the recorded virtual-energy charges, keeping every
+//!   artefact byte-identical with the cache on or off;
 //! * [`cluster`] — the simulated multi-host executor: grid cells sharded
 //!   across hosts with per-host device profiles and clocks, network
 //!   transfer costs in virtual Joules, host-level chaos (crash /
@@ -39,7 +40,6 @@ pub mod benchmark;
 pub mod checkpoint;
 pub mod cluster;
 pub mod devtune;
-pub mod evalcache;
 pub mod executor;
 pub mod guideline;
 pub mod stages;
@@ -56,8 +56,8 @@ pub use green_automl_energy::fault;
 
 pub use amortize::{crossover_predictions, runs_to_amortize, total_kwh};
 pub use benchmark::{
-    average_points, run_grid, run_grid_checked, BenchmarkOptions, BenchmarkPoint, BudgetGrid,
-    CellFailure, GridRun,
+    average_points, run_grid_checked, BenchmarkOptions, BenchmarkPoint, BudgetGrid, CellFailure,
+    GridRun,
 };
 pub use checkpoint::Checkpoint;
 pub use cluster::{
@@ -65,8 +65,8 @@ pub use cluster::{
     NetworkModel,
 };
 pub use devtune::{DevTuneOptions, DevTuneOutcome, DevTuner};
-pub use evalcache::EvalCache;
 pub use executor::{run_indexed, CellOutcome, DatasetCache};
+pub use green_automl_ml::EvalCache;
 pub use guideline::{recommend, Priority, Recommendation, ServingProfile, TaskProfile};
 pub use stages::{HolisticReport, Stage, StageMeasurement};
 pub use trillion::{trillion_prediction_cost, TrillionCost, TRILLION};

@@ -230,13 +230,6 @@ impl DatasetMeta {
         let feat_scale = (self.features as f64 / spec.features as f64).max(1.0);
         spec.generate().with_scales(row_scale, feat_scale)
     }
-
-    /// [`Self::materialize`] behind an `Arc`, for callers that share one
-    /// materialisation across threads (e.g. the parallel benchmark grid's
-    /// dataset cache).
-    pub fn materialize_shared(&self, opts: &MaterializeOptions) -> std::sync::Arc<Dataset> {
-        std::sync::Arc::new(self.materialize(opts))
-    }
 }
 
 // Materialised datasets are shared via `Arc` across benchmark worker

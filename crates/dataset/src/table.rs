@@ -240,19 +240,6 @@ impl Dataset {
         let rows: Vec<usize> = (0..n).collect();
         self.take_rows(&rows)
     }
-
-    /// Approximate in-memory size of the materialised data, bytes.
-    pub fn approx_bytes(&self) -> f64 {
-        let per_row: f64 = self
-            .columns
-            .iter()
-            .map(|c| match c.data {
-                ColumnData::Numeric(_) => 8.0,
-                ColumnData::Categorical { .. } => 4.0,
-            })
-            .sum();
-        per_row * self.n_rows() as f64 + 4.0 * self.n_rows() as f64
-    }
 }
 
 #[cfg(test)]

@@ -51,12 +51,6 @@ impl VirtualClock {
             0.0
         }
     }
-
-    /// Seconds elapsed since the virtual instant `since`.
-    #[inline]
-    pub fn elapsed_since(&self, since: f64) -> f64 {
-        self.now_s - since
-    }
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 //!   replica crashes (retried with capped exponential virtual-time
 //!   backoff).
 
+use crate::hash::{fnv1a, mix64};
 use crate::rng::SplitMix64;
 
 /// How an injected trial fault kills a candidate evaluation.
@@ -292,26 +293,6 @@ const TAG_REPLICA: u64 = 0x7421_a11a_5f4e_0002;
 /// Domain tag for cluster host fault sites.
 const TAG_HOST: u64 = 0x7421_a11a_5f4e_0003;
 
-/// SplitMix64 finalizer: a full-avalanche 64-bit mix.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte string — stable across platforms and builds, used to
-/// fold system names into site ids.
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Stateless decision oracle over a [`FaultPlan`]. Cloning or sharing an
 /// injector is free: every query re-derives its answer from the site id
 /// alone, so call order and thread placement are irrelevant.
@@ -351,7 +332,7 @@ impl FaultInjector {
         if p_crash + p_timeout + p_oom <= 0.0 {
             return None;
         }
-        let mut rng = self.site_rng([run_seed, fnv1a(system.as_bytes()), trial], TAG_TRIAL);
+        let mut rng = self.site_rng([run_seed, fnv1a(system.bytes()), trial], TAG_TRIAL);
         let u = rng.next_f64();
         let kind = if u < p_crash {
             FaultKind::Crash

@@ -9,6 +9,8 @@
 //! word-at-a-time mixer built on the SplitMix64 finaliser (the same mixer
 //! [`crate::rng::SplitMix64`] uses), with two independently-evolving lanes
 //! folded at the end so single-lane collisions do not collide the digest.
+//! [`fnv1a`] and [`fnv1a_p44`] are the byte-stream hashes behind fault
+//! sites, fleet report digests, trace seeds and checkpoint headers.
 
 /// SplitMix64 finalising mixer: a fast 64-bit permutation with good
 /// avalanche behaviour.
@@ -17,6 +19,26 @@ pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a over a byte stream: stable across platforms, builds and
+/// releases.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    fnv1a_fold(bytes, 0x0000_0100_0000_01b3)
+}
+
+/// The FNV-1a byte fold with multiplier `0x1000_0000_01b3` (2⁴⁴ + 0x1b3)
+/// in place of the FNV prime (2⁴⁰ + 0x1b3). System trace seeds and grid
+/// checkpoint fingerprints were defined with it, and committed traces pin
+/// their span ids, so it stays beside [`fnv1a`] under its own name.
+pub fn fnv1a_p44(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    fnv1a_fold(bytes, 0x1000_0000_01b3)
+}
+
+fn fnv1a_fold(bytes: impl IntoIterator<Item = u8>, prime: u64) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(prime)
+    })
 }
 
 /// A stable streaming hasher over 64-bit words.
@@ -111,6 +133,17 @@ mod tests {
         h2.write_u64(42);
         h2.write_str("pipeline");
         assert_eq!(d1, h2.finish());
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a("".bytes()), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a".bytes()), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("foobar".bytes()), 0x8594_4171_f739_67e8);
+        // Pinned: trace seeds and checkpoint headers hash with it.
+        assert_eq!(fnv1a_p44("".bytes()), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_p44("a".bytes()), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a_p44("foobar".bytes()), 0xf8ac_2471_f739_67e8);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! the equivalence guarantees of the numbers it explains.
 
 use crate::fault::FaultKind;
+use crate::hash::mix64;
 use crate::ops::OpCounts;
 use crate::tracker::{EnergyBreakdown, Measurement};
 
@@ -128,23 +129,12 @@ impl Span {
     }
 }
 
-/// SplitMix64 finalizer — the same mixer fault injection uses, so span ids
-/// share its avalanche quality without coupling the two streams.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
-
 /// Domain-separation tag for span ids (ASCII "span").
 const TAG_SPAN: u64 = 0x7370_616e;
 
 /// The deterministic id of the `seq`-th span opened by a tracer seeded
-/// with `seed`. Pure, schedule-independent, and never zero in practice.
+/// with `seed`: the SplitMix64 finaliser fault injection also uses, under
+/// its own tag. Pure, schedule-independent, and never zero in practice.
 #[inline]
 pub fn span_id(seed: u64, seq: u64) -> u64 {
     mix64(seed ^ mix64(seq.wrapping_add(1) ^ TAG_SPAN))

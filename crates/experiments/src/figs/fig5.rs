@@ -5,7 +5,7 @@
 
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::suite::ExpConfig;
-use green_automl_core::benchmark::run_grid;
+use green_automl_core::benchmark::run_grid_checked;
 use green_automl_systems::{AutoGluon, AutoMlSystem, Caml, RunSpec, SystemId};
 
 /// Core counts swept (each physical CPU of the testbed has two cores).
@@ -20,6 +20,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
 
     let mut rows = Vec::new();
     let mut per_sys_core: Vec<(String, usize, f64, f64, f64)> = Vec::new();
+    let mut failed = 0;
     for cores in CORE_GRID {
         let spec = RunSpec {
             cores,
@@ -27,7 +28,10 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         };
         let systems: Vec<Box<dyn AutoMlSystem>> =
             vec![Box::new(Caml::default()), Box::new(AutoGluon::default())];
-        let points = run_grid(&systems, datasets, &cfg.budgets, &spec, &opts);
+        let grid = run_grid_checked(&systems, datasets, &cfg.budgets, &spec, &opts, None)
+            .expect("ExpConfig produces a valid RunSpec");
+        failed += grid.failures.len();
+        let points = grid.points;
         for sys in [SystemId::Caml, SystemId::AutoGluon] {
             for &b in &cfg.budgets {
                 let cell: Vec<_> = points
@@ -86,6 +90,11 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
             "AutoGluon on 8 cores uses {:.2}x the energy of 1 core — parallel bagging makes more cores {} energy-efficient",
             a8 / a1.max(1e-30),
             if a8 < a1 { "MORE" } else { "not" }
+        ));
+    }
+    if failed > 0 {
+        notes.push(format!(
+            "{failed} grid cell(s) failed; their rows average the remaining cells"
         ));
     }
     ExperimentOutput {

@@ -6,7 +6,7 @@
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::suite::{ExpConfig, SharedPoints};
 use green_automl_core::amortize::runs_to_amortize;
-use green_automl_core::benchmark::{average_points, run_grid};
+use green_automl_core::benchmark::{average_points, run_grid_checked};
 use green_automl_core::devtune::{DevTuneOptions, DevTuner};
 use green_automl_dataset::dev_binary_pool;
 use green_automl_systems::{AutoMlSystem, Caml, SystemId};
@@ -19,6 +19,7 @@ pub fn run(cfg: &ExpConfig, shared: &mut SharedPoints) -> ExperimentOutput {
 
     let mut tuned_rows = Vec::new();
     let mut notes = Vec::new();
+    let mut failed = 0;
 
     // Baseline grid (all systems) from the shared Fig.-3 points.
     let base_avg = average_points(shared.grid(cfg), cfg.bootstrap, cfg.seed);
@@ -39,8 +40,10 @@ pub fn run(cfg: &ExpConfig, shared: &mut SharedPoints) -> ExperimentOutput {
 
         // 2. Execute CAML(tuned) on the benchmark datasets at this budget.
         let tuned: Vec<Box<dyn AutoMlSystem>> = vec![Box::new(Caml::tuned(outcome.params.clone()))];
-        let points = run_grid(&tuned, &datasets, &[budget], &cfg.base_spec(), &opts);
-        let avg = average_points(&points, cfg.bootstrap, cfg.seed);
+        let grid = run_grid_checked(&tuned, &datasets, &[budget], &cfg.base_spec(), &opts, None)
+            .expect("ExpConfig produces a valid RunSpec");
+        failed += grid.failures.len();
+        let avg = average_points(&grid.points, cfg.bootstrap, cfg.seed);
         let Some(t) = avg.first() else { continue };
 
         tuned_rows.push(vec![
@@ -81,6 +84,12 @@ pub fn run(cfg: &ExpConfig, shared: &mut SharedPoints) -> ExperimentOutput {
                 ));
             }
         }
+    }
+
+    if failed > 0 {
+        notes.push(format!(
+            "{failed} CAML(tuned) grid cell(s) failed; their budgets average the remaining cells"
+        ));
     }
 
     let tuned_table = Table::new(

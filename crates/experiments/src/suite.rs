@@ -41,7 +41,7 @@ pub struct ExpConfig {
     pub parallelism: usize,
     /// Grid-wide evaluation memoisation (`--no-eval-cache` disables it).
     /// Purely a wall-clock optimisation: results are byte-identical either
-    /// way (see `green_automl_core::evalcache`).
+    /// way (see `green_automl_ml::evalcache`).
     pub eval_cache: bool,
     /// Open-loop arrival rate for the `serve` experiment, requests per
     /// virtual second.

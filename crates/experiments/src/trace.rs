@@ -15,7 +15,7 @@
 
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::suite::ExpConfig;
-use green_automl_core::benchmark::{run_grid, run_once, BenchmarkPoint};
+use green_automl_core::benchmark::{run_grid_checked, run_once, BenchmarkPoint};
 use green_automl_core::devtune::{DevTuneOptions, DevTuner};
 use green_automl_dataset::dev_binary_pool;
 use green_automl_energy::{MetricsRegistry, Trace};
@@ -64,7 +64,9 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         Box::new(TabPfn::default()),
     ];
 
-    let points = run_grid(&systems, &[meta], &[budget], &spec, &opts);
+    let grid = run_grid_checked(&systems, &[meta], &[budget], &spec, &opts, None)
+        .expect("ExpConfig produces a valid RunSpec");
+    let points = grid.points;
     let picked = pick(&points);
 
     // CAML(tuned): the one deployment whose development stage costs real
@@ -156,7 +158,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         ("trace.metrics.txt".to_string(), registry.render_text()),
     ];
 
-    let notes = vec![
+    let mut notes = vec![
         format!(
             "{} spans across {} runs ({:.3} J total); load trace.chrome.json in \
              chrome://tracing or Perfetto for the flamegraph",
@@ -169,6 +171,12 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
              off-the-shelf systems carry development = 0 by the paper's accounting"
         ),
     ];
+    if !grid.failures.is_empty() {
+        notes.push(format!(
+            "{} grid cell(s) failed; a failed system's stage row reads 0 and its trace is missing",
+            grid.failures.len()
+        ));
+    }
 
     ExperimentOutput {
         id: "trace",

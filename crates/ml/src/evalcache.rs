@@ -40,11 +40,11 @@
 //! [`green_automl_energy::MetricsRegistry`], not artefacts.
 
 use crate::matrix::Matrix;
-use crate::models::FittedModel;
-use crate::pipeline::{FittedPipeline, Pipeline};
+use crate::pipeline::Pipeline;
 use green_automl_dataset::{ColumnData, Dataset};
 use green_automl_energy::hash::StableHasher;
 use green_automl_energy::{ChargeRec, CostTracker, MetricsRegistry};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -109,46 +109,9 @@ impl EvalKey {
     }
 }
 
-/// The memoised result of one evaluation unit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CachedValue {
-    /// Score + pipeline fitted on the unit's training part.
-    Scored {
-        /// Validation balanced accuracy.
-        score: f64,
-        /// The fitted pipeline.
-        fitted: FittedPipeline,
-    },
-    /// Score + fitted pipeline + validation class probabilities
-    /// (AutoSklearn keeps these for greedy ensemble selection).
-    ScoredProba {
-        /// Validation balanced accuracy.
-        score: f64,
-        /// The fitted pipeline.
-        fitted: FittedPipeline,
-        /// Class probabilities on the validation part.
-        proba: Matrix,
-    },
-    /// A bare score (cross-validation).
-    Score(f64),
-    /// A bare fitted pipeline (refits).
-    Fitted(FittedPipeline),
-    /// A fitted model plus its out-of-fold probabilities (bagging).
-    ModelProba {
-        /// The fitted model.
-        model: FittedModel,
-        /// Probabilities on the fold's validation rows.
-        proba: Matrix,
-    },
-    /// A bare fitted model (bag-collapse refits on encoded matrices).
-    Model(FittedModel),
-    /// The unit decided not to produce a result (e.g. an inference-time
-    /// constraint rejected the pipeline before scoring).
-    Skipped,
-}
-
 struct CacheEntry {
-    value: CachedValue,
+    /// The unit's result, type-erased: each unit reads back its own type.
+    value: Box<dyn Any + Send + Sync>,
     charges: Vec<ChargeRec>,
     /// Global publication epoch (1-based insertion order).
     epoch: u64,
@@ -212,37 +175,28 @@ impl EvalCache {
         }
     }
 
-    /// Look up `key` with full (coordinator) visibility; on a miss, run
+    /// Look up `key` through a host's [`CacheView`]; on a miss, run
     /// `compute` with charge recording on, memoise its value and charge
     /// sequence, and return the value. On a hit, *replay* the recorded
     /// charges through `tracker` (bitwise identical meter evolution — see
     /// the module docs) and return a clone of the memoised value.
-    pub fn get_or_compute<F>(
-        &self,
-        key: EvalKey,
-        tracker: &mut CostTracker,
-        compute: F,
-    ) -> CachedValue
-    where
-        F: FnOnce(&mut CostTracker) -> CachedValue,
-    {
-        self.get_or_compute_viewed(key, CacheView::default(), tracker, compute)
-    }
-
-    /// [`EvalCache::get_or_compute`] through a host's [`CacheView`]: an
-    /// entry published after the view's horizon by another host is treated
-    /// as a miss (the partitioned host cannot have received it), and the
-    /// local recompute is reconciled — established entry kept, duplicate
-    /// dropped — when the host rejoins.
-    pub fn get_or_compute_viewed<F>(
+    ///
+    /// An entry published after the view's horizon by another host is
+    /// treated as a miss (the partitioned host cannot have received it),
+    /// and the local recompute is reconciled — established entry kept,
+    /// duplicate dropped — when the host rejoins. Each key names one unit
+    /// kind, so an entry holding another type than `T` can only come from
+    /// a key collision; it is treated as a miss too.
+    pub fn get_or_compute_viewed<T, F>(
         &self,
         key: EvalKey,
         view: CacheView,
         tracker: &mut CostTracker,
         compute: F,
-    ) -> CachedValue
+    ) -> T
     where
-        F: FnOnce(&mut CostTracker) -> CachedValue,
+        T: Clone + Send + Sync + 'static,
+        F: FnOnce(&mut CostTracker) -> T,
     {
         let shard = &self.shards[key.shard()];
         let cached = shard
@@ -253,12 +207,13 @@ impl EvalCache {
         if let Some(entry) = cached {
             let visible =
                 entry.publisher == view.host || view.horizon.is_none_or(|h| entry.epoch <= h);
-            if visible {
+            if !visible {
+                self.invisible_misses.fetch_add(1, Ordering::Relaxed);
+            } else if let Some(value) = entry.value.downcast_ref::<T>() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 tracker.replay(&entry.charges);
-                return entry.value.clone();
+                return value.clone();
             }
-            self.invisible_misses.fetch_add(1, Ordering::Relaxed);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         tracker.start_recording();
@@ -266,7 +221,7 @@ impl EvalCache {
         let charges = tracker.finish_recording();
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = std::sync::Arc::new(CacheEntry {
-            value: value.clone(),
+            value: Box::new(value.clone()),
             charges,
             epoch,
             publisher: view.host,
@@ -350,10 +305,10 @@ impl std::fmt::Debug for EvalCache {
     }
 }
 
-/// Per-system handle on a shared [`EvalCache`]: the cache reference plus
-/// the fingerprints every key from this system shares (its training
-/// dataset and its meter context). Created once at the top of a system's
-/// `fit`, threaded by copy into the search loop.
+/// Per-fit handle on a shared [`EvalCache`]: the cache reference, the
+/// host's view, and the fingerprints every key from this fit shares (its
+/// training dataset and its meter context). Created once per fit and
+/// handed to every [`memo`] call of its search.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalScope<'a> {
     cache: &'a EvalCache,
@@ -363,16 +318,10 @@ pub struct EvalScope<'a> {
 }
 
 impl<'a> EvalScope<'a> {
-    /// A scope over `cache` for a system training on `train` and charging
-    /// `tracker`. Compute this *after* any `set_profile_override`, so the
-    /// override is part of the context fingerprint.
-    pub fn new(cache: &'a EvalCache, train: &Dataset, tracker: &CostTracker) -> EvalScope<'a> {
-        EvalScope::new_with_view(cache, CacheView::default(), train, tracker)
-    }
-
-    /// [`EvalScope::new`] through an explicit host [`CacheView`] — the
-    /// cluster executor's entry point for cells running on a partitioned
-    /// host.
+    /// A scope over `cache`, seen through a host's [`CacheView`], for a
+    /// system training on `train` and charging `tracker`. Compute this
+    /// *after* any `set_profile_override`, so the override is part of the
+    /// context fingerprint.
     pub fn new_with_view(
         cache: &'a EvalCache,
         view: CacheView,
@@ -385,19 +334,6 @@ impl<'a> EvalScope<'a> {
             data_fp: fingerprint_dataset(train),
             ctx_fp: context_fingerprint(tracker),
         }
-    }
-
-    /// A lookup handle carrying both the cache and the scope's view.
-    pub fn cache(&self) -> CacheHandle<'a> {
-        CacheHandle {
-            cache: self.cache,
-            view: self.view,
-        }
-    }
-
-    /// Fingerprint of the scope's training dataset.
-    pub fn data_fp(&self) -> u64 {
-        self.data_fp
     }
 
     /// A key for a unit of `kind` evaluating `pipeline_fp` on data derived
@@ -414,29 +350,25 @@ impl<'a> EvalScope<'a> {
     }
 }
 
-/// A borrowed lookup handle pairing a shared [`EvalCache`] with the
-/// viewing host's [`CacheView`]. Search loops call
-/// [`CacheHandle::get_or_compute`] exactly as they previously called the
-/// cache directly; the view rides along invisibly.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheHandle<'a> {
-    cache: &'a EvalCache,
-    view: CacheView,
-}
-
-impl CacheHandle<'_> {
-    /// [`EvalCache::get_or_compute_viewed`] with the handle's view.
-    pub fn get_or_compute<F>(
-        &self,
-        key: EvalKey,
-        tracker: &mut CostTracker,
-        compute: F,
-    ) -> CachedValue
-    where
-        F: FnOnce(&mut CostTracker) -> CachedValue,
-    {
-        self.cache
-            .get_or_compute_viewed(key, self.view, tracker, compute)
+/// Run one memo unit and return its own result type.
+///
+/// With `scope: None` this is exactly `unit(tracker)`, and `key` is never
+/// called. With a scope, the unit is looked up under `key(scope)` through
+/// the scope's cache and view: a hit replays the recorded charges and
+/// returns a clone of the memoised value, bitwise identical to
+/// recomputing. Units must follow the module's rules: span-free,
+/// idle-free, and complete.
+pub fn memo<T, K, F>(scope: Option<&EvalScope<'_>>, tracker: &mut CostTracker, key: K, unit: F) -> T
+where
+    T: Clone + Send + Sync + 'static,
+    K: FnOnce(&EvalScope<'_>) -> EvalKey,
+    F: FnOnce(&mut CostTracker) -> T,
+{
+    match scope {
+        None => unit(tracker),
+        Some(sc) => sc
+            .cache
+            .get_or_compute_viewed(key(sc), sc.view, tracker, unit),
     }
 }
 
@@ -552,30 +484,59 @@ mod tests {
         )
     }
 
+    /// A lookup with full (coordinator) visibility.
+    fn lookup<T: Clone + Send + Sync + 'static>(
+        cache: &EvalCache,
+        key: EvalKey,
+        tracker: &mut CostTracker,
+        compute: impl FnOnce(&mut CostTracker) -> T,
+    ) -> T {
+        cache.get_or_compute_viewed(key, CacheView::default(), tracker, compute)
+    }
+
     #[test]
     fn hit_replays_identical_energy_and_value() {
         let cache = EvalCache::new();
         let ds = task();
         let scope_tracker = tracker();
-        let scope = EvalScope::new(&cache, &ds, &scope_tracker);
-        let key = scope.key(
-            kind::HOLDOUT,
-            fingerprint_pipeline(&pipeline()),
-            &[7],
-            u64::MAX,
-        );
+        let scope = EvalScope::new_with_view(&cache, CacheView::default(), &ds, &scope_tracker);
+        let key = |sc: &EvalScope<'_>| {
+            sc.key(
+                kind::HOLDOUT,
+                fingerprint_pipeline(&pipeline()),
+                &[7],
+                u64::MAX,
+            )
+        };
 
         let mut cold = tracker();
-        let v1 = cache.get_or_compute(key, &mut cold, |t| {
-            let (score, fitted) = crate::validation::holdout_eval(&pipeline(), &ds, 0.33, 7, t);
-            CachedValue::Scored { score, fitted }
+        let v1 = memo(Some(&scope), &mut cold, key, |t| {
+            crate::validation::holdout_eval(&pipeline(), &ds, 0.33, 7, t)
         });
         assert_eq!(cache.stats(), (0, 1));
 
         let mut warm = tracker();
-        let v2 = cache.get_or_compute(key, &mut warm, |_| panic!("second lookup must hit"));
+        let v2: (f64, crate::pipeline::FittedPipeline) = memo(Some(&scope), &mut warm, key, |_| {
+            panic!("second lookup must hit")
+        });
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(v1, v2);
+
+        // Without a scope the unit runs live and the key is never built.
+        let mut live = tracker();
+        let v3 = memo(
+            None,
+            &mut live,
+            |_| panic!("no scope, no key"),
+            |t| crate::validation::holdout_eval(&pipeline(), &ds, 0.33, 7, t),
+        );
+        assert_eq!(v1, v3);
+        assert_eq!(cache.stats(), (1, 1));
+        let l = live.measurement();
+        assert_eq!(
+            l.energy.package_j.to_bits(),
+            cold.measurement().energy.package_j.to_bits()
+        );
 
         let (a, b) = (cold.measurement(), warm.measurement());
         assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
@@ -596,21 +557,42 @@ mod tests {
             ctx_fp: 3,
         };
         for s in 0..10 {
-            cache.get_or_compute(mk(s), &mut t, |tr| {
+            lookup(&cache, mk(s), &mut t, |tr| {
                 tr.charge(
                     OpCounts::scalar(1e6 * (s + 1) as f64),
                     ParallelProfile::serial(),
                 );
-                CachedValue::Score(s as f64)
+                s as f64
             });
         }
         assert_eq!(cache.len(), 10);
         for s in 0..10 {
-            match cache.get_or_compute(mk(s), &mut t, |_| unreachable!()) {
-                CachedValue::Score(v) => assert_eq!(v, s as f64),
-                other => panic!("wrong payload {other:?}"),
-            }
+            let v: f64 = lookup(&cache, mk(s), &mut t, |_| panic!("must hit"));
+            assert_eq!(v, s as f64);
         }
+    }
+
+    #[test]
+    fn an_entry_of_another_type_is_a_miss() {
+        let cache = EvalCache::new();
+        let mut t = tracker();
+        let key = EvalKey {
+            pipeline_fp: 1,
+            data_fp: 2,
+            split_id: 3,
+            fidelity: u64::MAX,
+            ctx_fp: 4,
+        };
+        assert_eq!(lookup(&cache, key, &mut t, |_| 0.5f64), 0.5);
+        // A colliding unit of another type recomputes instead of
+        // misreading the stored value; the first entry stays.
+        assert_eq!(lookup(&cache, key, &mut t, |_| 7u64), 7);
+        assert_eq!(cache.stats(), (0, 2));
+        assert_eq!(cache.epoch_stats(), (0, 1));
+        assert_eq!(
+            lookup(&cache, key, &mut t, |_| -> f64 { panic!("must hit") }),
+            0.5
+        );
     }
 
     #[test]
@@ -652,19 +634,14 @@ mod tests {
                             fidelity: u64::MAX,
                             ctx_fp: 9,
                         };
-                        let v = cache.get_or_compute(key, &mut t, |tr| {
+                        let v = lookup(&cache, key, &mut t, |tr| {
                             tr.charge(
                                 OpCounts::scalar(1e5 * ((s % 5) * 3 + s % 3 + 1) as f64),
                                 ParallelProfile::serial(),
                             );
-                            CachedValue::Score(((s % 5) * 3 + s % 3) as f64)
+                            ((s % 5) * 3 + s % 3) as f64
                         });
-                        match v {
-                            CachedValue::Score(x) => {
-                                assert_eq!(x, ((s % 5) * 3 + s % 3) as f64, "worker {w}")
-                            }
-                            other => panic!("wrong payload {other:?}"),
-                        }
+                        assert_eq!(v, ((s % 5) * 3 + s % 3) as f64, "worker {w}");
                     }
                 })
             })
@@ -694,18 +671,18 @@ mod tests {
         };
         let charge = |tr: &mut CostTracker| {
             tr.charge(OpCounts::scalar(2.5e6), ParallelProfile::serial());
-            CachedValue::Score(0.75)
+            0.75f64
         };
 
         let mut t0 = tracker();
-        cache.get_or_compute(key, &mut t0, charge);
+        lookup(&cache, key, &mut t0, charge);
         assert_eq!(cache.current_epoch(), 1);
 
         // The partitioned host cannot see host 0's entry: it recomputes,
         // and its duplicate publication reconciles onto the existing one.
         let mut t1 = tracker();
         let v = cache.get_or_compute_viewed(key, frozen, &mut t1, charge);
-        assert_eq!(v, CachedValue::Score(0.75));
+        assert_eq!(v, 0.75);
         assert_eq!(cache.epoch_stats(), (1, 1));
         assert_eq!(cache.len(), 1);
         // The recompute charges exactly what the original did — energy is
@@ -721,14 +698,14 @@ mod tests {
         let mut t2 = tracker();
         cache.get_or_compute_viewed(local_key, frozen, &mut t2, charge);
         let mut t3 = tracker();
-        let v = cache.get_or_compute_viewed(local_key, frozen, &mut t3, |_| {
+        let v: f64 = cache.get_or_compute_viewed(local_key, frozen, &mut t3, |_| {
             panic!("own publication must replay locally")
         });
-        assert_eq!(v, CachedValue::Score(0.75));
+        assert_eq!(v, 0.75);
 
         // A rejoined (unrestricted) view hits the established entry.
         let mut t4 = tracker();
-        cache.get_or_compute(key, &mut t4, |_| panic!("rejoined view must hit"));
+        let _: f64 = lookup(&cache, key, &mut t4, |_| panic!("rejoined view must hit"));
         assert_eq!(
             t4.measurement().energy.package_j.to_bits(),
             t0.measurement().energy.package_j.to_bits()
@@ -746,8 +723,8 @@ mod tests {
             fidelity: 1,
             ctx_fp: 1,
         };
-        cache.get_or_compute(key, &mut t, |_| CachedValue::Skipped);
-        cache.get_or_compute(key, &mut t, |_| unreachable!());
+        lookup(&cache, key, &mut t, |_| ());
+        lookup(&cache, key, &mut t, |_| -> () { panic!("must hit") });
         let mut reg = MetricsRegistry::new();
         cache.export_metrics(&mut reg);
         assert_eq!(reg.counter("evalcache_hits"), 1);

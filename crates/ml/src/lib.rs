@@ -47,7 +47,7 @@ pub mod pipeline;
 pub mod preprocess;
 pub mod validation;
 
-pub use evalcache::{CacheHandle, CacheView, CachedValue, EvalCache, EvalKey, EvalScope};
+pub use evalcache::{CacheView, EvalCache, EvalKey, EvalScope};
 pub use matrix::Matrix;
 pub use models::attention::AttentionParams;
 pub use models::boosting::GbParams;

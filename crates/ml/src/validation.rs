@@ -5,7 +5,7 @@
 //! 5-minute accuracy), and CAML re-samples the hold-out split per Bayesian-
 //! optimisation iteration to avoid overfitting the validation set.
 
-use crate::evalcache::{self, kind, CachedValue, EvalScope};
+use crate::evalcache::{self, kind, memo, EvalScope};
 use crate::matrix::Matrix;
 use crate::metrics::balanced_accuracy;
 use crate::models::argmax_rows;
@@ -107,26 +107,22 @@ pub fn holdout_eval_scoped(
     tracker: &mut CostTracker,
     scope: Option<&EvalScope<'_>>,
 ) -> (f64, FittedPipeline) {
-    let live = |t: &mut CostTracker| match n_sample {
-        Some(n) => holdout_eval_sampled(spec, ds, val_frac, n, seed, t),
-        None => holdout_eval(spec, ds, val_frac, seed, t),
-    };
-    let Some(scope) = scope else {
-        return live(tracker);
-    };
-    let key = scope.key(
-        kind::HOLDOUT,
-        evalcache::fingerprint_pipeline(spec),
-        &[seed, val_frac.to_bits()],
-        n_sample.map_or(u64::MAX, |n| n as u64),
-    );
-    match scope.cache().get_or_compute(key, tracker, |t| {
-        let (score, fitted) = live(t);
-        CachedValue::Scored { score, fitted }
-    }) {
-        CachedValue::Scored { score, fitted } => (score, fitted),
-        other => unreachable!("holdout unit stored {other:?}"),
-    }
+    memo(
+        scope,
+        tracker,
+        |sc| {
+            sc.key(
+                kind::HOLDOUT,
+                evalcache::fingerprint_pipeline(spec),
+                &[seed, val_frac.to_bits()],
+                n_sample.map_or(u64::MAX, |n| n as u64),
+            )
+        },
+        |t| match n_sample {
+            Some(n) => holdout_eval_sampled(spec, ds, val_frac, n, seed, t),
+            None => holdout_eval(spec, ds, val_frac, seed, t),
+        },
+    )
 }
 
 /// [`cv_eval`] with optional memoisation (see [`holdout_eval_scoped`]).
@@ -138,21 +134,19 @@ pub fn cv_eval_scoped(
     tracker: &mut CostTracker,
     scope: Option<&EvalScope<'_>>,
 ) -> f64 {
-    let Some(scope) = scope else {
-        return cv_eval(spec, ds, k, seed, tracker);
-    };
-    let key = scope.key(
-        kind::CROSS_VAL,
-        evalcache::fingerprint_pipeline(spec),
-        &[seed],
-        k as u64,
-    );
-    match scope.cache().get_or_compute(key, tracker, |t| {
-        CachedValue::Score(cv_eval(spec, ds, k, seed, t))
-    }) {
-        CachedValue::Score(score) => score,
-        other => unreachable!("cv unit stored {other:?}"),
-    }
+    memo(
+        scope,
+        tracker,
+        |sc| {
+            sc.key(
+                kind::CROSS_VAL,
+                evalcache::fingerprint_pipeline(spec),
+                &[seed],
+                k as u64,
+            )
+        },
+        |t| cv_eval(spec, ds, k, seed, t),
+    )
 }
 
 /// Fit on `tr`, predict class probabilities on `val`, and score balanced
@@ -170,39 +164,27 @@ pub fn proba_eval_scoped(
     tracker: &mut CostTracker,
     scope: Option<&EvalScope<'_>>,
 ) -> (f64, FittedPipeline, Matrix) {
-    let live = |t: &mut CostTracker| {
-        let fitted = spec.fit(tr, t, seed);
-        let proba = fitted.predict_proba(val, t);
-        let pred = argmax_rows(&proba);
-        let score = balanced_accuracy(&val.labels, &pred, val.n_classes);
-        (score, fitted, proba)
-    };
-    let Some(scope) = scope else {
-        return live(tracker);
-    };
-    let mut words = vec![seed];
-    words.extend_from_slice(data_words);
-    let key = scope.key(
-        kind::PROBA_EVAL,
-        evalcache::fingerprint_pipeline(spec),
-        &words,
-        tr.n_rows() as u64,
-    );
-    match scope.cache().get_or_compute(key, tracker, |t| {
-        let (score, fitted, proba) = live(t);
-        CachedValue::ScoredProba {
-            score,
-            fitted,
-            proba,
-        }
-    }) {
-        CachedValue::ScoredProba {
-            score,
-            fitted,
-            proba,
-        } => (score, fitted, proba),
-        other => unreachable!("proba-eval unit stored {other:?}"),
-    }
+    memo(
+        scope,
+        tracker,
+        |sc| {
+            let mut words = vec![seed];
+            words.extend_from_slice(data_words);
+            sc.key(
+                kind::PROBA_EVAL,
+                evalcache::fingerprint_pipeline(spec),
+                &words,
+                tr.n_rows() as u64,
+            )
+        },
+        |t| {
+            let fitted = spec.fit(tr, t, seed);
+            let proba = fitted.predict_proba(val, t);
+            let pred = argmax_rows(&proba);
+            let score = balanced_accuracy(&val.labels, &pred, val.n_classes);
+            (score, fitted, proba)
+        },
+    )
 }
 
 /// Bare [`Pipeline::fit`] with optional memoisation. `data_words`
@@ -217,24 +199,21 @@ pub fn fit_scoped(
     tracker: &mut CostTracker,
     scope: Option<&EvalScope<'_>>,
 ) -> FittedPipeline {
-    let Some(scope) = scope else {
-        return spec.fit(ds, tracker, seed);
-    };
-    let mut words = vec![seed];
-    words.extend_from_slice(data_words);
-    let key = scope.key(
-        kind::FIT,
-        evalcache::fingerprint_pipeline(spec),
-        &words,
-        ds.n_rows() as u64,
-    );
-    match scope
-        .cache()
-        .get_or_compute(key, tracker, |t| CachedValue::Fitted(spec.fit(ds, t, seed)))
-    {
-        CachedValue::Fitted(fitted) => fitted,
-        other => unreachable!("fit unit stored {other:?}"),
-    }
+    memo(
+        scope,
+        tracker,
+        |sc| {
+            let mut words = vec![seed];
+            words.extend_from_slice(data_words);
+            sc.key(
+                kind::FIT,
+                evalcache::fingerprint_pipeline(spec),
+                &words,
+                ds.n_rows() as u64,
+            )
+        },
+        |t| spec.fit(ds, t, seed),
+    )
 }
 
 #[cfg(test)]

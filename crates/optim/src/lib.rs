@@ -9,7 +9,6 @@
 //! * [`bo`] — Bayesian optimisation with a random-forest surrogate and
 //!   expected improvement (the SMAC recipe behind AutoSklearn and CAML);
 //! * [`nsga2`] — the NSGA-II evolutionary loop behind TPOT;
-//! * [`sh`] — successive halving (CAML's fidelity mechanism);
 //! * [`pruner`] — median pruning (used by the §2.5 development-stage tuner);
 //! * [`kmeans`] — k-means++ clustering (representative-dataset selection).
 //!
@@ -24,7 +23,6 @@ pub mod kmeans;
 pub mod nsga2;
 pub mod pruner;
 pub mod random;
-pub mod sh;
 pub mod space;
 
 pub use bo::BayesOpt;

@@ -367,7 +367,7 @@ impl FleetReport {
         ));
         out.push_str(&format!(
             "predictions=fnv1a:{:016x}\n",
-            fnv1a(self.predictions.iter().flat_map(|p| p.to_le_bytes()))
+            green_automl_energy::hash::fnv1a(self.predictions.iter().flat_map(|p| p.to_le_bytes()))
         ));
         for t in &self.tenants {
             out.push_str(&format!(
@@ -416,16 +416,6 @@ impl FleetReport {
         ));
         out
     }
-}
-
-/// FNV-1a over a byte stream; used to digest predictions in `to_text`.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A planned micro-batch of one tenant's requests. `first`/`len` index the

@@ -14,7 +14,7 @@
 //!   CodeCarbon/RAPL stand-in);
 //! * [`dataset`] — synthetic materialisations of the AMLB datasets;
 //! * [`ml`] — the from-scratch classifier/preprocessor substrate;
-//! * [`optim`] — Bayesian optimisation, NSGA-II, successive halving;
+//! * [`optim`] — Bayesian optimisation, NSGA-II, median pruning;
 //! * [`systems`] — the seven simulated AutoML systems (AutoGluon,
 //!   AutoSklearn 1/2, FLAML, TabPFN, TPOT, CAML);
 //! * [`core`] — the three-stage benchmark, the development-stage tuner, and

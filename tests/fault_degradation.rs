@@ -1,9 +1,55 @@
 //! Graceful degradation end to end: under a 100%-failure [`FaultPlan`]
 //! every AutoML system still deploys a servable constant-class fallback,
-//! and injected faults only ever *add* energy — the productive (clean)
-//! accounting is bitwise unchanged underneath the waste.
+//! injected faults only ever *add* energy — the productive (clean)
+//! accounting is bitwise unchanged underneath the waste — and every
+//! killed trial leaves exactly one fault-tagged span in the trace.
 
 use green_automl::prelude::*;
+use green_automl::systems::{GridSearchBaseline, RandomSearchBaseline};
+
+#[test]
+fn every_killed_trial_leaves_one_fault_tagged_trial_span() {
+    let train = TaskSpec::new("trial-contract", 120, 4, 3).generate();
+    let mut systems = all_systems();
+    systems.push(Box::new(RandomSearchBaseline::default()));
+    systems.push(Box::new(GridSearchBaseline::default()));
+    for plan in [FaultPlan::chaos(5), FaultPlan::total_failure(5)] {
+        let mut faults = 0;
+        for system in &systems {
+            let name = system.name();
+            // Each system's smallest paper budget (10 s, or its floor).
+            let budget_s = system.min_budget_s().max(10.0);
+            let spec = RunSpec::single_core(budget_s, 5)
+                .with_fault(plan)
+                .with_trace();
+            let run = system.fit(&train, &spec);
+            let trace = run.trace.expect("traced spec yields a trace");
+            let trials: Vec<&Span> = trace
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Trial && s.label.starts_with("trial "))
+                .collect();
+            for (i, span) in trials.iter().enumerate() {
+                assert_eq!(span.label, format!("trial {i}"), "{name}: trials in order");
+            }
+            let tagged = trace.spans.iter().filter(|s| s.fault.is_some());
+            assert!(
+                tagged.clone().all(|s| s.kind == SpanKind::Trial),
+                "{name}: only trials are killed"
+            );
+            assert_eq!(
+                tagged.count(),
+                run.n_trial_faults,
+                "{name} under {plan:?}: one fault-tagged span per killed trial"
+            );
+            if plan.trial_crash_p == 1.0 {
+                assert_eq!(run.n_trial_faults, trials.len(), "{name}: every trial dies");
+            }
+            faults += run.n_trial_faults;
+        }
+        assert!(faults > 0, "{plan:?} killed no trial");
+    }
+}
 
 #[test]
 fn total_failure_degrades_every_system_to_a_servable_constant_predictor() {
