@@ -284,7 +284,8 @@ impl AutoMlSystem for AutoGluon {
         // roughly fit the window, as the real system does for large
         // datasets. Estimation error is what produces Table 7's overshoot.
         // A faulted trial loses its model (AutoGluon logs the failure and
-        // trains the next one).
+        // trains the next one). Returns the bags, their out-of-fold
+        // matrices and the portfolio index each bag trained from.
         let scale = train.scale();
         let train_layer = |search: &mut Search,
                            portfolio: Vec<ModelSpec>,
@@ -294,6 +295,7 @@ impl AutoMlSystem for AutoGluon {
                            seed: &dyn Fn(usize) -> u64| {
             let mut bags: Vec<BaggedModel> = Vec::new();
             let mut oofs: Vec<Matrix> = Vec::new();
+            let mut trained_idx: Vec<usize> = Vec::new();
             for (i, model) in portfolio.into_iter().enumerate() {
                 let must_train = bags.len() < min_models;
                 let remaining = (spec.budget_s - search.tracker.now()).max(0.0);
@@ -333,15 +335,17 @@ impl AutoMlSystem for AutoGluon {
                 if let Some((bag, oof)) = trained {
                     bags.push(bag);
                     oofs.push(oof);
+                    trained_idx.push(i);
                 }
             }
-            (bags, oofs)
+            (bags, oofs, trained_idx)
         };
 
         // Layer 1 always trains two bags.
-        let (layer1, l1_oof) = train_layer(&mut search, layer1_portfolio(), &x, x_fp, 2, &|i| {
-            spec.seed.wrapping_add(i as u64 * 31)
-        });
+        let (layer1, l1_oof, l1_idx) =
+            train_layer(&mut search, layer1_portfolio(), &x, x_fp, 2, &|i| {
+                spec.seed.wrapping_add(i as u64 * 31)
+            });
 
         // Layer 2 trains on features ++ layer-1 OOF probabilities; at least
         // one stacker is always trained (this is where the 10 s budget
@@ -357,7 +361,7 @@ impl AutoMlSystem for AutoGluon {
             }
         }
         let aug_fp = fingerprint(&aug);
-        let (layer2, l2_oof) =
+        let (layer2, l2_oof, l2_idx) =
             train_layer(&mut search, layer2_portfolio(), &aug, aug_fp, 1, &|i| {
                 spec.seed.wrapping_add(1000 + i as u64)
             });
@@ -416,9 +420,11 @@ impl AutoMlSystem for AutoGluon {
             AutoGluonQuality::Best | AutoGluonQuality::Distill => (layer1, layer2),
             AutoGluonQuality::FasterInferenceRefit => {
                 tracker.span_open(SpanKind::Trial, || "refit".to_string());
-                // Collapse each bag: refit its portfolio model once on the
-                // full training data (one model replaces k fold models).
-                // Each collapse fit is a memo unit of its own.
+                // Collapse each bag: refit the portfolio model it trained
+                // from once on the full training data (one model replaces
+                // k fold models), seeded by its portfolio index. A killed
+                // trial leaves no bag, so positions and indices part ways
+                // after one. Each collapse fit is a memo unit of its own.
                 let scope = search.scope.as_ref();
                 let refit_one =
                     |model: &ModelSpec, m: &Matrix, m_fp: u64, seed: u64, t: &mut CostTracker| {
@@ -436,22 +442,18 @@ impl AutoMlSystem for AutoGluon {
                             |t| model.fit(m, y, train.n_classes, t, seed),
                         )
                     };
+                let portfolio1 = layer1_portfolio();
                 let mut l1 = Vec::new();
-                for (i, model) in layer1_portfolio()
-                    .into_iter()
-                    .enumerate()
-                    .take(layer1.len())
-                {
-                    let m = refit_one(&model, &x, x_fp, spec.seed ^ (i as u64 + 7), tracker);
+                for &i in &l1_idx {
+                    let seed = spec.seed ^ (i as u64 + 7);
+                    let m = refit_one(&portfolio1[i], &x, x_fp, seed, tracker);
                     l1.push(BaggedModel::new(vec![m], train.n_classes));
                 }
+                let portfolio2 = layer2_portfolio();
                 let mut l2 = Vec::new();
-                for (i, model) in layer2_portfolio()
-                    .into_iter()
-                    .enumerate()
-                    .take(layer2.len())
-                {
-                    let m = refit_one(&model, &aug, aug_fp, spec.seed ^ (i as u64 + 77), tracker);
+                for &i in &l2_idx {
+                    let seed = spec.seed ^ (i as u64 + 77);
+                    let m = refit_one(&portfolio2[i], &aug, aug_fp, seed, tracker);
                     l2.push(BaggedModel::new(vec![m], train.n_classes));
                 }
                 tracker.span_close();
@@ -540,6 +542,84 @@ mod tests {
             e_refit < e_best * 0.55,
             "refit should cut inference energy substantially: {e_refit:.3e} vs {e_best:.3e}"
         );
+    }
+
+    #[test]
+    fn refit_collapses_the_bags_that_trained_when_trials_die() {
+        use green_automl_energy::fault::{FaultInjector, FaultPlan};
+        use green_automl_ml::FittedModel;
+        let family = |m: &FittedModel| match m {
+            FittedModel::Knn(_) => "knn",
+            FittedModel::Boosting(_) => "gb",
+            FittedModel::Forest(_) => "forest",
+            FittedModel::Linear(_) => "linear",
+            FittedModel::Mlp(_) => "mlp",
+            other => panic!("not a layer-1 family: {other:?}"),
+        };
+        let train = TaskSpec::new("ag-refit", 200, 5, 2).generate();
+        let refit = AutoGluon {
+            quality: AutoGluonQuality::FasterInferenceRefit,
+        };
+        // The collapse refits on the imputed encoding of the training set.
+        let mut t = CostTracker::new(Device::xeon_gold_6132(), 1);
+        let x_raw = encode(&train, &mut t);
+        let x = PreprocSpec::MeanImputer
+            .fit(&x_raw, &train.labels, train.n_classes, &mut t)
+            .transform(&x_raw, &mut t);
+        let portfolio = layer1_portfolio();
+        let mut shifted = 0;
+        for plan_seed in [11, 17, 25] {
+            let spec = RunSpec::single_core(60.0, 0).with_fault(FaultPlan::chaos(plan_seed));
+            let run = refit.fit(&train, &spec);
+            let Predictor::Stacked(stack) = &run.predictor else {
+                panic!(
+                    "plan {plan_seed}: expected a stack, got {:?}",
+                    run.predictor
+                );
+            };
+            // Layer-1 trial i bags portfolio model i, so the trained bags
+            // are the first `layer1.len()` trials the plan left alive.
+            let injector = FaultInjector::new(spec.fault);
+            let trained: Vec<usize> = (0..)
+                .filter(|&i| {
+                    injector
+                        .trial_fault(spec.seed, refit.id().as_str(), i as u64)
+                        .is_none()
+                })
+                .take(stack.layer1.len())
+                .collect();
+            if trained.iter().enumerate().any(|(pos, &i)| pos != i) {
+                shifted += 1;
+            }
+            let deployed: Vec<&FittedModel> = stack
+                .layer1
+                .iter()
+                .map(|bag| {
+                    assert_eq!(bag.folds.len(), 1, "refit collapses every bag");
+                    &bag.folds[0]
+                })
+                .collect();
+            let expected: Vec<FittedModel> = trained
+                .iter()
+                .map(|&i| {
+                    let seed = spec.seed ^ (i as u64 + 7);
+                    portfolio[i].fit(&x, &train.labels, train.n_classes, &mut t, seed)
+                })
+                .collect();
+            let families = |ms: &[&FittedModel]| ms.iter().map(|m| family(m)).collect::<Vec<_>>();
+            assert_eq!(
+                families(&deployed),
+                families(&expected.iter().collect::<Vec<_>>()),
+                "plan {plan_seed}: layer-1 families of trained bags {trained:?}"
+            );
+            // Equal fitted models: same family order, same k-NN `k`, same
+            // refit seed.
+            assert!(
+                deployed.iter().copied().eq(expected.iter()),
+                "plan {plan_seed}: layer 1 must refit the trained bags {trained:?}"
+            );
+        }
+        assert!(shifted > 0, "some plan must kill a layer-1 trial early");
     }
 
     #[test]

@@ -324,7 +324,13 @@ pub struct DesignCard {
 /// `&dyn AutoMlSystem` out across worker threads: a system must be a frozen
 /// artefact during `fit` — any per-run state belongs in the run, not the
 /// system.
-pub trait AutoMlSystem: Send + Sync {
+///
+/// `Debug` is a supertrait because a system's `Debug` form is its
+/// configuration's identity: the run-wide point memo of
+/// `core::benchmark` keys every point by it, so `Debug` must show every
+/// field that changes a fit (a derived `Debug` does). Two systems that
+/// format alike must fit alike.
+pub trait AutoMlSystem: std::fmt::Debug + Send + Sync {
     /// Display name used in the paper's figures.
     fn name(&self) -> &'static str;
 

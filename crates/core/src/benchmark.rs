@@ -17,7 +17,9 @@ use green_automl_energy::{CostTracker, Measurement, SpanKind, StableHasher, Trac
 use green_automl_ml::metrics::balanced_accuracy;
 use green_automl_ml::EvalCache;
 use green_automl_systems::{AutoMlSystem, FitContext, RunSpec, RunSpecError, SystemId};
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// The paper's search-budget grid: 10 s, 30 s, 1 min, 5 min.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,30 +154,133 @@ impl BenchmarkPoint {
     }
 }
 
-/// Run `system` on `meta` under `spec_base` (budget/cores/device/
-/// constraints) once, with `opts` controlling materialisation.
+/// A run-wide memo of benchmark points: one table from a cell's full key
+/// to its [`BenchmarkPoint`], shared by every grid, [`run_once_with`] and
+/// `DevTuner::tune_with` call of one run.
 ///
-/// With `opts.eval_cache` set this builds a run-local [`EvalCache`], so
-/// duplicate evaluations *within* the fit (revisited configs, repeated
-/// rungs) are still memoised; the grid instead shares one cache across
-/// every cell through [`run_once_in`].
+/// The key holds everything a point is a function of: the system's
+/// configuration in its `Debug` form (which must show every field that
+/// changes a fit — see [`AutoMlSystem`]), the dataset, the whole
+/// `RunSpec` (budget, cores, device, seed, constraints, fault plan), the
+/// materialisation options the run derives from its seed, and the test
+/// fraction. A point is a pure function of its key (the equivalence
+/// matrix proves it identical across jobs, hosts, cache, view and
+/// checkpoint shapes), so a hit is a clone with nothing to replay. The key
+/// is the full canonical string, not a hash of it, so a collision cannot
+/// serve a wrong point. Lookups follow three rules:
+///
+/// - **Scoped to one run.** A memo lives only as long as its owner (the
+///   experiments' `SharedPoints`, or a call-local memo in the entry points
+///   that take none); a second memo recomputes every point.
+/// - **Untraced, cached runs only.** A traced spec's point carries its
+///   span trace, so it always computes and is never stored; with
+///   `BenchmarkOptions::eval_cache` off nothing is served or stored.
+/// - **First insert wins.** Points compute outside the lock; of two
+///   workers that computed one key, the first insert stays. A cell that
+///   panics inserts nothing.
+#[derive(Debug, Default)]
+pub struct PointMemo {
+    points: Mutex<HashMap<String, BenchmarkPoint>>,
+}
+
+impl PointMemo {
+    /// The canonical key of the point `system` yields on `meta` under
+    /// `spec` and `opts`. Floats print as their shortest round-trip form,
+    /// so distinct values give distinct keys.
+    pub(crate) fn key(
+        system: &dyn AutoMlSystem,
+        meta: &DatasetMeta,
+        spec: &RunSpec,
+        opts: &BenchmarkOptions,
+    ) -> String {
+        format!(
+            "{system:?}\n{meta:?}\n{spec:?}\n{:?}\n{:?}",
+            materialize_options(spec, opts),
+            opts.test_frac
+        )
+    }
+
+    /// Points memoised so far.
+    pub fn len(&self) -> usize {
+        self.table().len()
+    }
+
+    /// `true` while nothing is memoised.
+    pub fn is_empty(&self) -> bool {
+        self.table().is_empty()
+    }
+
+    fn table(&self) -> std::sync::MutexGuard<'_, HashMap<String, BenchmarkPoint>> {
+        self.points.lock().expect("point memo poisoned")
+    }
+
+    /// The point of (`system`, `meta`, `spec`, `opts`): a clone of the
+    /// memoised one, or `compute`'s result, stored unless another insert
+    /// won first. Without a memo, for a traced spec, or with the eval
+    /// cache off, `compute` runs and nothing is stored.
+    pub(crate) fn point(
+        memo: Option<&PointMemo>,
+        system: &dyn AutoMlSystem,
+        meta: &DatasetMeta,
+        spec: &RunSpec,
+        opts: &BenchmarkOptions,
+        compute: impl FnOnce() -> BenchmarkPoint,
+    ) -> BenchmarkPoint {
+        let Some(memo) = memo.filter(|_| opts.eval_cache && !spec.trace) else {
+            return compute();
+        };
+        let key = PointMemo::key(system, meta, spec, opts);
+        if let Some(point) = memo.table().get(&key) {
+            return point.clone();
+        }
+        let point = compute();
+        memo.table().entry(key).or_insert(point).clone()
+    }
+}
+
+/// The materialisation options of a run: `opts`' profile at the run seed.
+pub(crate) fn materialize_options(spec: &RunSpec, opts: &BenchmarkOptions) -> MaterializeOptions {
+    MaterializeOptions {
+        seed: spec.seed,
+        ..opts.materialize
+    }
+}
+
+/// Run `system` on `meta` under `spec_base` (budget/cores/device/
+/// constraints) once, with `opts` controlling materialisation: a
+/// [`run_once_with`] over a fresh call-local [`PointMemo`].
 pub fn run_once(
     system: &dyn AutoMlSystem,
     meta: &DatasetMeta,
     spec_base: &RunSpec,
     opts: &BenchmarkOptions,
 ) -> BenchmarkPoint {
-    let m_opts = MaterializeOptions {
-        seed: spec_base.seed,
-        ..opts.materialize
-    };
-    let ds = meta.materialize(&m_opts);
-    let local = opts.eval_cache.then(EvalCache::new);
-    let ctx = match &local {
-        Some(cache) => FitContext::with_cache(cache),
-        None => FitContext::default(),
-    };
-    run_once_in(system, meta, &ds, spec_base, opts, &ctx)
+    run_once_with(system, meta, spec_base, opts, Some(&PointMemo::default()))
+}
+
+/// [`run_once`] through the run's point `memo` (`None` computes live).
+///
+/// A computed point materialises its dataset and, with `opts.eval_cache`
+/// set, fits under a run-local [`EvalCache`], so duplicate evaluations
+/// *within* the fit (revisited configs, repeated rungs) are still
+/// memoised; the grid instead shares one cache across every cell through
+/// [`run_once_in`].
+pub fn run_once_with(
+    system: &dyn AutoMlSystem,
+    meta: &DatasetMeta,
+    spec_base: &RunSpec,
+    opts: &BenchmarkOptions,
+    memo: Option<&PointMemo>,
+) -> BenchmarkPoint {
+    PointMemo::point(memo, system, meta, spec_base, opts, || {
+        let ds = meta.materialize(&materialize_options(spec_base, opts));
+        let local = opts.eval_cache.then(EvalCache::new);
+        let ctx = match &local {
+            Some(cache) => FitContext::with_cache(cache),
+            None => FitContext::default(),
+        };
+        run_once_in(system, meta, &ds, spec_base, opts, &ctx)
+    })
 }
 
 /// [`run_once`] on an already-materialised dataset under an explicit
@@ -426,6 +531,9 @@ pub(crate) fn grid_fingerprint(
 /// flushed to disk as it completes and a rerun of the same grid replays
 /// completed cells instead of recomputing them — a killed `repro` run
 /// resumes where it died.
+///
+/// Runs over a fresh call-local [`PointMemo`]; [`run_grid_with`] shares a
+/// run's memo instead.
 pub fn run_grid_checked(
     systems: &[Box<dyn AutoMlSystem>],
     datasets: &[DatasetMeta],
@@ -434,7 +542,29 @@ pub fn run_grid_checked(
     opts: &BenchmarkOptions,
     checkpoint_path: Option<&Path>,
 ) -> Result<GridRun, RunSpecError> {
-    crate::cluster::run_grid_cluster(
+    run_grid_with(
+        systems,
+        datasets,
+        budgets,
+        spec_base,
+        opts,
+        checkpoint_path,
+        Some(&PointMemo::default()),
+    )
+}
+
+/// [`run_grid_checked`] through the run's point `memo`: every cell looks
+/// its point up before computing it (`None` computes every cell).
+pub fn run_grid_with(
+    systems: &[Box<dyn AutoMlSystem>],
+    datasets: &[DatasetMeta],
+    budgets: &[f64],
+    spec_base: &RunSpec,
+    opts: &BenchmarkOptions,
+    checkpoint_path: Option<&Path>,
+    memo: Option<&PointMemo>,
+) -> Result<GridRun, RunSpecError> {
+    crate::cluster::run_grid_cluster_with(
         systems,
         datasets,
         budgets,
@@ -442,6 +572,7 @@ pub fn run_grid_checked(
         opts,
         &crate::cluster::ClusterOptions::single_host(),
         checkpoint_path,
+        memo,
     )
     .map(|run| run.grid)
 }
@@ -767,6 +898,18 @@ mod tests {
         explode_at: Option<f64>,
     }
 
+    /// Every field that changes a fit, and not the fit counter: the
+    /// counter is instrumentation, and its live value in a memo key would
+    /// turn every repeat lookup into a miss.
+    impl std::fmt::Debug for Counting {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("Counting")
+                .field("inner", &self.inner)
+                .field("explode_at", &self.explode_at)
+                .finish_non_exhaustive()
+        }
+    }
+
     impl AutoMlSystem for Counting {
         fn name(&self) -> &'static str {
             self.inner.name()
@@ -789,6 +932,7 @@ mod tests {
     }
 
     /// A system whose every fit panics — the grid must record it, not die.
+    #[derive(Debug)]
     struct Explosive;
 
     impl AutoMlSystem for Explosive {
@@ -907,6 +1051,188 @@ mod tests {
         assert_eq!(third.resumed_cells, 1);
         assert_eq!(fits.load(std::sync::atomic::Ordering::Relaxed), 3);
         assert_eq!(third.points, first.points);
+    }
+
+    #[test]
+    fn memo_keys_change_with_every_keyed_field() {
+        use green_automl_energy::fault::FaultPlan;
+        use green_automl_energy::Device;
+        use green_automl_systems::{AutoGluon, AutoGluonQuality, CamlParams};
+        let meta = small_meta();
+        let spec = RunSpec::single_core(10.0, 0);
+        let opts = BenchmarkOptions::quick();
+        let caml = Caml::default();
+        let base = PointMemo::key(&caml, &meta, &spec, &opts);
+        let mut seen = std::collections::HashSet::from([base.clone()]);
+        let mut changed = |what: &str, key: String| {
+            assert!(seen.insert(key), "{what} must change the key");
+        };
+
+        let tuned = Caml::tuned(CamlParams {
+            holdout_frac: 0.3,
+            ..CamlParams::default()
+        });
+        let refit = AutoGluon {
+            quality: AutoGluonQuality::FasterInferenceRefit,
+        };
+        let systems: [(&str, &dyn AutoMlSystem); 4] = [
+            ("tuned flag", &Caml::tuned(CamlParams::default())),
+            ("tuned params", &tuned),
+            ("system", &AutoGluon::default()),
+            ("AutoGluon quality", &refit),
+        ];
+        for (what, system) in systems {
+            changed(what, PointMemo::key(system, &meta, &spec, &opts));
+        }
+        let other = green_automl_dataset::amlb39()[0];
+        changed("dataset", PointMemo::key(&caml, &other, &spec, &opts));
+
+        type SpecEdit = fn(&mut RunSpec);
+        let spec_edits: [(&str, SpecEdit); 7] = [
+            ("budget", |s| s.budget_s = 30.0),
+            ("budget + 1 ulp", |s| {
+                s.budget_s = f64::from_bits(s.budget_s.to_bits() + 1)
+            }),
+            ("cores", |s| s.cores = 2),
+            ("device", |s| s.device = Device::cluster_node()),
+            ("seed", |s| s.seed = 1),
+            ("constraints", |s| {
+                s.constraints.max_inference_s_per_row = Some(4.0e-5)
+            }),
+            ("fault plan", |s| s.fault = FaultPlan::chaos(11)),
+        ];
+        for (what, edit) in spec_edits {
+            let mut edited = spec;
+            edit(&mut edited);
+            changed(what, PointMemo::key(&caml, &meta, &edited, &opts));
+        }
+        type OptsEdit = fn(&mut BenchmarkOptions);
+        let opts_edits: [(&str, OptsEdit); 2] = [
+            ("materialisation", |o| o.materialize.max_rows += 1),
+            ("test fraction", |o| o.test_frac = 0.3),
+        ];
+        for (what, edit) in opts_edits {
+            let mut edited = opts;
+            edit(&mut edited);
+            changed(what, PointMemo::key(&caml, &meta, &spec, &edited));
+        }
+
+        // Scheduling and caching knobs are not part of a point.
+        let knobs = BenchmarkOptions {
+            parallelism: 3,
+            runs: 5,
+            eval_cache: false,
+            ..opts
+        };
+        assert_eq!(PointMemo::key(&caml, &meta, &spec, &knobs), base);
+    }
+
+    /// A counting Flaml and its fit counter.
+    fn counting(
+        explode_at: Option<f64>,
+    ) -> (Counting, std::sync::Arc<std::sync::atomic::AtomicUsize>) {
+        let fits = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let system = Counting {
+            inner: Flaml::default(),
+            fits: std::sync::Arc::clone(&fits),
+            explode_at,
+        };
+        (system, fits)
+    }
+
+    #[test]
+    fn traced_specs_and_uncached_runs_never_touch_the_memo() {
+        let (system, fits) = counting(None);
+        let n_fits = || fits.load(std::sync::atomic::Ordering::Relaxed);
+        let memo = PointMemo::default();
+        let traced = RunSpec::single_core(10.0, 0).with_trace();
+        let opts = BenchmarkOptions::quick();
+        let a = run_once_with(&system, &small_meta(), &traced, &opts, Some(&memo));
+        let b = run_once_with(&system, &small_meta(), &traced, &opts, Some(&memo));
+        assert_eq!(n_fits(), 2, "a traced point always computes");
+        assert!(a.trace.is_some() && b.trace.is_some());
+        assert!(memo.is_empty(), "a traced point is never stored");
+
+        let uncached = BenchmarkOptions {
+            eval_cache: false,
+            ..opts
+        };
+        let spec = RunSpec::single_core(10.0, 0);
+        for _ in 0..2 {
+            run_once_with(&system, &small_meta(), &spec, &uncached, Some(&memo));
+        }
+        assert_eq!(n_fits(), 4, "with the eval cache off every point computes");
+        assert!(memo.is_empty(), "with the eval cache off nothing is stored");
+    }
+
+    #[test]
+    fn a_memo_hit_is_the_live_point_across_grids_and_single_runs() {
+        let (system, fits) = counting(None);
+        let n_fits = || fits.load(std::sync::atomic::Ordering::Relaxed);
+        let systems: Vec<Box<dyn AutoMlSystem>> = vec![Box::new(system)];
+        let system = systems[0].as_ref();
+        let meta = small_meta();
+        let spec = RunSpec::single_core(10.0, 0);
+        let opts = BenchmarkOptions::quick();
+        let memo = PointMemo::default();
+        let grid = |memo: Option<&PointMemo>| {
+            run_grid_with(&systems, &[meta], &[10.0], &spec, &opts, None, memo).unwrap()
+        };
+
+        let first = grid(Some(&memo));
+        assert_eq!((n_fits(), memo.len()), (1, 1));
+        let again = grid(Some(&memo));
+        assert_eq!(n_fits(), 1, "the second grid is served from the memo");
+        assert_eq!(again.fingerprint(), first.fingerprint());
+
+        // The grid's cell is the point a single run at the cell's seed
+        // asks for: a hit, bitwise equal to a live recompute.
+        let cell_spec = RunSpec {
+            seed: first.points[0].seed,
+            ..spec
+        };
+        let hit = run_once_with(system, &meta, &cell_spec, &opts, Some(&memo));
+        assert_eq!(n_fits(), 1);
+        let live = run_once_with(system, &meta, &cell_spec, &opts, None);
+        assert_eq!(n_fits(), 2);
+        assert_eq!(hit.fingerprint(), live.fingerprint());
+        assert_eq!(hit.fingerprint(), first.points[0].fingerprint());
+
+        // A second memo is a second run: it recomputes.
+        grid(Some(&PointMemo::default()));
+        assert_eq!(n_fits(), 3);
+    }
+
+    #[test]
+    fn a_panicking_cell_leaves_no_memo_entry() {
+        let (system, fits) = counting(Some(30.0));
+        let n_fits = || fits.load(std::sync::atomic::Ordering::Relaxed);
+        let systems: Vec<Box<dyn AutoMlSystem>> = vec![Box::new(system)];
+        let memo = PointMemo::default();
+        let grid = || {
+            run_grid_with(
+                &systems,
+                &[small_meta()],
+                &[10.0, 30.0],
+                &RunSpec::single_core(10.0, 0),
+                &BenchmarkOptions::quick(),
+                None,
+                Some(&memo),
+            )
+            .unwrap()
+        };
+        let first = grid();
+        assert_eq!(first.failures.len(), 1);
+        assert_eq!(
+            (n_fits(), memo.len()),
+            (2, 1),
+            "only the 10 s point is stored"
+        );
+        // A rerun serves the 10 s point and retries the panicking cell.
+        let rerun = grid();
+        assert_eq!(n_fits(), 3);
+        assert_eq!(memo.len(), 1);
+        assert_eq!(rerun.fingerprint(), first.fingerprint());
     }
 
     #[test]

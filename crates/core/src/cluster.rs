@@ -18,12 +18,14 @@
 //! uses:
 //!
 //! 1. **Compute phase** (real threads): every scheduled cell is computed
-//!    exactly once over `opts.parallelism` workers. Workers take *budget
+//!    at most once over `opts.parallelism` workers. Workers take *budget
 //!    chains* — the cells of one (system, dataset, seed), smallest budget
 //!    first — so nested budgets replay their shared trial prefix from the
 //!    eval cache rather than computing it twice on two workers at once.
 //!    A cell's result is a pure function of its spec — neither the chain
-//!    nor the placement can touch it. Cells on a host whose attempt-0
+//!    nor the placement can touch it — so a cell whose point the run's
+//!    [`PointMemo`] already holds (the same cell at another topology, or
+//!    a shared-grid cell) is a clone of it. Cells on a host whose attempt-0
 //!    site draws a partition run under a *frozen* [`CacheView`] taken at
 //!    the cell's own start: they genuinely cannot see entries other hosts
 //!    published after the partition started, which can only turn would-be
@@ -56,12 +58,12 @@
 //!   must reconcile — only when the partition heals.
 
 use crate::benchmark::{
-    enumerate_cells, grid_fingerprint, run_once_in, BenchmarkOptions, BenchmarkPoint, CellFailure,
-    GridRun,
+    enumerate_cells, grid_fingerprint, materialize_options, run_once_in, BenchmarkOptions,
+    BenchmarkPoint, CellFailure, GridRun, PointMemo,
 };
 use crate::checkpoint::{self, shard_path, Checkpoint};
 use crate::executor::{self, CellOutcome, DatasetCache};
-use green_automl_dataset::{DatasetMeta, MaterializeOptions};
+use green_automl_dataset::DatasetMeta;
 use green_automl_energy::hash::fnv1a_p44;
 use green_automl_energy::trace::span_id;
 use green_automl_energy::tracker::EnergyBreakdown;
@@ -909,6 +911,9 @@ impl<'a> Sim<'a> {
 /// The returned [`ClusterGridRun::grid`] is **byte-identical at every
 /// (hosts × jobs) shape**, clean and chaos-faulted; the
 /// [`ClusterGridRun::report`] is deterministic per topology.
+///
+/// Runs over a fresh call-local [`PointMemo`]; [`run_grid_cluster_with`]
+/// shares a run's memo instead.
 pub fn run_grid_cluster(
     systems: &[Box<dyn AutoMlSystem>],
     datasets: &[DatasetMeta],
@@ -917,6 +922,33 @@ pub fn run_grid_cluster(
     opts: &BenchmarkOptions,
     cluster: &ClusterOptions,
     checkpoint_path: Option<&Path>,
+) -> Result<ClusterGridRun, RunSpecError> {
+    run_grid_cluster_with(
+        systems,
+        datasets,
+        budgets,
+        spec_base,
+        opts,
+        cluster,
+        checkpoint_path,
+        Some(&PointMemo::default()),
+    )
+}
+
+/// [`run_grid_cluster`] through the run's point `memo` (`None` computes
+/// every cell): phase 1 looks each cell's point up before materialising
+/// its dataset. A hit is placement-invariant like any point, so phase 2
+/// and the checkpoint shards see the same cells either way.
+#[allow(clippy::too_many_arguments)]
+pub fn run_grid_cluster_with(
+    systems: &[Box<dyn AutoMlSystem>],
+    datasets: &[DatasetMeta],
+    budgets: &[f64],
+    spec_base: &RunSpec,
+    opts: &BenchmarkOptions,
+    cluster: &ClusterOptions,
+    checkpoint_path: Option<&Path>,
+    memo: Option<&PointMemo>,
 ) -> Result<ClusterGridRun, RunSpecError> {
     spec_base.validate()?;
     assert!(
@@ -982,26 +1014,24 @@ pub fn run_grid_cluster(
                     .unwrap_or_else(|| budgets.first().copied().unwrap_or(10.0)),
                 ..*spec_base
             };
-            let m_opts = MaterializeOptions {
-                seed: spec.seed,
-                ..opts.materialize
-            };
-            let ds = ds_cache.materialize(meta, &m_opts);
-            let view = match (&eval_cache, frozen_home(i)) {
-                (Some(c), Some(home)) => CacheView {
-                    host: home as u64,
-                    horizon: Some(c.current_epoch()),
-                },
-                _ => CacheView {
-                    host: home as u64,
-                    horizon: None,
-                },
-            };
-            let ctx = match &eval_cache {
-                Some(c) => FitContext::with_cache(c).viewed(view),
-                None => FitContext::default(),
-            };
-            let point = run_once_in(system, meta, &ds, &spec, opts, &ctx);
+            let point = PointMemo::point(memo, system, meta, &spec, opts, || {
+                let ds = ds_cache.materialize(meta, &materialize_options(&spec, opts));
+                let view = match (&eval_cache, frozen_home(i)) {
+                    (Some(c), Some(home)) => CacheView {
+                        host: home as u64,
+                        horizon: Some(c.current_epoch()),
+                    },
+                    _ => CacheView {
+                        host: home as u64,
+                        horizon: None,
+                    },
+                };
+                let ctx = match &eval_cache {
+                    Some(c) => FitContext::with_cache(c).viewed(view),
+                    None => FitContext::default(),
+                };
+                run_once_in(system, meta, &ds, &spec, opts, &ctx)
+            });
             match cell.budget_s {
                 Some(_) => vec![point],
                 None => budgets

@@ -17,7 +17,7 @@
 //! Everything the tuner executes is metered: the summed execution energy is
 //! the **development-stage cost** reported in Fig. 7 / Tables 8–9.
 
-use crate::benchmark::{run_once, BenchmarkOptions};
+use crate::benchmark::{run_once_with, BenchmarkOptions, PointMemo};
 use green_automl_dataset::{DatasetMeta, MaterializeOptions, MetaFeatures};
 use green_automl_energy::{Measurement, OpCounts};
 use green_automl_optim::{kmeans, representatives, BayesOpt, Config, ConfigSpace, MedianPruner};
@@ -159,8 +159,22 @@ impl DevTuner {
         representatives(&feats, &km)
     }
 
-    /// Run the full tuning procedure.
+    /// Run the full tuning procedure over a fresh call-local
+    /// [`PointMemo`]; [`DevTuner::tune_with`] shares a run's memo instead.
     pub fn tune(pool: &[DatasetMeta], opts: &DevTuneOptions) -> DevTuneOutcome {
+        Self::tune_with(pool, opts, Some(&PointMemo::default()))
+    }
+
+    /// [`DevTuner::tune`] through the run's point `memo` (`None` computes
+    /// every CAML run). Tunes that share options, representatives or a
+    /// trial prefix (Fig. 7 and Tables 5, 8 and 9) then compute each
+    /// shared CAML run once; its development energy is still summed every
+    /// time the tuner executes it.
+    pub fn tune_with(
+        pool: &[DatasetMeta],
+        opts: &DevTuneOptions,
+        memo: Option<&PointMemo>,
+    ) -> DevTuneOutcome {
         assert!(
             opts.top_k >= 1 && opts.top_k <= pool.len(),
             "top_k out of range"
@@ -189,7 +203,7 @@ impl DevTuner {
             let mut per_run = Vec::with_capacity(opts.runs_per_eval);
             for r in 0..opts.runs_per_eval {
                 let spec = RunSpec::single_core(opts.budget_s, opts.seed ^ (r as u64 * 7919));
-                let p = run_once(&default_caml, meta, &spec, &bench_opts);
+                let p = run_once_with(&default_caml, meta, &spec, &bench_opts, memo);
                 add_measurement(&mut development, &p.execution);
                 per_run.push(p.balanced_accuracy);
             }
@@ -219,7 +233,7 @@ impl DevTuner {
                         opts.budget_s,
                         opts.seed ^ (r as u64 * 7919) ^ (trial as u64) << 16,
                     );
-                    let p = run_once(&system, meta, &spec, &bench_opts);
+                    let p = run_once_with(&system, meta, &spec, &bench_opts, memo);
                     add_measurement(&mut development, &p.execution);
                     tuned_mean += p.balanced_accuracy;
                 }

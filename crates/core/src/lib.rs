@@ -7,7 +7,9 @@
 //!   inference, Tornede et al. 2023) and holistic per-run reports;
 //! * [`benchmark`] — the measurement protocol of §3.1/§3.2: run a system on
 //!   a dataset under a search budget, score balanced accuracy on the 34%
-//!   test split, and meter execution and inference energy separately;
+//!   test split, and meter execution and inference energy separately; its
+//!   [`PointMemo`] computes each point once per run, however many grids,
+//!   cluster sweeps and tunes ask for it;
 //! * [`devtune`] — the §2.5 development-stage optimiser: k-means
 //!   representative-dataset selection, Bayesian optimisation over CAML's
 //!   AutoML-system parameters, median pruning, and the relative-improvement
@@ -56,13 +58,13 @@ pub use green_automl_energy::fault;
 
 pub use amortize::{crossover_predictions, runs_to_amortize, total_kwh};
 pub use benchmark::{
-    average_points, run_grid_checked, BenchmarkOptions, BenchmarkPoint, BudgetGrid, CellFailure,
-    GridRun,
+    average_points, run_grid_checked, run_grid_with, BenchmarkOptions, BenchmarkPoint, BudgetGrid,
+    CellFailure, GridRun, PointMemo,
 };
 pub use checkpoint::Checkpoint;
 pub use cluster::{
-    run_grid_cluster, ClusterGridRun, ClusterOptions, ClusterReport, HostSpec, HostStats,
-    NetworkModel,
+    run_grid_cluster, run_grid_cluster_with, ClusterGridRun, ClusterOptions, ClusterReport,
+    HostSpec, HostStats, NetworkModel,
 };
 pub use devtune::{DevTuneOptions, DevTuneOutcome, DevTuner};
 pub use executor::{run_indexed, CellOutcome, DatasetCache};

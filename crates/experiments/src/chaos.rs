@@ -12,8 +12,8 @@
 //! report.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
-use green_automl_core::benchmark::run_grid_checked;
+use crate::suite::{ExpConfig, SharedPoints};
+use green_automl_core::benchmark::run_grid_with;
 use green_automl_core::fault::FaultPlan;
 use green_automl_dataset::split::train_test_split;
 use green_automl_dataset::DatasetMeta;
@@ -31,16 +31,24 @@ fn chaos_scope(cfg: &ExpConfig) -> (Vec<DatasetMeta>, Vec<f64>) {
     (datasets, budgets)
 }
 
-/// Run the chaos artefact.
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// Run the chaos artefact, its grid through the run's memo.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let plan = FaultPlan::chaos(cfg.seed ^ 0xc4a05);
     let (datasets, budgets) = chaos_scope(cfg);
     let systems = all_systems();
     let spec = cfg.base_spec().with_fault(plan);
     let opts = cfg.bench_options();
 
-    let grid = run_grid_checked(&systems, &datasets, &budgets, &spec, &opts, None)
-        .expect("chaos spec is valid");
+    let grid = run_grid_with(
+        &systems,
+        &datasets,
+        &budgets,
+        &spec,
+        &opts,
+        None,
+        shared.memo(cfg),
+    )
+    .expect("chaos spec is valid");
 
     let mut rows = Vec::new();
     let mut total_faults = 0usize;
@@ -174,7 +182,7 @@ mod tests {
 
     #[test]
     fn chaos_reports_faults_and_survives_at_smoke_scale() {
-        let out = run(&ExpConfig::smoke());
+        let out = run(&ExpConfig::smoke(), &SharedPoints::default());
         assert_eq!(out.tables.len(), 2);
         // One row per system; at least one system saw an injected fault.
         assert_eq!(out.tables[0].rows.len(), 7);

@@ -17,8 +17,8 @@
 //! robustness machinery produced.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
-use green_automl_core::cluster::{run_grid_cluster, ClusterGridRun, ClusterOptions};
+use crate::suite::{ExpConfig, SharedPoints};
+use green_automl_core::cluster::{run_grid_cluster_with, ClusterGridRun, ClusterOptions};
 use green_automl_core::fault::FaultPlan;
 use green_automl_dataset::DatasetMeta;
 use green_automl_energy::MetricsRegistry;
@@ -27,17 +27,19 @@ use green_automl_systems::{all_systems, RunSpec};
 /// The host counts the grid runs at, each at the configured `--jobs`.
 const HOSTS: [usize; 3] = [1, 2, 4];
 
-/// The cluster grid is deliberately small: every cell is recomputed at
-/// each host count, so the point is scheduler behaviour, not Fig.-3
-/// coverage.
+/// The cluster grid is deliberately small: the point is scheduler
+/// behaviour, not Fig.-3 coverage.
 fn cluster_scope(cfg: &ExpConfig) -> (Vec<DatasetMeta>, Vec<f64>) {
     let datasets: Vec<DatasetMeta> = cfg.datasets().into_iter().take(3).collect();
     let budgets: Vec<f64> = cfg.budgets.iter().copied().take(2).collect();
     (datasets, budgets)
 }
 
-/// Run the cluster artefact.
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// Run the cluster artefact. Each plan's cells compute once, at the
+/// first host count (the clean ones not at all once the shared grid has
+/// run); the other host counts read them from the run's memo and replay
+/// only the placement simulation.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let (datasets, budgets) = cluster_scope(cfg);
     let systems = all_systems();
     let opts = cfg.bench_options();
@@ -49,7 +51,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
     let chaos_spec = clean_spec.with_fault(chaos_plan);
 
     let run_hosts = |spec: &RunSpec, hosts: usize| -> ClusterGridRun {
-        run_grid_cluster(
+        run_grid_cluster_with(
             &systems,
             &datasets,
             &budgets,
@@ -57,6 +59,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
             &opts,
             &ClusterOptions::uniform(hosts),
             None,
+            shared.memo(cfg),
         )
         .expect("cluster spec is valid")
     };
@@ -209,7 +212,7 @@ mod tests {
 
     #[test]
     fn cluster_artefact_reports_every_host_count() {
-        let out = run(&ExpConfig::smoke());
+        let out = run(&ExpConfig::smoke(), &SharedPoints::default());
         assert_eq!(out.id, "cluster");
         assert_eq!(out.tables.len(), 2);
         // 2 plans x 3 host counts.

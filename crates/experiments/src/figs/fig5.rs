@@ -4,15 +4,16 @@
 //! embarrassingly parallel bagging).
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
-use green_automl_core::benchmark::run_grid_checked;
+use crate::suite::{ExpConfig, SharedPoints};
+use green_automl_core::benchmark::run_grid_with;
 use green_automl_systems::{AutoGluon, AutoMlSystem, Caml, RunSpec, SystemId};
 
 /// Core counts swept (each physical CPU of the testbed has two cores).
 pub const CORE_GRID: [usize; 4] = [1, 2, 4, 8];
 
-/// Run the parallelism sweep.
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// Run the parallelism sweep. Its 1-core cells are shared-grid cells,
+/// served from the run's memo once the grid has computed them.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let datasets = cfg.datasets();
     // A subset keeps the sweep affordable; shapes are per-system anyway.
     let datasets = &datasets[..datasets.len().min(8)];
@@ -28,8 +29,16 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         };
         let systems: Vec<Box<dyn AutoMlSystem>> =
             vec![Box::new(Caml::default()), Box::new(AutoGluon::default())];
-        let grid = run_grid_checked(&systems, datasets, &cfg.budgets, &spec, &opts, None)
-            .expect("ExpConfig produces a valid RunSpec");
+        let grid = run_grid_with(
+            &systems,
+            datasets,
+            &cfg.budgets,
+            &spec,
+            &opts,
+            None,
+            shared.memo(cfg),
+        )
+        .expect("ExpConfig produces a valid RunSpec");
         failed += grid.failures.len();
         let points = grid.points;
         for sys in [SystemId::Caml, SystemId::AutoGluon] {
@@ -112,7 +121,7 @@ mod tests {
     #[test]
     fn caml_wastes_energy_on_extra_cores_autogluon_does_not() {
         let cfg = ExpConfig::smoke();
-        let out = run(&cfg);
+        let out = run(&cfg, &SharedPoints::default());
         // Extract per-system 1-core vs 8-core energies from the table.
         let kwh = |sys: &str, cores: &str| -> f64 {
             out.tables[0]

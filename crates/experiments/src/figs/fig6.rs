@@ -3,8 +3,8 @@
 //! and AutoGluon's `good_quality_faster_inference_only_refit` preset.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
-use green_automl_core::benchmark::run_grid_checked;
+use crate::suite::{ExpConfig, SharedPoints};
+use green_automl_core::benchmark::run_grid_with;
 use green_automl_systems::{AutoGluon, AutoGluonQuality, AutoMlSystem, Caml, Constraints, RunSpec};
 
 /// The constraint sweep, seconds per instance. The paper used 1–3 ms on
@@ -14,8 +14,10 @@ use green_automl_systems::{AutoGluon, AutoGluonQuality, AutoMlSystem, Caml, Cons
 /// accuracy — is what reproduces).
 pub const CONSTRAINTS: [f64; 3] = [2.0e-5, 4.0e-5, 8.0e-5];
 
-/// Run the inference-configuration sweep.
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// Run the inference-configuration sweep. Its unconstrained CAML and
+/// best-quality AutoGluon cells are shared-grid cells, served from the
+/// run's memo once the grid has computed them.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let datasets = cfg.datasets();
     let datasets = &datasets[..datasets.len().min(8)];
     let opts = cfg.bench_options();
@@ -29,8 +31,16 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
             constraints,
             ..cfg.base_spec()
         };
-        let grid = run_grid_checked(&[system], datasets, &cfg.budgets, &spec, &opts, None)
-            .expect("ExpConfig produces a valid RunSpec");
+        let grid = run_grid_with(
+            &[system],
+            datasets,
+            &cfg.budgets,
+            &spec,
+            &opts,
+            None,
+            shared.memo(cfg),
+        )
+        .expect("ExpConfig produces a valid RunSpec");
         failed += grid.failures.len();
         let points = grid.points;
         let n = points.len() as f64;
@@ -120,7 +130,7 @@ mod tests {
     #[test]
     fn constraints_reduce_inference_energy() {
         let cfg = ExpConfig::smoke();
-        let out = run(&cfg);
+        let out = run(&cfg, &SharedPoints::default());
         let inf = |label: &str| -> f64 {
             out.tables[0]
                 .rows

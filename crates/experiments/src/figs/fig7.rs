@@ -6,7 +6,7 @@
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::suite::{ExpConfig, SharedPoints};
 use green_automl_core::amortize::runs_to_amortize;
-use green_automl_core::benchmark::{average_points, run_grid_checked};
+use green_automl_core::benchmark::{average_points, run_grid_with};
 use green_automl_core::devtune::{DevTuneOptions, DevTuner};
 use green_automl_dataset::dev_binary_pool;
 use green_automl_systems::{AutoMlSystem, Caml, SystemId};
@@ -35,13 +35,21 @@ pub fn run(cfg: &ExpConfig, shared: &mut SharedPoints) -> ExperimentOutput {
             materialize: cfg.materialize,
             seed: cfg.seed,
         };
-        let outcome = DevTuner::tune(&pool, &tune_opts);
+        let outcome = DevTuner::tune_with(&pool, &tune_opts, shared.memo(cfg));
         let dev_kwh = outcome.development.kwh();
 
         // 2. Execute CAML(tuned) on the benchmark datasets at this budget.
         let tuned: Vec<Box<dyn AutoMlSystem>> = vec![Box::new(Caml::tuned(outcome.params.clone()))];
-        let grid = run_grid_checked(&tuned, &datasets, &[budget], &cfg.base_spec(), &opts, None)
-            .expect("ExpConfig produces a valid RunSpec");
+        let grid = run_grid_with(
+            &tuned,
+            &datasets,
+            &[budget],
+            &cfg.base_spec(),
+            &opts,
+            None,
+            shared.memo(cfg),
+        )
+        .expect("ExpConfig produces a valid RunSpec");
         failed += grid.failures.len();
         let avg = average_points(&grid.points, cfg.bootstrap, cfg.seed);
         let Some(t) = avg.first() else { continue };

@@ -62,7 +62,8 @@ pub fn all_experiment_ids() -> Vec<&'static str> {
     ]
 }
 
-/// Run one experiment by id (reusing `shared` grid points where possible).
+/// Run one experiment by id, reusing `shared`'s grid points and computing
+/// each benchmark point once through its memo.
 pub fn run_experiment(
     id: &str,
     cfg: &ExpConfig,
@@ -73,22 +74,22 @@ pub fn run_experiment(
         "table2" => Some(table2::run(cfg)),
         "fig3" => Some(fig3::run(cfg, shared)),
         "fig4" => Some(fig4::run(cfg, shared)),
-        "fig5" => Some(fig5::run(cfg)),
-        "fig6" => Some(fig6::run(cfg)),
+        "fig5" => Some(fig5::run(cfg, shared)),
+        "fig6" => Some(fig6::run(cfg, shared)),
         "fig7" => Some(fig7::run(cfg, shared)),
         "fig8" => Some(fig8::run()),
         "table3" => Some(table3::run(cfg)),
         "table4" => Some(table4::run(cfg, shared)),
-        "table5" => Some(table5::run(cfg)),
+        "table5" => Some(table5::run(cfg, shared)),
         "table6" => Some(table6::run(cfg, shared)),
         "table7" => Some(table7::run(cfg, shared)),
-        "table8" => Some(table8::run(cfg)),
-        "table9" => Some(table9::run(cfg)),
+        "table8" => Some(table8::run(cfg, shared)),
+        "table9" => Some(table9::run(cfg, shared)),
         "serve" => Some(serving::run(cfg)),
         "fleet" => Some(fleet::run(cfg)),
-        "chaos" => Some(chaos::run(cfg)),
-        "cluster" => Some(cluster::run(cfg)),
-        "trace" => Some(trace::run(cfg)),
+        "chaos" => Some(chaos::run(cfg, shared)),
+        "cluster" => Some(cluster::run(cfg, shared)),
+        "trace" => Some(trace::run(cfg, shared)),
         _ => None,
     }
 }

@@ -2,7 +2,7 @@
 //! which several tables (4, 6, 7) are derived from.
 
 use green_automl_core::benchmark::{
-    run_grid_checked, BenchmarkOptions, BenchmarkPoint, BudgetGrid,
+    run_grid_with, BenchmarkOptions, BenchmarkPoint, BudgetGrid, PointMemo,
 };
 use green_automl_dataset::{amlb39, DatasetMeta, MaterializeOptions};
 use green_automl_systems::{all_systems, RunSpec};
@@ -183,13 +183,24 @@ impl ExpConfig {
     }
 }
 
-/// Lazily computed, shared Fig.-3 grid points.
+/// What one `repro` run shares between its artefacts: the lazily
+/// computed Fig.-3 grid points, and the run's [`PointMemo`], through which
+/// every grid, cluster sweep and development-stage tune of the run looks
+/// its points up. Each `SharedPoints` owns its own memo, so a second one
+/// recomputes every point.
 #[derive(Debug, Default)]
 pub struct SharedPoints {
     points: Option<Vec<BenchmarkPoint>>,
+    memo: PointMemo,
 }
 
 impl SharedPoints {
+    /// The run's point memo, or `None` when `cfg.eval_cache` is off
+    /// (`--no-eval-cache`): then no point is served from the memo.
+    pub fn memo(&self, cfg: &ExpConfig) -> Option<&PointMemo> {
+        cfg.eval_cache.then_some(&self.memo)
+    }
+
     /// The full system × dataset × budget × run grid, computed once.
     ///
     /// Runs fault-tolerantly: a panicking cell is reported to stderr and
@@ -200,13 +211,14 @@ impl SharedPoints {
         if self.points.is_none() {
             let systems = all_systems();
             let datasets = cfg.datasets();
-            let grid = run_grid_checked(
+            let grid = run_grid_with(
                 &systems,
                 &datasets,
                 &cfg.budgets,
                 &cfg.base_spec(),
                 &cfg.bench_options(),
                 cfg.checkpoint.as_deref(),
+                self.memo(cfg),
             )
             .expect("ExpConfig produces a valid RunSpec");
             if grid.resumed_cells > 0 {

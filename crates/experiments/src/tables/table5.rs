@@ -3,15 +3,17 @@
 //! settings the development-stage tuner chose.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
+use crate::suite::{ExpConfig, SharedPoints};
 use green_automl_core::devtune::{DevTuneOptions, DevTuner};
 use green_automl_dataset::dev_binary_pool;
 
 /// The budgets the paper prints tuned parameters for.
 pub const BUDGETS: [f64; 3] = [30.0, 60.0, 300.0];
 
-/// Tune per budget and dump the chosen parameters.
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// Tune per budget and dump the chosen parameters. Each tune repeats one
+/// of Fig. 7's with identical options, so once Fig. 7 has run, the run's
+/// memo serves every CAML run.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let pool = dev_binary_pool();
     let mut rows = Vec::new();
     let mut notes = Vec::new();
@@ -28,7 +30,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
 
     let mut family_counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
     for &budget in &budgets {
-        let outcome = DevTuner::tune(
+        let outcome = DevTuner::tune_with(
             &pool,
             &DevTuneOptions {
                 budget_s: budget,
@@ -38,6 +40,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
                 materialize: cfg.materialize,
                 seed: cfg.seed,
             },
+            shared.memo(cfg),
         );
         let p = &outcome.params;
         for f in &p.families {
@@ -105,7 +108,7 @@ mod tests {
     #[test]
     fn dumps_one_row_per_budget_with_system_params() {
         let cfg = ExpConfig::smoke();
-        let out = run(&cfg);
+        let out = run(&cfg, &SharedPoints::default());
         assert_eq!(out.tables[0].rows.len(), cfg.budgets.len());
         let row = &out.tables[0].rows[0];
         assert!(!row[1].is_empty(), "families column populated");

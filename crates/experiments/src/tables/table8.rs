@@ -2,15 +2,17 @@
 //! representative datasets (§3.11): accuracy vs tuning cost.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
+use crate::suite::{ExpConfig, SharedPoints};
 use green_automl_core::devtune::{DevTuneOptions, DevTuner};
 use green_automl_dataset::dev_binary_pool;
 
 /// The paper's sweep of representative-dataset counts.
 pub const TOP_K: [usize; 3] = [10, 20, 40];
 
-/// Sweep top-k (scaled down proportionally under small configs).
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// Sweep top-k (scaled down proportionally under small configs). Tunes
+/// share their baseline runs on common representatives, and the
+/// configured k repeats Fig. 7's 10 s tune, through the run's memo.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let pool = dev_binary_pool();
     // Respect smoke/fast configs: scale the sweep around devtune_top_k.
     let ks: Vec<usize> = if cfg.devtune_top_k >= 20 {
@@ -26,7 +28,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut outcomes = Vec::new();
     for &k in &ks {
-        let out = DevTuner::tune(
+        let out = DevTuner::tune_with(
             &pool,
             &DevTuneOptions {
                 budget_s: 10.0, // the paper sweeps at the 10s budget
@@ -36,6 +38,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
                 materialize: cfg.materialize,
                 seed: cfg.seed,
             },
+            shared.memo(cfg),
         );
         rows.push(vec![
             k.to_string(),
@@ -77,7 +80,7 @@ mod tests {
 
     #[test]
     fn more_datasets_cost_more_energy() {
-        let out = run(&ExpConfig::smoke());
+        let out = run(&ExpConfig::smoke(), &SharedPoints::default());
         let rows = &out.tables[0].rows;
         assert_eq!(rows.len(), 3);
         let kwh: Vec<f64> = rows.iter().map(|r| r[2].parse().unwrap()).collect();

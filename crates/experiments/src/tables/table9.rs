@@ -3,13 +3,15 @@
 //! eventually overfit the representative datasets.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
+use crate::suite::{ExpConfig, SharedPoints};
 use green_automl_core::devtune::{DevTuneOptions, DevTuner};
 use green_automl_dataset::dev_binary_pool;
 
 /// Sweep BO iterations around the configured default with the paper's
 /// ratios (75 : 150 : 300 : 600 = 1/4 : 1/2 : 1 : 2 of the default 300).
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// Sweeps that share a trial prefix compute it once, through the run's
+/// memo.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let pool = dev_binary_pool();
     let base = cfg.devtune_iters.max(4);
     let iters = [base / 4, base / 2, base, base * 2];
@@ -17,7 +19,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut kwh_series = Vec::new();
     for &n in &iters {
-        let out = DevTuner::tune(
+        let out = DevTuner::tune_with(
             &pool,
             &DevTuneOptions {
                 budget_s: 10.0,
@@ -27,6 +29,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
                 materialize: cfg.materialize,
                 seed: cfg.seed,
             },
+            shared.memo(cfg),
         );
         rows.push(vec![
             n.max(1).to_string(),
@@ -62,7 +65,7 @@ mod tests {
 
     #[test]
     fn energy_grows_with_iterations() {
-        let out = run(&ExpConfig::smoke());
+        let out = run(&ExpConfig::smoke(), &SharedPoints::default());
         let rows = &out.tables[0].rows;
         assert_eq!(rows.len(), 4);
         let kwh: Vec<f64> = rows.iter().map(|r| r[2].parse().unwrap()).collect();

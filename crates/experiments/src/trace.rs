@@ -14,8 +14,8 @@
 //! are built from.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
-use green_automl_core::benchmark::{run_grid_checked, run_once, BenchmarkPoint};
+use crate::suite::{ExpConfig, SharedPoints};
+use green_automl_core::benchmark::{run_grid_with, run_once_with, BenchmarkPoint};
 use green_automl_core::devtune::{DevTuneOptions, DevTuner};
 use green_automl_dataset::dev_binary_pool;
 use green_automl_energy::{MetricsRegistry, Trace};
@@ -51,8 +51,10 @@ fn merge_tracks<'a>(traces: impl IntoIterator<Item = &'a (SystemId, Trace)>) -> 
     }))
 }
 
-/// Run the trace artefact.
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// Run the trace artefact. Its traced runs always compute (a traced
+/// point carries its spans, so the memo bypasses it); the CAML tune
+/// repeats Fig. 7's and reads the run's memo.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let budget = cfg.budgets[0];
     let spec = cfg.base_spec().with_trace();
     let opts = cfg.bench_options();
@@ -64,7 +66,8 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         Box::new(TabPfn::default()),
     ];
 
-    let grid = run_grid_checked(&systems, &[meta], &[budget], &spec, &opts, None)
+    let memo = shared.memo(cfg);
+    let grid = run_grid_with(&systems, &[meta], &[budget], &spec, &opts, None, memo)
         .expect("ExpConfig produces a valid RunSpec");
     let points = grid.points;
     let picked = pick(&points);
@@ -80,9 +83,15 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         materialize: cfg.materialize,
         seed: cfg.seed,
     };
-    let outcome = DevTuner::tune(&dev_binary_pool(), &tune_opts);
+    let outcome = DevTuner::tune_with(&dev_binary_pool(), &tune_opts, memo);
     let dev_kwh = outcome.development.kwh();
-    let tuned = run_once(&Caml::tuned(outcome.params.clone()), &meta, &spec, &opts);
+    let tuned = run_once_with(
+        &Caml::tuned(outcome.params.clone()),
+        &meta,
+        &spec,
+        &opts,
+        memo,
+    );
     let tuned_trace = tuned.trace.clone().expect("traced spec yields a trace");
 
     // Per-stage attribution: development / execution / inference.
@@ -192,7 +201,7 @@ mod tests {
 
     #[test]
     fn trace_artefact_emits_sinks_and_attribution() {
-        let out = run(&ExpConfig::smoke());
+        let out = run(&ExpConfig::smoke(), &SharedPoints::default());
         assert_eq!(out.id, "trace");
         assert_eq!(out.tables.len(), 2);
         // Three off-the-shelf systems plus CAML(tuned).
