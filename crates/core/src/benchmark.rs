@@ -353,6 +353,21 @@ pub(crate) struct GridCell {
     pub(crate) budget_s: Option<f64>,
 }
 
+impl GridCell {
+    /// The spec the cell runs under: `spec_base` at the cell's seed and
+    /// budget. A budget-free cell runs at the grid's first budget (10 s
+    /// when the list is empty).
+    pub(crate) fn spec(&self, budgets: &[f64], spec_base: &RunSpec) -> RunSpec {
+        RunSpec {
+            seed: self.seed,
+            budget_s: self
+                .budget_s
+                .unwrap_or_else(|| budgets.first().copied().unwrap_or(10.0)),
+            ..*spec_base
+        }
+    }
+}
+
 /// One grid cell that panicked, with enough context to rerun it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellFailure {
@@ -473,44 +488,30 @@ pub(crate) fn enumerate_cells(
     cells
 }
 
-/// Hash everything that determines the grid's output, so a checkpoint file
-/// can refuse to replay cells from a differently-configured grid.
+/// Hash the identity of every point the grid yields, so a checkpoint file
+/// refuses to replay cells of a differently-configured grid: each cell's
+/// [`PointMemo::key`] in the reference order of `cells`, after the
+/// budgets a budget-free cell's point is reported at.
 ///
-/// Deliberately **excludes** cluster topology (host count, devices,
-/// network): a shard written at one (hosts × jobs) shape must replay at
-/// any other, because the points themselves are placement-invariant.
+/// Like the key, it **excludes** cluster topology and scheduling (hosts,
+/// jobs, the eval cache): a shard written at one (hosts × jobs) shape must
+/// replay at any other, because the points themselves are
+/// placement-invariant.
 pub(crate) fn grid_fingerprint(
     systems: &[Box<dyn AutoMlSystem>],
     datasets: &[DatasetMeta],
     budgets: &[f64],
+    cells: &[GridCell],
     spec_base: &RunSpec,
     opts: &BenchmarkOptions,
 ) -> u64 {
-    let mut words: Vec<u64> = vec![2]; // format version
-    words.extend(systems.iter().map(|s| fnv1a_p44(s.name().bytes())));
-    words.extend(datasets.iter().map(|m| m.openml_id as u64));
+    let mut words: Vec<u64> = vec![3]; // format version
     words.extend(budgets.iter().map(|b| b.to_bits()));
-    words.extend([
-        opts.runs as u64,
-        opts.test_frac.to_bits(),
-        opts.materialize.max_rows as u64,
-        opts.materialize.min_rows_per_class as u64,
-        opts.materialize.max_features as u64,
-        opts.materialize.max_row_frac.to_bits(),
-        spec_base.seed,
-        spec_base.cores as u64,
-        spec_base.fault.seed,
-        spec_base.fault.trial_crash_p.to_bits(),
-        spec_base.fault.trial_timeout_p.to_bits(),
-        spec_base.fault.trial_oom_p.to_bits(),
-        spec_base.fault.replica_crash_p.to_bits(),
-        spec_base.fault.replica_restart_s.to_bits(),
-        spec_base.fault.host_crash_p.to_bits(),
-        spec_base.fault.host_straggler_p.to_bits(),
-        spec_base.fault.host_straggler_slowdown.to_bits(),
-        spec_base.fault.host_partition_p.to_bits(),
-        spec_base.fault.host_partition_s.to_bits(),
-    ]);
+    words.extend(cells.iter().map(|c| {
+        let system = systems[c.system_idx].as_ref();
+        let spec = c.spec(budgets, spec_base);
+        fnv1a_p44(PointMemo::key(system, &datasets[c.dataset_idx], &spec, opts).bytes())
+    }));
     checkpoint::fingerprint(&words)
 }
 
@@ -1051,6 +1052,50 @@ mod tests {
         assert_eq!(third.resumed_cells, 1);
         assert_eq!(fits.load(std::sync::atomic::Ordering::Relaxed), 3);
         assert_eq!(third.points, first.points);
+    }
+
+    #[test]
+    fn a_checkpoint_replays_only_a_grid_of_the_same_points() {
+        use green_automl_energy::Device;
+        use green_automl_systems::{CamlParams, Constraints};
+        let path = tmp_ckpt("identity.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let base = RunSpec::single_core(10.0, 3);
+        // Untuned CAML under non-default parameters: its name is "CAML"
+        // whatever the parameters, and its records replay.
+        let run = |holdout_frac: f64, spec: &RunSpec, ckpt: Option<&Path>| {
+            let systems: Vec<Box<dyn AutoMlSystem>> = vec![Box::new(Caml {
+                params: CamlParams {
+                    holdout_frac,
+                    ..CamlParams::default()
+                },
+                tuned: false,
+            })];
+            let opts = BenchmarkOptions::quick();
+            run_grid_checked(&systems, &[small_meta()], &[10.0], spec, &opts, ckpt).unwrap()
+        };
+        run(0.2, &base, Some(&path));
+        assert_eq!(run(0.2, &base, Some(&path)).resumed_cells, 1);
+        // The same one-cell grid on another device, under an inference
+        // constraint, and with other parameters: each is another point, so
+        // none may replay the journalled one.
+        let gpu = RunSpec {
+            device: Device::gpu_node(),
+            ..base
+        };
+        let constrained = RunSpec {
+            constraints: Constraints {
+                max_inference_s_per_row: Some(1e-4),
+            },
+            ..base
+        };
+        for (holdout_frac, spec) in [(0.2, gpu), (0.2, constrained), (0.3, base)] {
+            run(0.2, &base, Some(&path));
+            let rerun = run(holdout_frac, &spec, Some(&path));
+            assert_eq!(rerun.resumed_cells, 0, "{holdout_frac} {spec:?}");
+            let fresh = run(holdout_frac, &spec, None);
+            assert_eq!(rerun.fingerprint(), fresh.fingerprint());
+        }
     }
 
     #[test]

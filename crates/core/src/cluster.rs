@@ -2,13 +2,14 @@
 //!
 //! [`run_grid_cluster`] generalises the single-host work queue in
 //! [`executor`](crate::executor) into a deterministic cluster: grid cells
-//! are sharded across [`HostSpec`]s (each with its own
-//! [`Device`](green_automl_energy::Device) profile and per-host virtual
-//! clock), dataset shipping / result collection / cache synchronisation
-//! are charged as virtual Joules through a [`NetworkModel`], and
-//! host-level faults ([`HostFault`]: crash, straggler, partition) are
-//! decided by the same pure hash-of-(seed, site) scheme as every other
-//! failure in the workspace.
+//! are sharded across the hosts of a [`ClusterOptions`] (each with its
+//! own [`Device`](green_automl_energy::Device) profile and per-host
+//! virtual clock), dataset shipping / result collection / cache
+//! synchronisation are charged as virtual Joules over a fixed 10 GbE
+//! interconnect, and host-level faults ([`HostFault`]: crash, straggler,
+//! partition) are decided by the same pure hash-of-(seed, site) scheme as
+//! every other failure in the workspace. The interconnect, the straggler
+//! deadline and the crash backoff are constants of this module.
 //!
 //! ## The two-phase discipline
 //!
@@ -49,13 +50,19 @@
 //!   capped exponential backoff and its queued cells are re-sharded onto
 //!   survivors.
 //! * A **straggler** is detected by deterministic deadline accounting
-//!   (slowdown beyond `straggler_deadline`); the cell is speculatively
+//!   (slowdown reaching `STRAGGLER_DEADLINE`); the cell is speculatively
 //!   re-executed on the next alive host, first completion wins by a
 //!   pinned total order (finish-time bits, then host id), and the
 //!   loser's burn is charged as `wasted_j`.
 //! * A **partitioned** host keeps computing locally (its cache hits
 //!   replay locally) and delivers results — plus the cache entries it
 //!   must reconcile — only when the partition heals.
+//!
+//! Every executed attempt, faulted or not, goes through one path that
+//! records its span, clock and busy time (`Sim::execute`), and every
+//! completed cell through one delivery (`Sim::finish`); the fault arms
+//! add only what differs: a crash's death and re-shard, a speculation's
+//! copy and its winner's credit and loser's waste.
 
 use crate::benchmark::{
     enumerate_cells, grid_fingerprint, materialize_options, run_once_in, BenchmarkOptions,
@@ -89,83 +96,38 @@ const RESULT_BYTES_PER_POINT: f64 = 256.0;
 /// Serialized size charged per eval-cache entry a rejoining host syncs.
 const SYNC_BYTES_PER_EVAL: f64 = 4096.0;
 
-/// One simulated machine in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostSpec {
-    /// The host's device (power/throughput) profile.
-    pub device: Device,
-    /// Cores the host exposes to the scheduler.
-    pub cores: usize,
+/// The interconnect, a 10 GbE fabric: a transfer takes a fixed latency
+/// plus its bytes over the bandwidth, and burns a fixed energy per byte,
+/// both charged to the non-coordinator endpoint.
+const NET_LATENCY_S: f64 = 5.0e-4;
+/// Sustained interconnect throughput, bytes per second.
+const NET_BANDWIDTH_BYTES_PER_S: f64 = 1.25e9;
+/// Interconnect transfer energy, Joules per byte.
+const NET_JOULES_PER_BYTE: f64 = 2.0e-8;
+/// A cell whose slowdown factor reaches this bound is declared a
+/// straggler and speculatively re-executed on another alive host.
+const STRAGGLER_DEADLINE: f64 = 3.0;
+/// Base of the capped exponential backoff for crash-lost attempts,
+/// seconds: attempt `a` waits `BACKOFF_BASE_S * 2^min(a, BACKOFF_CAP)`.
+const BACKOFF_BASE_S: f64 = 0.5;
+/// Exponent cap of the crash backoff.
+const BACKOFF_CAP: u64 = 6;
+
+/// Virtual seconds and Joules to move `bytes` over the interconnect.
+fn transfer_cost(bytes: f64) -> (f64, f64) {
+    (
+        NET_LATENCY_S + bytes / NET_BANDWIDTH_BYTES_PER_S,
+        NET_JOULES_PER_BYTE * bytes,
+    )
 }
 
-impl HostSpec {
-    /// Host 0's profile: the paper's CPU testbed, colocated with the
-    /// dataset store, result sink, and cache authority.
-    pub fn coordinator() -> HostSpec {
-        HostSpec {
-            device: Device::xeon_gold_6132(),
-            cores: 28,
-        }
-    }
-
-    /// A commodity worker node.
-    pub fn worker() -> HostSpec {
-        HostSpec {
-            device: Device::cluster_node(),
-            cores: 16,
-        }
-    }
-}
-
-/// Virtual network cost model: every byte shipped between hosts costs
-/// wall-clock seconds (latency + bandwidth) and Joules (NIC + switch
-/// energy), charged to the non-coordinator endpoint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkModel {
-    /// Sustained throughput, bytes per second.
-    pub bandwidth_bytes_per_s: f64,
-    /// Fixed per-transfer latency, seconds.
-    pub latency_s: f64,
-    /// Transfer energy, Joules per byte.
-    pub joules_per_byte: f64,
-}
-
-impl NetworkModel {
-    /// A 10 GbE fabric: 1.25 GB/s, 0.5 ms RTT, 20 nJ/byte.
-    pub fn ten_gbe() -> NetworkModel {
-        NetworkModel {
-            bandwidth_bytes_per_s: 1.25e9,
-            latency_s: 5.0e-4,
-            joules_per_byte: 2.0e-8,
-        }
-    }
-
-    /// Virtual seconds to move `bytes`.
-    pub fn transfer_s(&self, bytes: f64) -> f64 {
-        self.latency_s + bytes / self.bandwidth_bytes_per_s
-    }
-
-    /// Virtual Joules to move `bytes`.
-    pub fn transfer_j(&self, bytes: f64) -> f64 {
-        self.joules_per_byte * bytes
-    }
-}
-
-/// Cluster topology and scheduler policy.
+/// The cluster topology: a coordinator plus workers, each with its own
+/// device profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOptions {
-    /// The hosts, in id order. Host 0 is the coordinator: crash- and
-    /// partition-immune (it *is* the store every transfer talks to).
-    pub hosts: Vec<HostSpec>,
-    /// The interconnect cost model.
-    pub network: NetworkModel,
-    /// A cell whose slowdown factor reaches this bound is declared a
-    /// straggler and speculatively re-executed on another alive host.
-    pub straggler_deadline: f64,
-    /// Base of the capped exponential backoff for crash-lost attempts.
-    pub backoff_base_s: f64,
-    /// Exponent cap: backoff is `base * 2^min(attempt, cap)` seconds.
-    pub backoff_cap: u32,
+    /// Each host's device, in id order. Host 0 is the coordinator: crash-
+    /// and partition-immune (it *is* the store every transfer talks to).
+    hosts: Vec<Device>,
 }
 
 impl ClusterOptions {
@@ -177,27 +139,19 @@ impl ClusterOptions {
         ClusterOptions::uniform(1)
     }
 
-    /// A coordinator plus `n_hosts - 1` workers with alternating
-    /// commodity / GPU-node-without-GPU device profiles.
+    /// A coordinator on the paper's CPU testbed (colocated with the
+    /// dataset store, result sink, and cache authority) plus
+    /// `n_hosts - 1` workers alternating between commodity nodes and GPU
+    /// nodes without their GPU. Zero hosts means one.
     pub fn uniform(n_hosts: usize) -> ClusterOptions {
-        let mut hosts = vec![HostSpec::coordinator()];
-        for h in 1..n_hosts.max(1) {
-            hosts.push(if h % 2 == 1 {
-                HostSpec::worker()
-            } else {
-                HostSpec {
-                    device: Device::gpu_node_cpu_only(),
-                    cores: 8,
-                }
-            });
-        }
-        ClusterOptions {
-            hosts,
-            network: NetworkModel::ten_gbe(),
-            straggler_deadline: 3.0,
-            backoff_base_s: 0.5,
-            backoff_cap: 6,
-        }
+        let hosts = (0..n_hosts.max(1))
+            .map(|h| match h {
+                0 => Device::xeon_gold_6132(),
+                h if h % 2 == 1 => Device::cluster_node(),
+                _ => Device::gpu_node_cpu_only(),
+            })
+            .collect();
+        ClusterOptions { hosts }
     }
 
     /// Number of hosts.
@@ -428,7 +382,7 @@ struct Attempt {
 
 /// Mutable per-host state of the placement simulation.
 struct SimHost {
-    spec: HostSpec,
+    device: Device,
     clock: f64,
     alive: bool,
     /// Seconds spent computing or transferring (for idle accounting).
@@ -441,25 +395,24 @@ struct SimHost {
 impl SimHost {
     /// Cores the cell's spec actually occupies here.
     fn alloc(&self, spec_cores: usize) -> usize {
-        spec_cores.min(self.spec.device.cpu.cores).max(1)
+        spec_cores.min(self.device.cpu.cores).max(1)
     }
 
     /// Package+DRAM Watts while computing one cell.
     fn busy_w(&self, spec_cores: usize) -> f64 {
         let a = self.alloc(spec_cores);
-        self.spec.device.cpu_power_w(a, a as f64)
+        self.device.cpu_power_w(a, a as f64)
     }
 
     /// Package+DRAM Watts while idle.
     fn idle_w(&self) -> f64 {
-        self.spec.device.cpu_power_w(0, 0.0)
+        self.device.cpu_power_w(0, 0.0)
     }
 }
 
 /// The strictly serial placement simulation. See the module docs.
 struct Sim<'a> {
     hosts: Vec<SimHost>,
-    cluster: &'a ClusterOptions,
     injector: &'a FaultInjector,
     spec_cores: usize,
     /// Reference-device per-core rate, for the host speed factor.
@@ -471,13 +424,13 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn new(cluster: &'a ClusterOptions, spec: &RunSpec, injector: &'a FaultInjector) -> Sim<'a> {
+    fn new(cluster: &ClusterOptions, spec: &RunSpec, injector: &'a FaultInjector) -> Sim<'a> {
         let hosts = cluster
             .hosts
             .iter()
             .enumerate()
-            .map(|(h, &spec_h)| SimHost {
-                spec: spec_h,
+            .map(|(h, &device)| SimHost {
+                device,
                 clock: 0.0,
                 alive: true,
                 active_s: 0.0,
@@ -485,14 +438,13 @@ impl<'a> Sim<'a> {
                 queue: VecDeque::new(),
                 stats: HostStats {
                     host: h,
-                    device: spec_h.device.name.to_string(),
+                    device: device.name.to_string(),
                     ..HostStats::default()
                 },
             })
             .collect();
         Sim {
             hosts,
-            cluster,
             injector,
             spec_cores: spec.cores,
             ref_core_rate: spec.device.cpu.scalar_flops_per_core,
@@ -521,15 +473,14 @@ impl<'a> Sim<'a> {
     /// This cell's duration on host `h` (reference duration scaled by the
     /// per-core throughput ratio).
     fn local_duration(&self, h: usize, ref_duration_s: f64) -> f64 {
-        ref_duration_s * self.ref_core_rate / self.hosts[h].spec.device.cpu.scalar_flops_per_core
+        ref_duration_s * self.ref_core_rate / self.hosts[h].device.cpu.scalar_flops_per_core
     }
 
     /// Charge a transfer touching non-coordinator host `h` starting at
     /// `at`, and return its completion time. Time and Joules land on `h`
     /// (the coordinator's NIC is assumed concurrent).
     fn transfer(&mut self, h: usize, at: f64, bytes: f64, inbound: bool, label: String) -> f64 {
-        let dur = self.cluster.network.transfer_s(bytes);
-        let joules = self.cluster.network.transfer_j(bytes);
+        let (dur, joules) = transfer_cost(bytes);
         let id = self.next_span_id();
         let parent = self.host_span_id(h);
         let host = &mut self.hosts[h];
@@ -576,18 +527,21 @@ impl<'a> Sim<'a> {
         )
     }
 
-    /// Record one executed attempt as a `Trial` span.
+    /// Execute one attempt of `sim` on host `h` from `start` for `secs`,
+    /// burning `joules`: record it as a `Trial` span, move the host's
+    /// clock to its end and count its seconds as busy. Returns the end.
     #[allow(clippy::too_many_arguments)]
-    fn attempt_span(
+    fn execute(
         &mut self,
         h: usize,
         sim: &CellSim,
         attempt: u64,
         start: f64,
-        end: f64,
+        secs: f64,
         joules: f64,
         fault: Option<FaultKind>,
-    ) {
+    ) -> f64 {
+        let end = start + secs;
         let id = self.next_span_id();
         self.spans.push(Span {
             id,
@@ -605,6 +559,28 @@ impl<'a> Sim<'a> {
             ops: OpCounts::ZERO,
             fault,
         });
+        let host = &mut self.hosts[h];
+        host.clock = end;
+        host.active_s += secs;
+        host.stats.busy_s += secs;
+        end
+    }
+
+    /// Credit host `h` with a winning attempt that ran `secs` at `busy_w`
+    /// Watts against a nominal `nominal_s`: the nominal Joules are busy
+    /// energy, the rest is straggler overhead. An unslowed attempt adds
+    /// `+0.0` overhead, which leaves the non-negative sum's bits as they
+    /// were.
+    fn win(&mut self, h: usize, busy_w: f64, nominal_s: f64, secs: f64) {
+        let stats = &mut self.hosts[h].stats;
+        stats.busy_j += busy_w * nominal_s;
+        stats.overhead_j += busy_w * (secs - nominal_s);
+    }
+
+    /// Charge the `joules` of a lost attempt on host `h` as waste.
+    fn waste(&mut self, h: usize, joules: f64) {
+        self.hosts[h].stats.wasted_j += joules;
+        self.report.wasted_j += joules;
     }
 
     /// The next alive host after `h` in ring order, excluding `h`.
@@ -614,20 +590,21 @@ impl<'a> Sim<'a> {
     }
 
     /// Deliver a completed cell's result from host `h` at local time
-    /// `at`, plus `sync_bytes` of cache reconciliation, and count the cell
-    /// as run on `h`; returns the delivery completion time on `h`'s clock.
-    fn deliver(&mut self, h: usize, at: f64, sim: &CellSim, sync_bytes: f64) -> f64 {
+    /// `at`, plus `sync_bytes` of cache reconciliation, count the cell as
+    /// run on `h`, and move `h`'s clock to the delivery's end.
+    fn finish(&mut self, h: usize, at: f64, sim: &CellSim, sync_bytes: f64) {
         self.hosts[h].stats.cells_run += 1;
-        if h == 0 {
-            return at; // results are born on the coordinator
-        }
-        self.transfer(
-            h,
-            at,
-            sim.result_bytes + sync_bytes,
-            false,
-            format!("collect {} <- host {h}", sim.label),
-        )
+        self.hosts[h].clock = if h == 0 {
+            at // results are born on the coordinator
+        } else {
+            self.transfer(
+                h,
+                at,
+                sim.result_bytes + sync_bytes,
+                false,
+                format!("collect {} <- host {h}", sim.label),
+            )
+        };
     }
 
     /// Run the event loop over `sims`, with each cell seeded on its
@@ -661,10 +638,7 @@ impl<'a> Sim<'a> {
             let Some((start, h)) = best else { break };
             let at = self.hosts[h].queue.pop_front().expect("picked non-empty");
             let sim = &sims[at.k];
-            self.hosts[h].clock = start;
-
             let start = self.ensure_dataset(h, start, sim);
-            self.hosts[h].clock = start;
 
             let fault = match self
                 .injector
@@ -682,37 +656,40 @@ impl<'a> Sim<'a> {
             let local_d = self.local_duration(h, sim.duration_s);
             let busy_w = self.hosts[h].busy_w(self.spec_cores);
 
-            match fault {
-                Some(HostFault::Crash { wasted_frac }) => {
+            // A straggler past the deadline is speculatively re-executed
+            // on the ring-next alive host, if there is one.
+            let copy_host = match fault {
+                Some(HostFault::Straggler { slowdown }) if slowdown >= STRAGGLER_DEADLINE => {
+                    self.ring_next_alive(h)
+                }
+                _ => None,
+            };
+            // An attempt that completes on `h` takes one path, set by its
+            // slowdown, the earliest instant its result may leave, and the
+            // cache entries it must sync.
+            let (slowdown, earliest, sync_bytes) = match (fault, copy_host) {
+                (Some(HostFault::Crash { wasted_frac }), _) => {
                     let burn_s = wasted_frac * local_d;
-                    let crash_t = start + burn_s;
-                    self.report.host_crashes += 1;
-                    self.report.retried_cells += 1;
-                    self.report.wasted_j += busy_w * burn_s;
-                    self.attempt_span(
+                    let crash_t = self.execute(
                         h,
                         sim,
                         at.attempt,
                         start,
-                        crash_t,
+                        burn_s,
                         busy_w * burn_s,
                         Some(FaultKind::Crash),
                     );
-                    {
-                        let host = &mut self.hosts[h];
-                        host.alive = false;
-                        host.clock = crash_t;
-                        host.active_s += burn_s;
-                        host.stats.crashed = true;
-                        host.stats.wasted_j += busy_w * burn_s;
-                        host.stats.busy_s += burn_s;
-                        host.stats.retried += 1;
-                    }
+                    self.waste(h, busy_w * burn_s);
+                    self.report.host_crashes += 1;
+                    self.report.retried_cells += 1;
+                    let host = &mut self.hosts[h];
+                    host.alive = false;
+                    host.stats.crashed = true;
+                    host.stats.retried += 1;
                     // Re-queue the lost attempt with capped exponential
                     // backoff, then drain the dead host's queue onto
                     // survivors by hash re-sharding.
-                    let backoff = self.cluster.backoff_base_s
-                        * f64::from(1u32 << at.attempt.min(self.cluster.backoff_cap as u64) as u32);
+                    let backoff = BACKOFF_BASE_S * f64::from(1u32 << at.attempt.min(BACKOFF_CAP));
                     let alive: Vec<usize> = (0..n_hosts).filter(|&c| self.hosts[c].alive).collect();
                     let retry_to =
                         alive[reshard_slot(grid_seed, sim.cell, at.attempt + 1, alive.len())];
@@ -732,131 +709,68 @@ impl<'a> Sim<'a> {
                             ..q
                         });
                     }
+                    continue;
                 }
-                Some(HostFault::Straggler { slowdown }) => {
+                (Some(HostFault::Straggler { slowdown }), Some(h2)) => {
                     self.report.stragglers += 1;
+                    self.report.speculated_cells += 1;
+                    self.hosts[h].stats.speculated += 1;
+                    // The deadline accountant notices the primary is
+                    // `STRAGGLER_DEADLINE`× over plan and launches the
+                    // copy — no fault draw for the copy itself.
+                    let detect = start + local_d * STRAGGLER_DEADLINE;
+                    let copy_start = self.hosts[h2].clock.max(detect);
+                    let copy_start = self.ensure_dataset(h2, copy_start, sim);
+                    let local_d2 = self.local_duration(h2, sim.duration_s);
+                    let busy_w2 = self.hosts[h2].busy_w(self.spec_cores);
                     let slowed = local_d * slowdown;
-                    let t_primary = start + slowed;
-                    let copy_host = self.ring_next_alive(h);
-                    let speculate =
-                        slowdown >= self.cluster.straggler_deadline && copy_host.is_some();
-                    if speculate {
-                        let h2 = copy_host.expect("speculate requires a copy host");
-                        self.report.speculated_cells += 1;
-                        self.hosts[h].stats.speculated += 1;
-                        // The deadline accountant notices the primary is
-                        // `straggler_deadline`× over plan and launches the
-                        // copy — no fault draw for the copy itself.
-                        let detect = start + local_d * self.cluster.straggler_deadline;
-                        let copy_start = self.hosts[h2].clock.max(detect);
-                        let copy_start = self.ensure_dataset(h2, copy_start, sim);
-                        let local_d2 = self.local_duration(h2, sim.duration_s);
-                        let busy_w2 = self.hosts[h2].busy_w(self.spec_cores);
-                        let t_copy = copy_start + local_d2;
-                        // First completion wins by the pinned total order
-                        // (finish bits, then host id).
-                        let primary_wins = (t_primary.to_bits(), h) < (t_copy.to_bits(), h2);
-                        self.attempt_span(
-                            h,
-                            sim,
-                            at.attempt,
-                            start,
-                            t_primary,
-                            busy_w * slowed,
-                            None,
-                        );
-                        self.attempt_span(
-                            h2,
-                            sim,
-                            at.attempt,
-                            copy_start,
-                            t_copy,
-                            busy_w2 * local_d2,
-                            None,
-                        );
-                        {
-                            let host = &mut self.hosts[h];
-                            host.clock = t_primary;
-                            host.active_s += slowed;
-                            host.stats.busy_s += slowed;
-                        }
-                        {
-                            let host2 = &mut self.hosts[h2];
-                            host2.clock = t_copy;
-                            host2.active_s += local_d2;
-                            host2.stats.busy_s += local_d2;
-                        }
-                        if primary_wins {
-                            self.hosts[h].stats.busy_j += busy_w * local_d;
-                            self.hosts[h].stats.overhead_j += busy_w * (slowed - local_d);
-                            self.hosts[h2].stats.wasted_j += busy_w2 * local_d2;
-                            self.report.wasted_j += busy_w2 * local_d2;
-                            let t = self.deliver(h, t_primary, sim, 0.0);
-                            self.hosts[h].clock = t;
-                        } else {
-                            self.hosts[h2].stats.busy_j += busy_w2 * local_d2;
-                            self.hosts[h].stats.wasted_j += busy_w * slowed;
-                            self.report.wasted_j += busy_w * slowed;
-                            let t = self.deliver(h2, t_copy, sim, 0.0);
-                            self.hosts[h2].clock = t;
-                        }
+                    let t_primary =
+                        self.execute(h, sim, at.attempt, start, slowed, busy_w * slowed, None);
+                    let t_copy = self.execute(
+                        h2,
+                        sim,
+                        at.attempt,
+                        copy_start,
+                        local_d2,
+                        busy_w2 * local_d2,
+                        None,
+                    );
+                    // First completion wins by the pinned total order
+                    // (finish bits, then host id).
+                    if (t_primary.to_bits(), h) < (t_copy.to_bits(), h2) {
+                        self.win(h, busy_w, local_d, slowed);
+                        self.waste(h2, busy_w2 * local_d2);
+                        self.finish(h, t_primary, sim, 0.0);
                     } else {
-                        // Under the deadline (or nowhere to speculate):
-                        // the cell just runs slow; the surcharge is
-                        // overhead, not waste.
-                        self.attempt_span(
-                            h,
-                            sim,
-                            at.attempt,
-                            start,
-                            t_primary,
-                            busy_w * slowed,
-                            None,
-                        );
-                        {
-                            let host = &mut self.hosts[h];
-                            host.clock = t_primary;
-                            host.active_s += slowed;
-                            host.stats.busy_s += slowed;
-                            host.stats.busy_j += busy_w * local_d;
-                            host.stats.overhead_j += busy_w * (slowed - local_d);
-                        }
-                        let t = self.deliver(h, t_primary, sim, 0.0);
-                        self.hosts[h].clock = t;
+                        self.win(h2, busy_w2, local_d2, local_d2);
+                        self.waste(h, busy_w * slowed);
+                        self.finish(h2, t_copy, sim, 0.0);
                     }
+                    continue;
                 }
-                Some(HostFault::Partition { duration_s }) => {
+                // Under the deadline (or nowhere to speculate): the cell
+                // just runs slow; the surcharge is overhead, not waste.
+                (Some(HostFault::Straggler { slowdown }), None) => {
+                    self.report.stragglers += 1;
+                    (slowdown, start, 0.0)
+                }
+                // The host keeps computing behind the partition; the
+                // result — and the cache entries it must reconcile —
+                // leave only once the partition heals.
+                (Some(HostFault::Partition { duration_s }), _) => {
                     self.report.partitions += 1;
-                    let finish = start + local_d;
-                    self.attempt_span(h, sim, at.attempt, start, finish, busy_w * local_d, None);
-                    {
-                        let host = &mut self.hosts[h];
-                        host.active_s += local_d;
-                        host.stats.busy_s += local_d;
-                        host.stats.busy_j += busy_w * local_d;
-                    }
-                    // The host keeps computing behind the partition; the
-                    // result — and the cache entries it must reconcile —
-                    // leave only once the partition heals.
-                    let rejoin = finish.max(start + duration_s);
-                    let sync_bytes = sim.n_evaluations as f64 * SYNC_BYTES_PER_EVAL;
-                    let t = self.deliver(h, rejoin, sim, sync_bytes);
-                    self.hosts[h].clock = t.max(finish);
+                    (
+                        1.0,
+                        start + duration_s,
+                        sim.n_evaluations as f64 * SYNC_BYTES_PER_EVAL,
+                    )
                 }
-                None => {
-                    let finish = start + local_d;
-                    self.attempt_span(h, sim, at.attempt, start, finish, busy_w * local_d, None);
-                    {
-                        let host = &mut self.hosts[h];
-                        host.clock = finish;
-                        host.active_s += local_d;
-                        host.stats.busy_s += local_d;
-                        host.stats.busy_j += busy_w * local_d;
-                    }
-                    let t = self.deliver(h, finish, sim, 0.0);
-                    self.hosts[h].clock = t;
-                }
-            }
+                (None, _) => (1.0, start, 0.0),
+            };
+            let secs = local_d * slowdown;
+            let end = self.execute(h, sim, at.attempt, start, secs, busy_w * secs, None);
+            self.win(h, busy_w, local_d, secs);
+            self.finish(h, end.max(earliest), sim, sync_bytes);
         }
 
         // Finalize: makespan, idle energy, host root spans.
@@ -877,7 +791,7 @@ impl<'a> Sim<'a> {
                 id: span_id(self.trace_seed, h as u64),
                 parent: None,
                 kind: SpanKind::Host,
-                label: format!("host {h} ({})", host.spec.device.name),
+                label: format!("host {h} ({})", host.device.name),
                 track: h as u32,
                 start_s: 0.0,
                 end_s: end,
@@ -951,11 +865,7 @@ pub fn run_grid_cluster_with(
     memo: Option<&PointMemo>,
 ) -> Result<ClusterGridRun, RunSpecError> {
     spec_base.validate()?;
-    assert!(
-        !cluster.hosts.is_empty(),
-        "a cluster needs at least one host"
-    );
-    let n_hosts = cluster.hosts.len();
+    let n_hosts = cluster.n_hosts();
     let cells = enumerate_cells(systems, datasets, budgets, spec_base, opts);
     let injector = FaultInjector::new(spec_base.fault);
 
@@ -963,7 +873,7 @@ pub fn run_grid_cluster_with(
     // plain run for the cells it would have journalled.
     let shards: Vec<Option<Checkpoint>> = match checkpoint_path {
         Some(path) => {
-            let fp = grid_fingerprint(systems, datasets, budgets, spec_base, opts);
+            let fp = grid_fingerprint(systems, datasets, budgets, &cells, spec_base, opts);
             (0..n_hosts)
                 .map(|h| Checkpoint::open(&shard_path(path, h, n_hosts), fp).ok())
                 .collect()
@@ -988,14 +898,13 @@ pub fn run_grid_cluster_with(
     // in (plan, topology, cell) — known before the cell starts, so the
     // compute phase can run it under the frozen view the simulated host
     // would actually hold.
-    let frozen_home = |i: usize| -> Option<usize> {
+    let frozen = |i: usize| {
         let home = primary_host(spec_base.seed, i, n_hosts);
-        (home != 0
+        home != 0
             && matches!(
                 injector.host_fault(home as u64, i as u64, 0),
                 Some(HostFault::Partition { .. })
-            ))
-        .then_some(home)
+            )
     };
 
     // ---- Phase 1: compute every scheduled cell (real parallelism). ----
@@ -1007,27 +916,14 @@ pub fn run_grid_cluster_with(
         let outcome = executor::catch_cell(|| {
             let system = systems[cell.system_idx].as_ref();
             let meta = &datasets[cell.dataset_idx];
-            let spec = RunSpec {
-                seed: cell.seed,
-                budget_s: cell
-                    .budget_s
-                    .unwrap_or_else(|| budgets.first().copied().unwrap_or(10.0)),
-                ..*spec_base
-            };
+            let spec = cell.spec(budgets, spec_base);
             let point = PointMemo::point(memo, system, meta, &spec, opts, || {
                 let ds = ds_cache.materialize(meta, &materialize_options(&spec, opts));
-                let view = match (&eval_cache, frozen_home(i)) {
-                    (Some(c), Some(home)) => CacheView {
-                        host: home as u64,
-                        horizon: Some(c.current_epoch()),
-                    },
-                    _ => CacheView {
-                        host: home as u64,
-                        horizon: None,
-                    },
-                };
                 let ctx = match &eval_cache {
-                    Some(c) => FitContext::with_cache(c).viewed(view),
+                    Some(c) => FitContext::with_cache(c).viewed(CacheView {
+                        host: home as u64,
+                        horizon: frozen(i).then(|| c.current_epoch()),
+                    }),
                     None => FitContext::default(),
                 };
                 run_once_in(system, meta, &ds, &spec, opts, &ctx)
@@ -1115,8 +1011,7 @@ pub fn run_grid_cluster_with(
                 CellOutcome::Failed(message) => (
                     // A crashed cell is assumed to die at its budget; it
                     // ships only the panic message home.
-                    cell.budget_s
-                        .unwrap_or_else(|| budgets.first().copied().unwrap_or(10.0)),
+                    cell.spec(budgets, spec_base).budget_s,
                     64.0 + message.len() as f64,
                     0,
                 ),
@@ -1134,7 +1029,7 @@ pub fn run_grid_cluster_with(
         .collect();
 
     let mut report = Sim::new(cluster, spec_base, &injector).run(&sims, spec_base.seed);
-    report.cache_frozen_cells = todo.iter().filter(|&&i| frozen_home(i).is_some()).count();
+    report.cache_frozen_cells = todo.iter().filter(|&&i| frozen(i)).count();
 
     // ---- Reassemble the grid in the reference serial cell order. ----
     let mut fresh_iter = fresh.into_iter();
@@ -1205,11 +1100,10 @@ mod tests {
     }
 
     #[test]
-    fn network_model_charges_latency_and_bytes() {
-        let net = NetworkModel::ten_gbe();
-        assert!(net.transfer_s(0.0) == net.latency_s);
-        assert!(net.transfer_s(1.25e9) > 1.0);
-        assert_eq!(net.transfer_j(1e6), 0.02);
+    fn transfers_charge_latency_and_bytes() {
+        assert!(transfer_cost(0.0) == (NET_LATENCY_S, 0.0));
+        assert!(transfer_cost(1.25e9).0 > 1.0);
+        assert_eq!(transfer_cost(1e6).1, 0.02);
     }
 
     #[test]
@@ -1355,5 +1249,88 @@ mod tests {
             run.report.scheduled_cells as u64
         );
         assert!(reg.sum("cluster_makespan_s") > 0.0);
+    }
+
+    /// Branches of the placement loop a run's trace shows: speculations
+    /// the primary won by the pinned `(finish bits, host)` order, those
+    /// the copy won, those whose copy host had the dataset shipped first,
+    /// results held back until a partition healed, and results that
+    /// carried cache entries home. A speculated attempt and its copy are
+    /// two consecutive `Trial` spans that share a label; a held result is
+    /// collected later than its attempt ended; a synced one moves more
+    /// than one point's bytes (every cell of the tests' grids yields one).
+    fn placement_branches(trace: &Trace) -> [usize; 5] {
+        let mut seen = [0; 5];
+        for (i, pair) in trace.spans.windows(2).enumerate() {
+            let [a, b] = pair else { unreachable!() };
+            if b.kind == SpanKind::Transfer
+                && b.label.starts_with("collect")
+                && b.energy.package_j > transfer_cost(RESULT_BYTES_PER_POINT).1
+            {
+                seen[4] += 1;
+            }
+            if a.kind != SpanKind::Trial {
+                continue;
+            }
+            if b.kind == SpanKind::Trial && a.label == b.label {
+                let primary_won = (a.end_s.to_bits(), a.track) < (b.end_s.to_bits(), b.track);
+                seen[usize::from(!primary_won)] += 1;
+                let before = i.checked_sub(1).map(|p| &trace.spans[p]);
+                if before.is_some_and(|t| t.kind == SpanKind::Transfer && t.track == b.track) {
+                    seen[2] += 1;
+                }
+            }
+            if b.kind == SpanKind::Transfer && b.track == a.track && b.start_s > a.end_s {
+                seen[3] += 1;
+            }
+        }
+        seen
+    }
+
+    /// The grid and cluster-report bits of a small chaos grid, pinned at
+    /// the values the placement loop produced before it was rewritten
+    /// around one attempt path. The equivalence matrix compares runs of
+    /// one build, so it cannot see a change that moves every run the same
+    /// way; this test can. The plan seed and grid size are chosen so that
+    /// every branch of the loop runs: at 4 hosts a crash with a re-shard,
+    /// speculation won by the primary and by the copy (once after
+    /// shipping the copy host its dataset), and a partition that outlasts
+    /// its attempt and syncs cache entries on rejoin; at 1 host suppressed
+    /// coordinator faults and stragglers that run slow in place (no other
+    /// host can take a copy, the arm a straggler under the deadline takes
+    /// too).
+    #[test]
+    fn chaos_cluster_bits_match_the_pinned_values() {
+        let spec = spec(FaultPlan::cluster_chaos(1052));
+        let opts = BenchmarkOptions { runs: 4, ..opts(2) };
+        let memo = PointMemo::default();
+        let run = |hosts| {
+            run_grid_cluster_with(
+                &systems(),
+                &small_meta(),
+                &[10.0],
+                &spec,
+                &opts,
+                &ClusterOptions::uniform(hosts),
+                None,
+                Some(&memo),
+            )
+            .unwrap()
+        };
+        let (one, four) = (run(1), run(4));
+
+        let r = &one.report;
+        assert!(r.stragglers > 0 && r.speculated_cells == 0, "{r:?}");
+        assert!(r.suppressed_faults > 0);
+        let r = &four.report;
+        assert!(r.host_crashes > 0 && r.requeued_cells > 0, "{r:?}");
+        assert!(r.partitions > 0);
+        let seen = placement_branches(&r.trace);
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+
+        assert_eq!(one.grid.fingerprint(), 0xd8d7_f419_6f51_64b1);
+        assert_eq!(four.grid.fingerprint(), 0xd8d7_f419_6f51_64b1);
+        assert_eq!(one.report.fingerprint(), 0x2a74_6c5f_4a39_61ce);
+        assert_eq!(four.report.fingerprint(), 0xb96f_21b9_65a1_2a9a);
     }
 }

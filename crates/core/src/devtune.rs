@@ -165,11 +165,15 @@ impl DevTuner {
         Self::tune_with(pool, opts, Some(&PointMemo::default()))
     }
 
-    /// [`DevTuner::tune`] through the run's point `memo` (`None` computes
-    /// every CAML run). Tunes that share options, representatives or a
-    /// trial prefix (Fig. 7 and Tables 5, 8 and 9) then compute each
-    /// shared CAML run once; its development energy is still summed every
-    /// time the tuner executes it.
+    /// [`DevTuner::tune`] through the run's point `memo`. Tunes that share
+    /// options, representatives or a trial prefix (Fig. 7 and Tables 5, 8
+    /// and 9) then compute each shared CAML run once; its development
+    /// energy is still summed every time the tuner executes it.
+    ///
+    /// The memo handle is also the run's evaluation-cache switch: `None`
+    /// (what `SharedPoints::memo` returns under `--no-eval-cache`) computes
+    /// every CAML run live, with no [`EvalCache`](green_automl_ml::EvalCache)
+    /// inside its fit either. The outcome is bitwise the same either way.
     pub fn tune_with(
         pool: &[DatasetMeta],
         opts: &DevTuneOptions,
@@ -193,7 +197,7 @@ impl DevTuner {
             runs: 1,
             test_frac: 0.34,
             parallelism: 1,
-            eval_cache: true,
+            eval_cache: memo.is_some(),
         };
 
         // Baseline: default CAML per (dataset, run-seed), cached.
@@ -350,6 +354,43 @@ mod tests {
         assert!(out.development.duration_s > 0.0);
         assert!(!out.params.families.is_empty());
         assert!(out.best_accuracy > 0.0);
+    }
+
+    #[test]
+    fn an_uncached_tune_matches_a_cached_one_bit_for_bit() {
+        let pool = dev_binary_pool();
+        let cached = DevTuner::tune(&pool[..12], &tiny_opts());
+        let uncached = DevTuner::tune_with(&pool[..12], &tiny_opts(), None);
+        let m = |o: &DevTuneOutcome| {
+            let Measurement {
+                duration_s,
+                energy,
+                ops,
+            } = o.development;
+            [
+                duration_s,
+                energy.package_j,
+                energy.dram_j,
+                energy.gpu_j,
+                ops.scalar_flops,
+                ops.matmul_flops,
+                ops.tree_steps,
+                ops.mem_bytes,
+                o.best_meta_score,
+                o.best_accuracy,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(m(&uncached), m(&cached));
+        assert_eq!(
+            format!("{:?}", uncached.params),
+            format!("{:?}", cached.params)
+        );
+        assert_eq!(
+            (uncached.n_trials, uncached.n_pruned),
+            (cached.n_trials, cached.n_pruned)
+        );
+        assert_eq!(uncached.representatives, cached.representatives);
     }
 
     #[test]

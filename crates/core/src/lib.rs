@@ -64,7 +64,7 @@ pub use benchmark::{
 pub use checkpoint::Checkpoint;
 pub use cluster::{
     run_grid_cluster, run_grid_cluster_with, ClusterGridRun, ClusterOptions, ClusterReport,
-    HostSpec, HostStats, NetworkModel,
+    HostStats,
 };
 pub use devtune::{DevTuneOptions, DevTuneOutcome, DevTuner};
 pub use executor::{run_indexed, CellOutcome, DatasetCache};

@@ -16,6 +16,7 @@ use green_automl_core::executor::{resolve_parallelism, run_indexed};
 use green_automl_dataset::split::train_test_split;
 use green_automl_dataset::{amlb39, Dataset};
 use green_automl_energy::{CostTracker, Device, GridIntensity};
+use green_automl_serve::fleet::{CORES_PER_REPLICA, MAX_BATCH, MAX_DELAY_S};
 use green_automl_serve::{
     serve, ModelRegistry, ServeConfig, ServingReport, SloPolicy, TrafficConfig,
 };
@@ -91,7 +92,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
             device: device_for(*id),
             ..ServeConfig::cpu_testbed(cfg.serve_replicas)
         };
-        let mut load_tracker = CostTracker::new(serve_cfg.device, serve_cfg.cores_per_replica);
+        let mut load_tracker = CostTracker::new(serve_cfg.device, CORES_PER_REPLICA);
         let predictor = registry
             .fetch(id.as_str(), &mut load_tracker)
             .expect("just registered");
@@ -199,8 +200,8 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         cfg.serve_rps,
         cfg.seed,
         cfg.serve_replicas,
-        ServeConfig::cpu_testbed(cfg.serve_replicas).max_batch,
-        ServeConfig::cpu_testbed(cfg.serve_replicas).max_delay_s * 1e3,
+        MAX_BATCH,
+        MAX_DELAY_S * 1e3,
         cfg.slo_ms
     ));
 

@@ -17,7 +17,7 @@
 //!
 //! 1. **Batch formation** is per-tenant and pure in the trace: each
 //!    tenant's consecutive requests coalesce until the batch holds
-//!    `max_batch` rows or `max_delay_s` has passed since its first
+//!    [`MAX_BATCH`] rows or [`MAX_DELAY_S`] has passed since its first
 //!    arrival, and the per-tenant plans merge into one global dispatch
 //!    order sorted by `(seal time, tenant)`.
 //! 2. **Batch execution** fans out over host threads, one private
@@ -67,6 +67,22 @@ use crate::traffic::FleetTrace;
 
 /// Joules per kilowatt-hour.
 const J_PER_KWH: f64 = 3.6e6;
+
+/// A batch dispatches once it holds this many requests…
+pub const MAX_BATCH: usize = 32;
+/// …or once this much virtual time has passed since its first arrival,
+/// seconds.
+pub const MAX_DELAY_S: f64 = 0.02;
+/// Cores each replica runs on.
+pub const CORES_PER_REPLICA: usize = 1;
+/// Redispatch attempts after a replica crash before a batch counts as
+/// failed.
+pub const MAX_RETRIES: usize = 3;
+/// The first retry waits this long after the crash and each further one
+/// twice as long, up to [`BACKOFF_CAP_S`]; virtual seconds.
+pub const BACKOFF_BASE_S: f64 = 0.05;
+/// Upper bound on the retry backoff, virtual seconds.
+pub const BACKOFF_CAP_S: f64 = 1.0;
 
 /// One tenant's deployment: a model, a latency SLO, an energy budget.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +149,8 @@ impl RegionSpec {
     }
 }
 
-/// The fleet deployment: regions, routing, autoscaling, batching, faults.
+/// The fleet deployment: regions, routing, autoscaling, faults. Batching,
+/// retry and backoff follow this module's constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// The simulated regions.
@@ -142,27 +159,15 @@ pub struct FleetConfig {
     pub router: RouterPolicy,
     /// How each region's replica pool scales.
     pub autoscale: AutoscalePolicy,
-    /// A batch dispatches once it holds this many requests…
-    pub max_batch: usize,
-    /// …or once this much time has passed since its first arrival.
-    pub max_delay_s: f64,
     /// Hardware model every replica in every region runs on (shared by
     /// design; see the module docs).
     pub device: Device,
-    /// Cores per replica.
-    pub cores_per_replica: usize,
     /// Host threads executing batch inference while *building* the report
     /// (`0` = one per core). Never changes the report.
     pub host_parallelism: usize,
     /// Seeded fault plan; `replica_crash_p` / `replica_restart_s` drive
     /// mid-batch crashes.
     pub fault: FaultPlan,
-    /// Redispatch attempts after a crash before a batch counts as failed.
-    pub max_retries: usize,
-    /// First-retry backoff, doubling per attempt, virtual seconds.
-    pub backoff_base_s: f64,
-    /// Backoff cap, virtual seconds.
-    pub backoff_cap_s: f64,
     /// Shed a batch whole at its first dispatch attempt when the backlog
     /// at its start instant — requests arrived by then, minus those in
     /// earlier batches — is deeper than this (`0` = never shed). A shed
@@ -176,8 +181,7 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet on the paper's CPU testbed: carbon-aware routing with 100ms
-    /// slack, elastic pools of 1–8 replicas, batches of up to 32 rows or
-    /// 20 ms, three retries, no load shedding, faults off.
+    /// slack, elastic pools of 1–8 replicas, no load shedding, faults off.
     pub fn cpu_testbed(regions: Vec<RegionSpec>) -> FleetConfig {
         FleetConfig {
             regions,
@@ -185,15 +189,9 @@ impl FleetConfig {
                 latency_slack_s: 0.1,
             },
             autoscale: AutoscalePolicy::elastic(1, 8),
-            max_batch: 32,
-            max_delay_s: 0.02,
             device: Device::xeon_gold_6132(),
-            cores_per_replica: 1,
             host_parallelism: 0,
             fault: FaultPlan::disabled(),
-            max_retries: 3,
-            backoff_base_s: 0.05,
-            backoff_cap_s: 1.0,
             shed_queue_depth: 0,
             trace: false,
         }
@@ -429,17 +427,14 @@ struct FleetBatch {
 }
 
 /// Phase 1: per-tenant batch formation, merged by `(seal time, tenant)`.
+/// `run_fleet` passes [`MAX_BATCH`] and [`MAX_DELAY_S`]; the two are
+/// parameters so the unit tests can vary them.
 fn form_fleet_batches(
     trace: &FleetTrace,
     tenant_reqs: &[Vec<usize>],
     max_batch: usize,
     max_delay_s: f64,
 ) -> Vec<FleetBatch> {
-    assert!(max_batch >= 1, "max_batch must be at least 1");
-    assert!(
-        max_delay_s >= 0.0 && max_delay_s.is_finite(),
-        "max_delay_s must be finite and non-negative"
-    );
     let mut merged = Vec::new();
     for (tenant, idxs) in tenant_reqs.iter().enumerate() {
         let arrival = |i: usize| trace.requests[idxs[i]].arrival_s;
@@ -539,7 +534,7 @@ pub fn run_fleet(
     let load_cost_j: Vec<f64> = tenants
         .iter()
         .map(|t| {
-            let mut probe = CostTracker::new(cfg.device, cfg.cores_per_replica);
+            let mut probe = CostTracker::new(cfg.device, CORES_PER_REPLICA);
             probe.charge(
                 OpCounts::mem(t.predictor.memory_bytes()),
                 ParallelProfile::serial(),
@@ -552,7 +547,7 @@ pub fn run_fleet(
     let tenant_reqs: Vec<Vec<usize>> = (0..tenants.len())
         .map(|t| trace.tenant_requests(t as u32))
         .collect();
-    let batches = form_fleet_batches(trace, &tenant_reqs, cfg.max_batch, cfg.max_delay_s);
+    let batches = form_fleet_batches(trace, &tenant_reqs, MAX_BATCH, MAX_DELAY_S);
 
     // Phase 2: host-parallel execution; regions share one device, so
     // durations and Joules are routing-independent.
@@ -565,7 +560,7 @@ pub fn run_fleet(
             .collect();
         let mut ds = pool.take_rows(&rows);
         ds.row_scale = 1.0;
-        let mut tracker = CostTracker::new(cfg.device, cfg.cores_per_replica);
+        let mut tracker = CostTracker::new(cfg.device, CORES_PER_REPLICA);
         let preds = tenants[b.tenant].predictor.predict_batch(&ds, &mut tracker);
         (preds, tracker.measurement())
     });
@@ -635,7 +630,7 @@ pub fn run_fleet(
         registries.push(reg);
     }
     for ri in 0..n_regions {
-        let mut warm = CostTracker::new(cfg.device, cfg.cores_per_replica);
+        let mut warm = CostTracker::new(cfg.device, CORES_PER_REPLICA);
         registries[ri].warm_all(&mut warm);
         let e = warm.measurement().energy.total_joules();
         region_cold_j[ri] += e;
@@ -712,7 +707,7 @@ pub fn run_fleet(
         let mut runnable = t_seal;
         let mut crashed_attempts = 0usize;
         let mut completed = false;
-        for attempt in 0..=cfg.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             // Route: each region is viewed as (earliest free replica,
             // intensity at the would-be start).
             let views: Vec<RegionView> = (0..n_regions)
@@ -833,7 +828,7 @@ pub fn run_fleet(
 
             // Serving fetches the tenant's model from the region registry;
             // a non-resident artefact (capacity thrash) pages back in here.
-            let mut fetch = CostTracker::new(cfg.device, cfg.cores_per_replica);
+            let mut fetch = CostTracker::new(cfg.device, CORES_PER_REPLICA);
             registries[ri]
                 .fetch(&tenants[b.tenant].name, &mut fetch)
                 .expect("every tenant model is registered in every region");
@@ -913,8 +908,7 @@ pub fn run_fleet(
                 completed = true;
                 break;
             }
-            let backoff =
-                (cfg.backoff_base_s * (1u64 << attempt.min(32)) as f64).min(cfg.backoff_cap_s);
+            let backoff = (BACKOFF_BASE_S * (1u64 << attempt.min(32)) as f64).min(BACKOFF_CAP_S);
             runnable = end_s + backoff;
             crashed_attempts += 1;
         }
@@ -942,7 +936,7 @@ pub fn run_fleet(
         let idle_s = (powered_s - iv.busy_s).max(0.0);
         let mut idle_energy = EnergyBreakdown::default();
         if idle_s > 0.0 {
-            let mut idle = CostTracker::new(cfg.device, cfg.cores_per_replica);
+            let mut idle = CostTracker::new(cfg.device, CORES_PER_REPLICA);
             idle.idle_for(idle_s);
             idle_energy = idle.measurement().energy;
             region_idle_j[iv.region] += idle_energy.total_joules();

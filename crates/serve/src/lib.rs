@@ -24,7 +24,7 @@
 //! tenants, and simulated grid regions:
 //!
 //! * [`fleet`] — [`run_fleet`] micro-batches a multi-tenant trace
-//!   (`max_batch` / `max_delay`), fans the expensive per-batch inference
+//!   (`MAX_BATCH` / `MAX_DELAY_S`), fans the expensive per-batch inference
 //!   out over host threads with the same ownership discipline as
 //!   `green_automl_core::executor`, and dispatches serially across regions
 //!   with per-region registries, elastic replica pools, crash retry, load

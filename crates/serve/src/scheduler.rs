@@ -19,21 +19,15 @@ use crate::report::ServingReport;
 use crate::router::RouterPolicy;
 use crate::traffic::{FleetRequest, FleetTrace, TrafficTrace};
 
-/// How the serving layer batches and executes requests.
+/// How the serving layer deploys one model and executes its requests.
+/// Batching, retry and backoff follow the constants of [`crate::fleet`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// A batch dispatches as soon as it holds this many requests.
-    pub max_batch: usize,
-    /// …or as soon as this much virtual time has passed since the batch's
-    /// first arrival, whichever comes first.
-    pub max_delay_s: f64,
     /// Simulated serving replicas executing batches concurrently. More
     /// replicas cut queueing latency but burn more idle power — changing
     /// this changes the report (it is part of the deployment), unlike
     /// `host_parallelism`.
     pub replicas: usize,
-    /// Cores allocated to each replica.
-    pub cores_per_replica: usize,
     /// Hardware model the replicas run on.
     pub device: Device,
     /// Host threads used to execute batch inference while *building* the
@@ -44,14 +38,6 @@ pub struct ServeConfig {
     /// drive mid-batch replica crashes (the trial probabilities are
     /// ignored here). Disabled by default.
     pub fault: FaultPlan,
-    /// Redispatch attempts after a replica crash before the batch's
-    /// requests count as failed.
-    pub max_retries: usize,
-    /// First retry waits this long after the crash; each further retry
-    /// doubles it (capped by `backoff_cap_s`). Virtual seconds.
-    pub backoff_base_s: f64,
-    /// Upper bound on the exponential backoff, virtual seconds.
-    pub backoff_cap_s: f64,
     /// Shed a whole batch at dispatch when the backlog at its start
     /// instant is deeper than this (`0` = never shed); the rule is
     /// [`FleetConfig::shed_queue_depth`]. Shed requests are never executed
@@ -65,21 +51,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A single-core-replica deployment on the paper's CPU testbed with the
-    /// given replica count. Fault injection off, three retries, no
-    /// load shedding.
+    /// A deployment on the paper's CPU testbed with the given replica
+    /// count. Fault injection off, no load shedding.
     pub fn cpu_testbed(replicas: usize) -> ServeConfig {
         ServeConfig {
-            max_batch: 32,
-            max_delay_s: 0.02,
             replicas,
-            cores_per_replica: 1,
             device: Device::xeon_gold_6132(),
             host_parallelism: 0,
             fault: FaultPlan::disabled(),
-            max_retries: 3,
-            backoff_base_s: 0.05,
-            backoff_cap_s: 1.0,
             shed_queue_depth: 0,
             trace: false,
         }
@@ -102,9 +81,9 @@ impl ServeConfig {
 /// `pool`, and aggregate the run into a [`ServingReport`].
 ///
 /// The run is one [`run_fleet`] call — a single tenant in a single region
-/// whose pool stays at `cfg.replicas`, with every batching, device, fault,
-/// retry, shedding and trace setting copied across — projected onto that
-/// tenant and that region. It inherits the fleet's guarantees: the report
+/// whose pool stays at `cfg.replicas`, with the device, fault, shedding and
+/// trace settings copied across — projected onto that tenant and that
+/// region. It inherits the fleet's guarantees: the report
 /// is byte-identical at every `cfg.host_parallelism`, with or without
 /// fault injection; crashed batches retry with capped exponential backoff
 /// and count as failed only when their retries run out. An empty trace
@@ -144,15 +123,9 @@ pub fn serve(
         )],
         router: RouterPolicy::CarbonBlind,
         autoscale: AutoscalePolicy::pinned(),
-        max_batch: cfg.max_batch,
-        max_delay_s: cfg.max_delay_s,
         device: cfg.device,
-        cores_per_replica: cfg.cores_per_replica,
         host_parallelism: cfg.host_parallelism,
         fault: cfg.fault,
-        max_retries: cfg.max_retries,
-        backoff_base_s: cfg.backoff_base_s,
-        backoff_cap_s: cfg.backoff_cap_s,
         shed_queue_depth: cfg.shed_queue_depth,
         trace: cfg.trace,
     };

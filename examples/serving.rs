@@ -13,6 +13,7 @@
 //! ```
 
 use green_automl::prelude::*;
+use green_automl::serve::fleet::{CORES_PER_REPLICA, MAX_BATCH, MAX_DELAY_S};
 
 fn main() {
     // One registry dataset, materialised at benchmark scale.
@@ -60,8 +61,8 @@ fn main() {
         trace.len(),
         500.0,
         cfg.replicas,
-        cfg.max_batch,
-        cfg.max_delay_s * 1e3
+        MAX_BATCH,
+        MAX_DELAY_S * 1e3
     );
     println!(
         "{:<10} {:>11} {:>12} {:>9} {:>9} {:>11} {:>9} {:>9}",
@@ -69,7 +70,7 @@ fn main() {
     );
     let mut reports: Vec<(&str, ServingReport)> = Vec::new();
     for (name, _) in &deployments {
-        let mut loader = CostTracker::new(cfg.device, cfg.cores_per_replica);
+        let mut loader = CostTracker::new(cfg.device, CORES_PER_REPLICA);
         let predictor = registry.fetch(name, &mut loader).expect("registered");
         let report = serve(&predictor, &test, &trace, &cfg);
         let verdict = report.check(&slo);

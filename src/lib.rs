@@ -63,8 +63,8 @@ pub mod prelude {
     pub use green_automl_core::{
         recommend, run_grid_checked, run_grid_cluster, trillion_prediction_cost, BenchmarkOptions,
         CellFailure, ClusterGridRun, ClusterOptions, ClusterReport, DevTuneOptions, DevTuner,
-        GridRun, HolisticReport, HostSpec, HostStats, NetworkModel, Priority, Recommendation,
-        ServingProfile, Stage, TaskProfile,
+        GridRun, HolisticReport, HostStats, Priority, Recommendation, ServingProfile, Stage,
+        TaskProfile,
     };
     pub use green_automl_dataset::split::train_test_split;
     pub use green_automl_dataset::{
