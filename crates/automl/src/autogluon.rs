@@ -22,7 +22,7 @@ use green_automl_dataset::Dataset;
 use green_automl_energy::{CostTracker, SpanKind};
 use green_automl_ml::evalcache::{self, kind, memo};
 use green_automl_ml::matrix::encode;
-use green_automl_ml::models::ModelSpec;
+use green_automl_ml::models::{ModelSpec, Predict};
 use green_automl_ml::preprocess::PreprocSpec;
 use green_automl_ml::{
     EvalScope, ForestParams, GbParams, KnnParams, LogisticParams, Matrix, MlpParams, TreeParams,

@@ -4,11 +4,11 @@
 
 use green_automl_dataset::Dataset;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
-use green_automl_ml::matrix::encode;
+use green_automl_ml::matrix::{charge_encode, encode_values, encoded_shape, encoded_width};
 use green_automl_ml::metrics::balanced_accuracy;
-use green_automl_ml::models::argmax_rows;
+use green_automl_ml::models::{answer_then_charge, argmax_rows, Steps, Traversals};
 use green_automl_ml::preprocess::FittedPreproc;
-use green_automl_ml::{FittedModel, FittedPipeline, Matrix};
+use green_automl_ml::{Dispatch, FittedModel, FittedPipeline, Matrix, Predict, Shape};
 
 /// Caruana et al. (2004) greedy ensemble selection *with replacement*:
 /// repeatedly add the candidate whose inclusion maximises the validation
@@ -110,26 +110,19 @@ impl WeightedEnsemble {
 
     /// Weighted average of member probabilities.
     pub fn predict_proba(&self, ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
-        self.mix_members(ds, tracker, false)
+        answer_then_charge(
+            |walk| self.answer(ds, walk),
+            |steps| self.charge(encoded_shape(ds), Dispatch::PerRow, steps, tracker),
+        )
     }
 
-    /// Weighted average with batch-amortised dispatch overhead: every
-    /// member still answers every row, but each pays its framework
-    /// dispatch once per batch instead of once per row (see
-    /// [`FittedPipeline::predict_proba_batch`]).
-    pub fn predict_proba_batch(&self, ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
-        self.mix_members(ds, tracker, true)
-    }
-
-    fn mix_members(&self, ds: &Dataset, tracker: &mut CostTracker, batched: bool) -> Matrix {
+    /// Weighted average of the members' answers (see
+    /// [`FittedPipeline::answer`]); charges nothing.
+    pub(crate) fn answer(&self, ds: &Dataset, walk: &mut Traversals) -> Matrix {
         let mut out = Matrix::zeros(ds.n_rows(), self.n_classes);
         let wsum: f64 = self.members.iter().map(|(_, w)| w).sum();
         for (p, w) in &self.members {
-            let proba = if batched {
-                p.predict_proba_batch(ds, tracker)
-            } else {
-                p.predict_proba(ds, tracker)
-            };
+            let proba = p.answer(ds, walk);
             for r in 0..out.rows() {
                 let dst = out.row_mut(r);
                 for (d, s) in dst.iter_mut().zip(proba.row(r)) {
@@ -138,6 +131,20 @@ impl WeightedEnsemble {
             }
         }
         out
+    }
+
+    /// Every member's charges, in member order (see
+    /// [`FittedPipeline::charge`]).
+    pub(crate) fn charge(
+        &self,
+        shape: Shape,
+        dispatch: Dispatch,
+        steps: &mut Steps<'_>,
+        tracker: &mut CostTracker,
+    ) {
+        for (p, _) in &self.members {
+            p.charge(shape, dispatch, steps, tracker);
+        }
     }
 
     /// Hard labels (argmax of the weighted average).
@@ -190,36 +197,17 @@ impl BaggedModel {
     /// dispatch overhead — the mechanism that makes large bagged stacks an
     /// order of magnitude more expensive at inference (Observation O1).
     pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        tracker.charge(
-            OpCounts::scalar(
-                green_automl_ml::pipeline::PREDICT_OVERHEAD_FLOPS
-                    * (x.rows() * self.folds.len()) as f64
-                    * x.row_scale,
-            ),
-            ParallelProfile::batch_inference(),
-        );
-        self.fold_average(x, tracker)
+        answer_then_charge(
+            |walk| self.answer(x, walk),
+            |steps| self.charge(x.shape(), Dispatch::PerRow, steps, tracker),
+        )
     }
 
-    /// Average of the fold models' probabilities with batch-amortised
-    /// dispatch: one framework predict call per fold *per batch* instead of
-    /// per row. The fold-model math (and hence predictions) is unchanged.
-    pub fn predict_proba_batch(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        tracker.charge(
-            OpCounts::scalar(
-                green_automl_ml::pipeline::PREDICT_OVERHEAD_FLOPS
-                    * self.folds.len() as f64
-                    * x.row_scale,
-            ),
-            ParallelProfile::batch_inference(),
-        );
-        self.fold_average(x, tracker)
-    }
-
-    fn fold_average(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
+    /// The fold models' average answer; charges nothing.
+    pub(crate) fn answer(&self, x: &Matrix, walk: &mut Traversals) -> Matrix {
         let mut out = Matrix::zeros(x.rows(), self.n_classes);
         for f in &self.folds {
-            let p = f.predict_proba(x, tracker);
+            let p = f.answer(x, walk);
             for r in 0..out.rows() {
                 let dst = out.row_mut(r);
                 for (d, s) in dst.iter_mut().zip(p.row(r)) {
@@ -232,6 +220,21 @@ impl BaggedModel {
             *v *= inv;
         }
         out
+    }
+
+    /// The bag's charges on an input of `shape`: one framework dispatch
+    /// per fold model under `dispatch`, then each fold model's charges.
+    pub(crate) fn charge(
+        &self,
+        shape: Shape,
+        dispatch: Dispatch,
+        steps: &mut Steps<'_>,
+        tracker: &mut CostTracker,
+    ) {
+        dispatch.charge(self.folds.len(), shape, tracker);
+        for f in &self.folds {
+            f.charge(shape, steps, tracker);
+        }
     }
 
     /// Sum of fold costs, including one framework dispatch per fold model.
@@ -300,22 +303,20 @@ impl StackedEnsemble {
         }
     }
 
-    /// Encode + preprocess a raw dataset into the layer-1 feature matrix.
-    fn featurize(&self, ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
-        let mut x = encode(ds, tracker);
-        for p in &self.preprocs {
-            x = p.transform(&x, tracker);
-        }
-        x
-    }
-
     /// Layer-1 probabilities appended to the feature matrix (the stacking
     /// augmentation).
     pub fn augment(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        self.augment_impl(x, tracker, false)
+        answer_then_charge(
+            |walk| self.augmented(x, walk),
+            |steps| {
+                for bag in &self.layer1 {
+                    bag.charge(x.shape(), Dispatch::PerRow, steps, tracker);
+                }
+            },
+        )
     }
 
-    fn augment_impl(&self, x: &Matrix, tracker: &mut CostTracker, batched: bool) -> Matrix {
+    fn augmented(&self, x: &Matrix, walk: &mut Traversals) -> Matrix {
         let extra = self.layer1.len() * self.n_classes;
         let mut out = Matrix::zeros(x.rows(), x.cols() + extra);
         out.row_scale = x.row_scale;
@@ -324,11 +325,7 @@ impl StackedEnsemble {
             out.row_mut(r)[..x.cols()].copy_from_slice(x.row(r));
         }
         for (mi, bag) in self.layer1.iter().enumerate() {
-            let p = if batched {
-                bag.predict_proba_batch(x, tracker)
-            } else {
-                bag.predict_proba(x, tracker)
-            };
+            let p = bag.answer(x, walk);
             for r in 0..x.rows() {
                 let base = x.cols() + mi * self.n_classes;
                 out.row_mut(r)[base..base + self.n_classes].copy_from_slice(p.row(r));
@@ -339,46 +336,29 @@ impl StackedEnsemble {
 
     /// Full stacked prediction.
     pub fn predict_proba(&self, ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
-        self.stacked_proba(ds, tracker, false)
+        answer_then_charge(
+            |walk| self.answer(ds, walk),
+            |steps| self.charge(encoded_shape(ds), Dispatch::PerRow, steps, tracker),
+        )
     }
 
-    /// Full stacked prediction with batch-amortised dispatch: every bag in
-    /// both layers pays its framework overhead once per batch instead of
-    /// once per row (see [`BaggedModel::predict_proba_batch`]).
-    pub fn predict_proba_batch(&self, ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
-        self.stacked_proba(ds, tracker, true)
-    }
-
-    fn stacked_proba(&self, ds: &Dataset, tracker: &mut CostTracker, batched: bool) -> Matrix {
-        let x = self.featurize(ds, tracker);
-        let bag_proba = |b: &BaggedModel, x: &Matrix, tracker: &mut CostTracker| {
-            if batched {
-                b.predict_proba_batch(x, tracker)
-            } else {
-                b.predict_proba(x, tracker)
-            }
-        };
-        let (outputs, weights): (Vec<Matrix>, &[f64]) = if self.layer2.is_empty() {
-            (
-                self.layer1
-                    .iter()
-                    .map(|b| bag_proba(b, &x, tracker))
-                    .collect(),
-                &self.weights,
-            )
+    /// The stack's answer on a raw dataset: encode and preprocess, answer
+    /// layer 1 (and, through the augmented features, layer 2), and mix the
+    /// final layer by the Caruana weights. Charges nothing.
+    pub(crate) fn answer(&self, ds: &Dataset, walk: &mut Traversals) -> Matrix {
+        let mut x = encode_values(ds, Matrix::zeros(ds.n_rows(), encoded_width(ds)));
+        for p in &self.preprocs {
+            x = p.apply_into(x);
+        }
+        let outputs: Vec<Matrix> = if self.layer2.is_empty() {
+            self.layer1.iter().map(|b| b.answer(&x, walk)).collect()
         } else {
-            let aug = self.augment_impl(&x, tracker, batched);
-            (
-                self.layer2
-                    .iter()
-                    .map(|b| bag_proba(b, &aug, tracker))
-                    .collect(),
-                &self.weights,
-            )
+            let aug = self.augmented(&x, walk);
+            self.layer2.iter().map(|b| b.answer(&aug, walk)).collect()
         };
-        let wsum: f64 = weights.iter().sum::<f64>().max(1e-12);
+        let wsum: f64 = self.weights.iter().sum::<f64>().max(1e-12);
         let mut out = Matrix::zeros(ds.n_rows(), self.n_classes);
-        for (p, &w) in outputs.iter().zip(weights) {
+        for (p, &w) in outputs.iter().zip(&self.weights) {
             if w <= 0.0 {
                 continue;
             }
@@ -390,6 +370,31 @@ impl StackedEnsemble {
             }
         }
         out
+    }
+
+    /// The stack's charges for a raw dataset whose encoded matrix has
+    /// `shape`: the encoding and each preprocessor, every layer-1 bag on
+    /// the features, then every layer-2 bag on the augmented features.
+    pub(crate) fn charge(
+        &self,
+        shape: Shape,
+        dispatch: Dispatch,
+        steps: &mut Steps<'_>,
+        tracker: &mut CostTracker,
+    ) {
+        charge_encode(shape, tracker);
+        let mut shape = shape;
+        for p in &self.preprocs {
+            p.charge(shape, tracker);
+            shape = shape.with_cols(p.output_cols(shape.cols));
+        }
+        for bag in &self.layer1 {
+            bag.charge(shape, dispatch, steps, tracker);
+        }
+        let augmented = shape.with_cols(shape.cols + self.layer1.len() * self.n_classes);
+        for bag in &self.layer2 {
+            bag.charge(augmented, dispatch, steps, tracker);
+        }
     }
 
     /// Hard labels.

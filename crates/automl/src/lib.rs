@@ -21,6 +21,7 @@
 //! cost optimistically, AutoSklearn excludes ensembling from the budget,
 //! TabPFN ignores budgets entirely.
 
+pub mod answers;
 pub mod askl;
 pub mod autogluon;
 pub mod baselines;
@@ -34,6 +35,7 @@ pub mod system;
 pub mod tabpfn;
 pub mod tpot;
 
+pub use answers::AnswerTable;
 pub use askl::{AutoSklearn1, AutoSklearn2};
 pub use autogluon::{AutoGluon, AutoGluonQuality};
 pub use baselines::{GridSearchBaseline, RandomSearchBaseline};

@@ -6,7 +6,9 @@ use green_automl_dataset::Dataset;
 use green_automl_energy::fault::{FaultInjector, FaultPlan};
 use green_automl_energy::trace::{span_id, SpanKind, Trace};
 use green_automl_energy::{CostTracker, Device, Measurement, OpCounts, ParallelProfile};
-use green_automl_ml::{CacheView, EvalCache, EvalScope, FittedPipeline, Matrix};
+use green_automl_ml::matrix::encoded_shape;
+use green_automl_ml::models::{answer_then_charge, argmax_rows, Steps, Traversals};
+use green_automl_ml::{CacheView, Dispatch, EvalCache, EvalScope, FittedPipeline, Matrix, Shape};
 
 /// User-facing ML application constraints (paper §3.4 / Observation O3 —
 /// CAML treats these as first-class citizens).
@@ -158,18 +160,7 @@ const _: () = {
 impl Predictor {
     /// Hard-label predictions on a raw dataset.
     pub fn predict(&self, ds: &Dataset, tracker: &mut CostTracker) -> Vec<u32> {
-        match self {
-            Predictor::Single(p) => p.predict(ds, tracker),
-            Predictor::Ensemble(e) => e.predict(ds, tracker),
-            Predictor::Stacked(s) => s.predict(ds, tracker),
-            Predictor::Constant { class, .. } => {
-                tracker.charge(
-                    OpCounts::scalar(ds.n_rows() as f64 * ds.row_scale),
-                    ParallelProfile::batch_inference(),
-                );
-                vec![*class; ds.n_rows()]
-            }
-        }
+        self.predict_with(ds, Dispatch::PerRow, tracker)
     }
 
     /// Hard-label predictions with batch-amortised framework dispatch: the
@@ -179,16 +170,52 @@ impl Predictor {
     /// only the charged overhead differs — this is the path a micro-batching
     /// serving layer uses.
     pub fn predict_batch(&self, ds: &Dataset, tracker: &mut CostTracker) -> Vec<u32> {
+        self.predict_with(ds, Dispatch::PerBatch, tracker)
+    }
+
+    fn predict_with(
+        &self,
+        ds: &Dataset,
+        dispatch: Dispatch,
+        tracker: &mut CostTracker,
+    ) -> Vec<u32> {
+        answer_then_charge(
+            |walk| self.answer(ds, walk),
+            |steps| self.charge(encoded_shape(ds), dispatch, steps, tracker),
+        )
+    }
+
+    /// Hard labels of every row of a raw dataset, recording tree visits in
+    /// `walk`. Charges nothing, and each row's label depends on that row
+    /// alone (see [`green_automl_ml::Predict`]).
+    pub(crate) fn answer(&self, ds: &Dataset, walk: &mut Traversals) -> Vec<u32> {
         match self {
-            Predictor::Single(p) => p.predict_batch(ds, tracker),
-            Predictor::Ensemble(e) => {
-                green_automl_ml::models::argmax_rows(&e.predict_proba_batch(ds, tracker))
-            }
-            Predictor::Stacked(s) => {
-                green_automl_ml::models::argmax_rows(&s.predict_proba_batch(ds, tracker))
-            }
-            // The constant predictor has no framework dispatch to amortise.
-            c @ Predictor::Constant { .. } => c.predict(ds, tracker),
+            Predictor::Single(p) => argmax_rows(&p.answer(ds, walk)),
+            Predictor::Ensemble(e) => argmax_rows(&e.answer(ds, walk)),
+            Predictor::Stacked(s) => argmax_rows(&s.answer(ds, walk)),
+            Predictor::Constant { class, .. } => vec![*class; ds.n_rows()],
+        }
+    }
+
+    /// Issue, in order, every charge predicting a raw dataset whose
+    /// encoded matrix has `shape` makes under `dispatch`, taking each tree
+    /// visit's step total from `steps`. The constant predictor has no
+    /// framework dispatch to amortise.
+    pub(crate) fn charge(
+        &self,
+        shape: Shape,
+        dispatch: Dispatch,
+        steps: &mut Steps<'_>,
+        tracker: &mut CostTracker,
+    ) {
+        match self {
+            Predictor::Single(p) => p.charge(shape, dispatch, steps, tracker),
+            Predictor::Ensemble(e) => e.charge(shape, dispatch, steps, tracker),
+            Predictor::Stacked(s) => s.charge(shape, dispatch, steps, tracker),
+            Predictor::Constant { .. } => tracker.charge(
+                OpCounts::scalar(shape.rows as f64 * shape.row_scale),
+                ParallelProfile::batch_inference(),
+            ),
         }
     }
 

@@ -23,7 +23,9 @@ use green_automl_core::{run_grid_checked, BenchmarkOptions};
 use green_automl_dataset::{amlb39, DatasetMeta, MaterializeOptions, TaskSpec};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, Device};
-use green_automl_ml::{kernel, matrix, AttentionParams, KnnParams, Matrix, MlpParams, ModelSpec};
+use green_automl_ml::{
+    kernel, matrix, AttentionParams, KnnParams, Matrix, MlpParams, ModelSpec, Predict,
+};
 use green_automl_systems::{all_systems, AutoMlSystem, RunSpec};
 use std::hint::black_box;
 use std::time::Instant;

@@ -1099,6 +1099,28 @@ mod tests {
     }
 
     #[test]
+    fn a_custom_system_replays_its_own_checkpoint() {
+        use green_automl_systems::CamlParams;
+        let path = tmp_ckpt("custom.ckpt");
+        let _ = std::fs::remove_file(&path);
+        // Tuned CAML's id is `SystemId::Custom("CAML(tuned)")`, a name no
+        // `SystemId` parse knows: replay resolves it against the grid's
+        // own system at the cell.
+        let run = |ckpt: Option<&Path>| {
+            let systems: Vec<Box<dyn AutoMlSystem>> =
+                vec![Box::new(Caml::tuned(CamlParams::default()))];
+            let spec = RunSpec::single_core(10.0, 3);
+            let opts = BenchmarkOptions::quick();
+            run_grid_checked(&systems, &[small_meta()], &[10.0], &spec, &opts, ckpt).unwrap()
+        };
+        let first = run(Some(&path));
+        assert!(matches!(first.points[0].system, SystemId::Custom(_)));
+        let rerun = run(Some(&path));
+        assert_eq!(rerun.resumed_cells, 1);
+        assert_eq!(rerun.fingerprint(), run(None).fingerprint());
+    }
+
+    #[test]
     fn memo_keys_change_with_every_keyed_field() {
         use green_automl_energy::fault::FaultPlan;
         use green_automl_energy::Device;

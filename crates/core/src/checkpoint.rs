@@ -35,6 +35,7 @@
 use crate::benchmark::BenchmarkPoint;
 use green_automl_energy::hash::fnv1a_p44;
 use green_automl_energy::{Measurement, OpCounts};
+use green_automl_systems::SystemId;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -104,12 +105,20 @@ fn point_line(cell: usize, p: &BenchmarkPoint) -> String {
     )
 }
 
-fn parse_point(fields: &[&str]) -> Option<(usize, BenchmarkPoint)> {
+/// Parse a `point` record of a grid whose cell `i` runs `systems[i]`. The
+/// journal keeps each system as its display name, so a record replays
+/// only as the grid's own system at its cell; any other name (a removed
+/// test double, a renamed system) fails the parse and the cell recomputes.
+fn parse_point(fields: &[&str], systems: &[SystemId]) -> Option<(usize, BenchmarkPoint)> {
     // point cell system dataset seed n_models n_evals n_faults + 13 f64s
     if fields.len() != 21 {
         return None;
     }
     let cell: usize = fields[1].parse().ok()?;
+    let system = *systems.get(cell)?;
+    if fields[2] != system.as_str() {
+        return None;
+    }
     let mut f = [0.0f64; 13];
     for (slot, s) in f.iter_mut().zip(&fields[8..]) {
         *slot = parse_f64(s)?;
@@ -117,9 +126,7 @@ fn parse_point(fields: &[&str]) -> Option<(usize, BenchmarkPoint)> {
     Some((
         cell,
         BenchmarkPoint {
-            // Unknown system names (e.g. a removed test double) fail the
-            // parse and the cell simply recomputes.
-            system: fields[2].parse().ok()?,
+            system,
             dataset: fields[3].to_string(),
             seed: fields[4].parse().ok()?,
             n_models: fields[5].parse().ok()?,
@@ -152,9 +159,10 @@ fn parse_point(fields: &[&str]) -> Option<(usize, BenchmarkPoint)> {
     ))
 }
 
-/// Parse the body of an existing checkpoint file into its completed cells.
-/// Torn or malformed trailing records are ignored, not errors.
-fn parse_body(body: &str) -> HashMap<usize, CompletedCell> {
+/// Parse the body of an existing checkpoint file into its completed cells
+/// (`systems` as in [`parse_point`]). Torn or malformed trailing records
+/// are ignored, not errors.
+fn parse_body(body: &str, systems: &[SystemId]) -> HashMap<usize, CompletedCell> {
     let mut pending_points: HashMap<usize, Vec<BenchmarkPoint>> = HashMap::new();
     let mut pending_fail: HashMap<usize, String> = HashMap::new();
     let mut completed = HashMap::new();
@@ -162,7 +170,7 @@ fn parse_body(body: &str) -> HashMap<usize, CompletedCell> {
         let fields: Vec<&str> = line.split('\t').collect();
         match fields.first().copied() {
             Some("point") => {
-                if let Some((cell, p)) = parse_point(&fields) {
+                if let Some((cell, p)) = parse_point(&fields, systems) {
                     pending_points.entry(cell).or_default().push(p);
                 }
             }
@@ -198,12 +206,12 @@ fn parse_body(body: &str) -> HashMap<usize, CompletedCell> {
 
 impl Checkpoint {
     /// Open (or create) the checkpoint at `path` for a grid whose
-    /// configuration hashes to `fp`.
+    /// configuration hashes to `fp` and whose cell `i` runs `systems[i]`.
     ///
     /// If the file exists and its header fingerprint matches, completed
     /// cells are loaded for replay and new records append. On a missing
     /// file or a fingerprint mismatch the file is started fresh.
-    pub fn open(path: &Path, fp: u64) -> std::io::Result<Checkpoint> {
+    pub fn open(path: &Path, fp: u64, systems: &[SystemId]) -> std::io::Result<Checkpoint> {
         let header = format!("{HEADER_PREFIX}{fp:016x}");
         let mut torn_tail = false;
         let completed = match File::open(path) {
@@ -212,7 +220,7 @@ impl Checkpoint {
                 f.read_to_string(&mut text)?;
                 torn_tail = !text.is_empty() && !text.ends_with('\n');
                 match text.split_once('\n') {
-                    Some((first, body)) if first.trim_end() == header => parse_body(body),
+                    Some((first, body)) if first.trim_end() == header => parse_body(body, systems),
                     _ => HashMap::new(),
                 }
             }
@@ -325,9 +333,12 @@ mod tests {
     use super::*;
     use green_automl_energy::tracker::EnergyBreakdown;
 
+    /// The system of every cell of the test grids: FLAML throughout.
+    const GRID: [SystemId; 8] = [SystemId::Flaml; 8];
+
     fn sample_point(seed: u64) -> BenchmarkPoint {
         BenchmarkPoint {
-            system: green_automl_systems::SystemId::Flaml,
+            system: SystemId::Flaml,
             dataset: "blood-transfusion-service-center".to_string(),
             budget_s: 10.0,
             seed,
@@ -367,7 +378,7 @@ mod tests {
         let p = sample_point(42);
         let line = point_line(7, &p);
         let fields: Vec<&str> = line.split('\t').collect();
-        let (cell, q) = parse_point(&fields).expect("round trip");
+        let (cell, q) = parse_point(&fields, &GRID).expect("round trip");
         assert_eq!(cell, 7);
         assert_eq!(q.balanced_accuracy.to_bits(), p.balanced_accuracy.to_bits());
         assert_eq!(
@@ -384,13 +395,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let fp = fingerprint(&[1, 2, 3]);
         {
-            let ck = Checkpoint::open(&path, fp).unwrap();
+            let ck = Checkpoint::open(&path, fp, &GRID).unwrap();
             assert_eq!(ck.n_completed(), 0);
             ck.record_points(0, &[sample_point(1), sample_point(2)])
                 .unwrap();
             ck.record_failure(1, "cell 1 poisoned:\n\tdetails").unwrap();
         }
-        let ck = Checkpoint::open(&path, fp).unwrap();
+        let ck = Checkpoint::open(&path, fp, &GRID).unwrap();
         assert_eq!(ck.n_completed(), 2);
         assert_eq!(ck.completed(0).unwrap().points.len(), 2);
         assert_eq!(ck.completed(0).unwrap().points[1].seed, 2);
@@ -406,7 +417,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let fp = fingerprint(&[9]);
         {
-            let ck = Checkpoint::open(&path, fp).unwrap();
+            let ck = Checkpoint::open(&path, fp, &GRID).unwrap();
             ck.record_points(0, &[sample_point(1)]).unwrap();
             ck.record_points(1, &[sample_point(2)]).unwrap();
         }
@@ -421,7 +432,7 @@ mod tests {
         );
         std::fs::write(&path, truncated).unwrap();
 
-        let ck = Checkpoint::open(&path, fp).unwrap();
+        let ck = Checkpoint::open(&path, fp, &GRID).unwrap();
         assert_eq!(ck.n_completed(), 1, "only the sealed cell survives");
         assert!(ck.completed(0).is_some());
         assert!(ck.completed(1).is_none());
@@ -432,14 +443,14 @@ mod tests {
         let path = tmp("mismatch.ckpt");
         let _ = std::fs::remove_file(&path);
         {
-            let ck = Checkpoint::open(&path, fingerprint(&[1])).unwrap();
+            let ck = Checkpoint::open(&path, fingerprint(&[1]), &GRID).unwrap();
             ck.record_points(0, &[sample_point(1)]).unwrap();
         }
-        let ck = Checkpoint::open(&path, fingerprint(&[2])).unwrap();
+        let ck = Checkpoint::open(&path, fingerprint(&[2]), &GRID).unwrap();
         assert_eq!(ck.n_completed(), 0, "other grid's cells must not replay");
         // And the stale file was truncated, so reopening under the new
         // fingerprint still finds a valid (empty) checkpoint.
-        let again = Checkpoint::open(&path, fingerprint(&[2])).unwrap();
+        let again = Checkpoint::open(&path, fingerprint(&[2]), &GRID).unwrap();
         assert_eq!(again.n_completed(), 0);
     }
 
@@ -448,7 +459,7 @@ mod tests {
         let path = tmp("poison.ckpt");
         let _ = std::fs::remove_file(&path);
         let fp = fingerprint(&[77]);
-        let ck = std::sync::Arc::new(Checkpoint::open(&path, fp).unwrap());
+        let ck = std::sync::Arc::new(Checkpoint::open(&path, fp, &GRID).unwrap());
 
         // A worker writes a partial (unsealed) record and dies holding the
         // writer lock — the mutex is now poisoned mid-line.
@@ -469,7 +480,7 @@ mod tests {
         ck.record_failure(1, "late failure").unwrap();
         drop(ck);
 
-        let ck = Checkpoint::open(&path, fp).unwrap();
+        let ck = Checkpoint::open(&path, fp, &GRID).unwrap();
         assert_eq!(ck.n_completed(), 2);
         assert_eq!(ck.completed(0).unwrap().points[0].seed, 3);
         assert_eq!(

@@ -79,7 +79,7 @@ use green_automl_energy::{
     StableHasher, Trace,
 };
 use green_automl_ml::{CacheView, EvalCache};
-use green_automl_systems::{AutoMlSystem, FitContext, RunSpec, RunSpecError};
+use green_automl_systems::{AutoMlSystem, FitContext, RunSpec, RunSpecError, SystemId};
 use std::collections::{HashSet, VecDeque};
 use std::path::Path;
 
@@ -874,8 +874,10 @@ pub fn run_grid_cluster_with(
     let shards: Vec<Option<Checkpoint>> = match checkpoint_path {
         Some(path) => {
             let fp = grid_fingerprint(systems, datasets, budgets, &cells, spec_base, opts);
+            let cell_systems: Vec<SystemId> =
+                cells.iter().map(|c| systems[c.system_idx].id()).collect();
             (0..n_hosts)
-                .map(|h| Checkpoint::open(&shard_path(path, h, n_hosts), fp).ok())
+                .map(|h| Checkpoint::open(&shard_path(path, h, n_hosts), fp, &cell_systems).ok())
                 .collect()
         }
         None => (0..n_hosts).map(|_| None).collect(),

@@ -48,7 +48,7 @@ pub mod preprocess;
 pub mod validation;
 
 pub use evalcache::{CacheView, EvalCache, EvalKey, EvalScope};
-pub use matrix::Matrix;
+pub use matrix::{Matrix, Shape};
 pub use models::attention::AttentionParams;
 pub use models::boosting::GbParams;
 pub use models::forest::ForestParams;
@@ -56,6 +56,6 @@ pub use models::knn::KnnParams;
 pub use models::linear::{LogisticParams, SvmParams};
 pub use models::mlp::MlpParams;
 pub use models::tree::TreeParams;
-pub use models::{FittedModel, ModelSpec};
-pub use pipeline::{FittedPipeline, Pipeline};
+pub use models::{FittedModel, ModelSpec, Predict};
+pub use pipeline::{Dispatch, FittedPipeline, Pipeline};
 pub use preprocess::PreprocSpec;

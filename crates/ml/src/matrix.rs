@@ -9,6 +9,42 @@
 use green_automl_dataset::{ColumnData, Dataset};
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
+/// What a predict-path charge reads of the matrix it runs on: everything
+/// but the values. A predict's charges are a function of its model and
+/// this shape alone (plus the tree traversal totals its answer pass
+/// records), so a batch can be priced without its values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Shape {
+    /// Number of rows.
+    pub rows: usize,
+    /// Number of columns.
+    pub cols: usize,
+    /// Row-axis logical-size charging factor.
+    pub row_scale: f64,
+    /// Feature-axis logical-size charging factor.
+    pub feat_scale: f64,
+}
+
+impl Shape {
+    /// Combined logical-size charging factor (as [`Matrix::scale`]).
+    #[inline]
+    pub fn scale(&self) -> f64 {
+        self.row_scale * self.feat_scale
+    }
+
+    /// The same shape with `rows` rows.
+    #[must_use]
+    pub fn with_rows(self, rows: usize) -> Shape {
+        Shape { rows, ..self }
+    }
+
+    /// The same shape with `cols` columns.
+    #[must_use]
+    pub fn with_cols(self, cols: usize) -> Shape {
+        Shape { cols, ..self }
+    }
+}
+
 /// Row-major dense `f64` matrix with a logical-size charging factor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -52,6 +88,17 @@ impl Matrix {
     #[inline]
     pub fn scale(&self) -> f64 {
         self.row_scale * self.feat_scale
+    }
+
+    /// The matrix's [`Shape`].
+    #[inline]
+    pub fn shape(&self) -> Shape {
+        Shape {
+            rows: self.rows,
+            cols: self.cols,
+            row_scale: self.row_scale,
+            feat_scale: self.feat_scale,
+        }
     }
 
     /// Number of rows.
@@ -168,9 +215,33 @@ pub const MAX_ONE_HOT: usize = 16;
 /// Encode a dataset into its numeric feature matrix, charging the memory
 /// traffic of the materialisation at nominal scale.
 pub fn encode(ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
-    let width = encoded_width(ds);
-    let n = ds.n_rows();
-    let mut m = Matrix::zeros(n, width);
+    let m = encode_values(ds, Matrix::zeros(ds.n_rows(), encoded_width(ds)));
+    charge_encode(m.shape(), tracker);
+    m
+}
+
+/// The [`Shape`] of `encode(ds)`.
+pub fn encoded_shape(ds: &Dataset) -> Shape {
+    Shape {
+        rows: ds.n_rows(),
+        cols: encoded_width(ds),
+        row_scale: ds.row_scale,
+        feat_scale: ds.feat_scale,
+    }
+}
+
+/// [`encode`]'s values, charging nothing, written into `m`: a zero-filled
+/// matrix of `ds`'s rows and encoded width (fresh, or a pooled one from
+/// [`crate::kernel::take_matrix`]), which takes `ds`'s scales.
+///
+/// # Panics
+/// Panics if `m` has another row count or width.
+pub fn encode_values(ds: &Dataset, mut m: Matrix) -> Matrix {
+    assert_eq!(
+        (m.rows(), m.cols()),
+        (ds.n_rows(), encoded_width(ds)),
+        "encode target shape mismatch"
+    );
     m.row_scale = ds.row_scale;
     m.feat_scale = ds.feat_scale;
 
@@ -195,12 +266,14 @@ pub fn encode(ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
             }
         }
     }
-
-    // Memory traffic of reading the nominal-size table and writing the
-    // encoded matrix.
-    let bytes = (n * width) as f64 * 8.0 * m.scale();
-    tracker.charge(OpCounts::mem(bytes), ParallelProfile::batch_inference());
     m
+}
+
+/// [`encode`]'s charge for a matrix of `shape`: the memory traffic of
+/// reading the nominal-size table and writing the encoded matrix.
+pub fn charge_encode(shape: Shape, tracker: &mut CostTracker) {
+    let bytes = (shape.rows * shape.cols) as f64 * 8.0 * shape.scale();
+    tracker.charge(OpCounts::mem(bytes), ParallelProfile::batch_inference());
 }
 
 #[cfg(test)]

@@ -25,7 +25,8 @@
 //! bitwise deterministic.
 
 use crate::kernel;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Shape};
+use crate::models::{Predict, Steps, Traversals};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
@@ -180,111 +181,6 @@ impl InContextAttention {
         (&self.feat_means, &self.feat_stds)
     }
 
-    /// Forward-pass the context and the query batch; average the
-    /// permutation-ensemble passes. The whole pass is batched matmuls over
-    /// pooled scratch matrices — nothing allocates per row.
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        let m = x.rows();
-        let n_ctx = self.context.rows();
-        let d_in = self.context.cols();
-        let dm = self.params.d_model;
-        assert_eq!(x.cols(), d_in, "query width must match context width");
-
-        let mut out = Matrix::zeros(m, self.n_classes);
-
-        // Standardised inputs are pass-invariant: build them once.
-        let xz_ctx = self.standardized(&self.context);
-        let xz_test = self.standardized(x);
-
-        // Scratch matrices reused across passes and layers (and, via the
-        // thread-local arena, across folds and batch-predict calls).
-        let mut proj = kernel::take_matrix(d_in, dm);
-        let mut mixes: Vec<Matrix> = (0..self.params.n_layers)
-            .map(|_| kernel::take_matrix(dm, dm))
-            .collect();
-        let mut e_ctx = kernel::take_matrix(n_ctx, dm);
-        let mut e_test = kernel::take_matrix(m, dm);
-        let mut r_ctx = kernel::take_matrix(n_ctx, dm);
-        let mut r_test = kernel::take_matrix(m, dm);
-        let mut sum_ctx = kernel::take_matrix(n_ctx, dm);
-        let mut sum_test = kernel::take_matrix(m, dm);
-        let mut sc_ctx = kernel::take_matrix(n_ctx, n_ctx);
-        let mut sc_test = kernel::take_matrix(m, n_ctx);
-
-        for pass in 0..self.params.passes {
-            // Frozen "meta-trained" weights: deterministic per pass.
-            let mut wrng = SplitMix64::seed_from_u64(0x7ab_f17 + pass as u64);
-            fill_random(&mut proj, &mut wrng);
-            for mix in &mut mixes {
-                fill_random(mix, &mut wrng);
-            }
-
-            kernel::matmul(&xz_ctx, &proj, &mut e_ctx);
-            normalize_rows(&mut e_ctx);
-            kernel::matmul(&xz_test, &proj, &mut e_test);
-            normalize_rows(&mut e_test);
-            for mix in &mixes {
-                attention_refine(
-                    &e_ctx,
-                    &e_ctx,
-                    mix,
-                    self.params.temperature,
-                    &mut sc_ctx,
-                    &mut sum_ctx,
-                    &mut r_ctx,
-                );
-                std::mem::swap(&mut e_ctx, &mut r_ctx);
-                attention_refine(
-                    &e_test,
-                    &e_ctx,
-                    mix,
-                    self.params.temperature,
-                    &mut sc_test,
-                    &mut sum_test,
-                    &mut r_test,
-                );
-                std::mem::swap(&mut e_test, &mut r_test);
-            }
-
-            // Label head: attend from each query to the context labels.
-            let scale = self.params.temperature / (dm as f64).sqrt();
-            kernel::matmul_transb(&e_test, &e_ctx, &mut sc_test);
-            for r in 0..m {
-                let scores = sc_test.row_mut(r);
-                for s in scores.iter_mut() {
-                    *s *= scale;
-                }
-                kernel::softmax_row(scores);
-                let votes = out.row_mut(r);
-                for (i, &w) in scores.iter().enumerate() {
-                    votes[self.context_labels[i] as usize] += w;
-                }
-            }
-        }
-        for mtx in [
-            proj, e_ctx, e_test, r_ctx, r_test, sum_ctx, sum_test, sc_ctx, sc_test, xz_ctx, xz_test,
-        ] {
-            kernel::give_matrix(mtx);
-        }
-        for mix in mixes {
-            kernel::give_matrix(mix);
-        }
-
-        let inv = 1.0 / self.params.passes as f64;
-        for v in out.as_mut_slice() {
-            *v *= inv;
-        }
-
-        // Charge the real architecture's cost for this batch, extrapolated
-        // to the nominal prediction count.
-        let batch = self.charged_batch_flops(m);
-        tracker.charge(
-            OpCounts::matmul(batch * x.row_scale),
-            ParallelProfile::batch_inference(),
-        );
-        out
-    }
-
     /// FLOPs the full-size architecture spends on a batch of `m` queries.
     fn charged_batch_flops(&self, m: usize) -> f64 {
         let n = self.context.rows() as f64;
@@ -398,6 +294,115 @@ fn normalize_row(row: &mut [f64]) {
         for v in row {
             *v /= norm;
         }
+    }
+}
+
+/// Forward-pass the context and the query batch; average the
+/// permutation-ensemble passes. The whole pass is batched matmuls over
+/// pooled scratch matrices — nothing allocates per row.
+impl Predict for InContextAttention {
+    fn answer(&self, x: &Matrix, _walk: &mut Traversals) -> Matrix {
+        let m = x.rows();
+        let n_ctx = self.context.rows();
+        let d_in = self.context.cols();
+        let dm = self.params.d_model;
+        assert_eq!(x.cols(), d_in, "query width must match context width");
+
+        let mut out = Matrix::zeros(m, self.n_classes);
+
+        // Standardised inputs are pass-invariant: build them once.
+        let xz_ctx = self.standardized(&self.context);
+        let xz_test = self.standardized(x);
+
+        // Scratch matrices reused across passes and layers (and, via the
+        // thread-local arena, across folds and batch-predict calls).
+        let mut proj = kernel::take_matrix(d_in, dm);
+        let mut mixes: Vec<Matrix> = (0..self.params.n_layers)
+            .map(|_| kernel::take_matrix(dm, dm))
+            .collect();
+        let mut e_ctx = kernel::take_matrix(n_ctx, dm);
+        let mut e_test = kernel::take_matrix(m, dm);
+        let mut r_ctx = kernel::take_matrix(n_ctx, dm);
+        let mut r_test = kernel::take_matrix(m, dm);
+        let mut sum_ctx = kernel::take_matrix(n_ctx, dm);
+        let mut sum_test = kernel::take_matrix(m, dm);
+        let mut sc_ctx = kernel::take_matrix(n_ctx, n_ctx);
+        let mut sc_test = kernel::take_matrix(m, n_ctx);
+
+        for pass in 0..self.params.passes {
+            // Frozen "meta-trained" weights: deterministic per pass.
+            let mut wrng = SplitMix64::seed_from_u64(0x7ab_f17 + pass as u64);
+            fill_random(&mut proj, &mut wrng);
+            for mix in &mut mixes {
+                fill_random(mix, &mut wrng);
+            }
+
+            kernel::matmul(&xz_ctx, &proj, &mut e_ctx);
+            normalize_rows(&mut e_ctx);
+            kernel::matmul(&xz_test, &proj, &mut e_test);
+            normalize_rows(&mut e_test);
+            for mix in &mixes {
+                attention_refine(
+                    &e_ctx,
+                    &e_ctx,
+                    mix,
+                    self.params.temperature,
+                    &mut sc_ctx,
+                    &mut sum_ctx,
+                    &mut r_ctx,
+                );
+                std::mem::swap(&mut e_ctx, &mut r_ctx);
+                attention_refine(
+                    &e_test,
+                    &e_ctx,
+                    mix,
+                    self.params.temperature,
+                    &mut sc_test,
+                    &mut sum_test,
+                    &mut r_test,
+                );
+                std::mem::swap(&mut e_test, &mut r_test);
+            }
+
+            // Label head: attend from each query to the context labels.
+            let scale = self.params.temperature / (dm as f64).sqrt();
+            kernel::matmul_transb(&e_test, &e_ctx, &mut sc_test);
+            for r in 0..m {
+                let scores = sc_test.row_mut(r);
+                for s in scores.iter_mut() {
+                    *s *= scale;
+                }
+                kernel::softmax_row(scores);
+                let votes = out.row_mut(r);
+                for (i, &w) in scores.iter().enumerate() {
+                    votes[self.context_labels[i] as usize] += w;
+                }
+            }
+        }
+        for mtx in [
+            proj, e_ctx, e_test, r_ctx, r_test, sum_ctx, sum_test, sc_ctx, sc_test, xz_ctx, xz_test,
+        ] {
+            kernel::give_matrix(mtx);
+        }
+        for mix in mixes {
+            kernel::give_matrix(mix);
+        }
+
+        let inv = 1.0 / self.params.passes as f64;
+        for v in out.as_mut_slice() {
+            *v *= inv;
+        }
+        out
+    }
+
+    fn charge(&self, shape: Shape, _steps: &mut Steps<'_>, tracker: &mut CostTracker) {
+        // Charge the real architecture's cost for this batch, extrapolated
+        // to the nominal prediction count.
+        let batch = self.charged_batch_flops(shape.rows);
+        tracker.charge(
+            OpCounts::matmul(batch * shape.row_scale),
+            ParallelProfile::batch_inference(),
+        );
     }
 }
 

@@ -4,9 +4,9 @@
 //! the classic multiclass gradient-boosting machine (the role LightGBM /
 //! XGBoost play inside FLAML and AutoGluon).
 
-use crate::matrix::Matrix;
-use crate::models::softmax_inplace;
+use crate::matrix::{Matrix, Shape};
 use crate::models::tree::{DecisionTree, Ranked, TreeParams};
+use crate::models::{softmax_inplace, Predict, Steps, Traversals};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
@@ -140,7 +140,7 @@ impl GradientBoosting {
                     ParallelProfile::model_training(),
                 );
                 // Update logits on the full data.
-                tree.visit_leaves(x, tracker, |i, value| {
+                tree.visit_and_charge(x, tracker, |i, value| {
                     logits.row_mut(i)[k] += params.learning_rate * value[0];
                 });
                 round.push(tree);
@@ -153,30 +153,6 @@ impl GradientBoosting {
             learning_rate: params.learning_rate,
             n_classes,
         }
-    }
-
-    /// Class-probability predictions.
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        let n = x.rows();
-        let mut out = Matrix::zeros(n, self.n_classes);
-        for i in 0..n {
-            out.row_mut(i).copy_from_slice(&self.base_logits);
-        }
-        for round in &self.trees {
-            for (k, tree) in round.iter().enumerate() {
-                tree.visit_leaves(x, tracker, |i, value| {
-                    out.row_mut(i)[k] += self.learning_rate * value[0];
-                });
-            }
-        }
-        for i in 0..n {
-            softmax_inplace(out.row_mut(i));
-        }
-        tracker.charge(
-            OpCounts::scalar((n * self.n_classes * 3) as f64 * x.row_scale),
-            ParallelProfile::batch_inference(),
-        );
-        out
     }
 
     /// Per-row cost: one traversal per tree plus softmax.
@@ -197,6 +173,39 @@ impl GradientBoosting {
     /// Boosting rounds fitted.
     pub fn n_rounds(&self) -> usize {
         self.trees.len()
+    }
+}
+
+/// Class probabilities: one visit per tree, rounds in order and classes
+/// within a round, then the softmax.
+impl Predict for GradientBoosting {
+    fn answer(&self, x: &Matrix, walk: &mut Traversals) -> Matrix {
+        let n = x.rows();
+        let mut out = Matrix::zeros(n, self.n_classes);
+        for i in 0..n {
+            out.row_mut(i).copy_from_slice(&self.base_logits);
+        }
+        for round in &self.trees {
+            for (k, tree) in round.iter().enumerate() {
+                tree.visit_leaves(x, walk, |i, value| {
+                    out.row_mut(i)[k] += self.learning_rate * value[0];
+                });
+            }
+        }
+        for i in 0..n {
+            softmax_inplace(out.row_mut(i));
+        }
+        out
+    }
+
+    fn charge(&self, shape: Shape, steps: &mut Steps<'_>, tracker: &mut CostTracker) {
+        for _ in self.trees.iter().flatten() {
+            DecisionTree::charge_visit(steps.next_visit(), shape.row_scale, tracker);
+        }
+        tracker.charge(
+            OpCounts::scalar((shape.rows * self.n_classes * 3) as f64 * shape.row_scale),
+            ParallelProfile::batch_inference(),
+        );
     }
 }
 

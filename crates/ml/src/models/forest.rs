@@ -6,8 +6,9 @@
 //! cores in the paper's Fig. 5, in contrast to sequential Bayesian
 //! optimisation.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Shape};
 use crate::models::tree::{DecisionTree, Ranked, TreeParams};
+use crate::models::{Predict, Steps, Traversals};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
@@ -122,27 +123,6 @@ impl Forest {
         Forest { trees, n_classes }
     }
 
-    /// Average the class distributions of all trees.
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), self.n_classes);
-        for tree in &self.trees {
-            tree.visit_leaves(x, tracker, |r, value| {
-                for (d, s) in out.row_mut(r).iter_mut().zip(value) {
-                    *d += s;
-                }
-            });
-        }
-        let inv = 1.0 / self.trees.len() as f64;
-        for v in out.as_mut_slice() {
-            *v *= inv;
-        }
-        tracker.charge(
-            OpCounts::scalar((x.rows() * self.n_classes * self.trees.len()) as f64 * x.row_scale),
-            ParallelProfile::batch_inference(),
-        );
-        out
-    }
-
     /// Per-row cost: one traversal per tree plus the averaging.
     pub fn inference_ops_per_row(&self) -> OpCounts {
         self.trees
@@ -160,6 +140,37 @@ impl Forest {
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
+    }
+}
+
+/// Average the class distributions of all trees: one visit per tree.
+impl Predict for Forest {
+    fn answer(&self, x: &Matrix, walk: &mut Traversals) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), self.n_classes);
+        for tree in &self.trees {
+            tree.visit_leaves(x, walk, |r, value| {
+                for (d, s) in out.row_mut(r).iter_mut().zip(value) {
+                    *d += s;
+                }
+            });
+        }
+        let inv = 1.0 / self.trees.len() as f64;
+        for v in out.as_mut_slice() {
+            *v *= inv;
+        }
+        out
+    }
+
+    fn charge(&self, shape: Shape, steps: &mut Steps<'_>, tracker: &mut CostTracker) {
+        for _ in &self.trees {
+            DecisionTree::charge_visit(steps.next_visit(), shape.row_scale, tracker);
+        }
+        tracker.charge(
+            OpCounts::scalar(
+                (shape.rows * self.n_classes * self.trees.len()) as f64 * shape.row_scale,
+            ),
+            ParallelProfile::batch_inference(),
+        );
     }
 }
 

@@ -5,7 +5,8 @@
 //! without the transformer's constant factor).
 
 use crate::kernel;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Shape};
+use crate::models::{Predict, Steps, Traversals};
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
 /// k-NN hyperparameters.
@@ -73,17 +74,29 @@ impl Knn {
         }
     }
 
-    /// Probability estimates from (weighted) neighbour votes.
-    ///
-    /// Neighbour selection is a partial selection (`select_nth_unstable`)
-    /// of the `k` smallest distances followed by a sort of only that
-    /// prefix, under the total order `(distance, stored-row index)` — the
-    /// same neighbour sequence the previous full stable sort produced, at
-    /// `O(n + k log k)` per query instead of `O(n log n)`. Distance and
-    /// index buffers are reused across queries.
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
+    /// Per-row inference cost — linear in the stored training set.
+    pub fn inference_ops_per_row(&self) -> OpCounts {
+        let n = self.x.rows() as f64;
+        OpCounts::scalar(3.0 * n * self.x.cols() as f64 + n * n.log2().max(1.0))
+    }
+
+    /// Stored matrix cells (memory-size proxy).
+    pub fn n_stored_cells(&self) -> usize {
+        self.x.rows() * self.x.cols()
+    }
+}
+
+/// Probability estimates from (weighted) neighbour votes.
+///
+/// Neighbour selection is a partial selection (`select_nth_unstable`)
+/// of the `k` smallest distances followed by a sort of only that
+/// prefix, under the total order `(distance, stored-row index)` — the
+/// same neighbour sequence the previous full stable sort produced, at
+/// `O(n + k log k)` per query instead of `O(n log n)`. Distance and
+/// index buffers are reused across queries.
+impl Predict for Knn {
+    fn answer(&self, x: &Matrix, _walk: &mut Traversals) -> Matrix {
         let n_train = self.x.rows();
-        let d = self.x.cols();
         let mut out = Matrix::zeros(x.rows(), self.n_classes);
         let mut dists = kernel::scratch(n_train);
         let mut order: Vec<u32> = Vec::with_capacity(n_train);
@@ -121,32 +134,26 @@ impl Knn {
                 votes.fill(1.0 / self.n_classes as f64);
             }
         }
+        out
+    }
+
+    fn charge(&self, shape: Shape, _steps: &mut Steps<'_>, tracker: &mut CostTracker) {
         // Distance computation dominates; the stored set is already capped,
         // so only the query side scales. (The charge keeps the published
         // n·log n selection term — it models the charged architecture, not
         // this implementation's partial selection.)
+        let n_train = self.x.rows();
+        let d = self.x.cols();
         tracker.charge(
-            OpCounts::scalar((x.rows() * n_train * d) as f64 * 3.0 * x.row_scale)
+            OpCounts::scalar((shape.rows * n_train * d) as f64 * 3.0 * shape.row_scale)
                 + OpCounts::scalar(
-                    x.rows() as f64
+                    shape.rows as f64
                         * (n_train as f64)
                         * (n_train as f64).log2().max(1.0)
-                        * x.row_scale,
+                        * shape.row_scale,
                 ),
             ParallelProfile::batch_inference(),
         );
-        out
-    }
-
-    /// Per-row inference cost — linear in the stored training set.
-    pub fn inference_ops_per_row(&self) -> OpCounts {
-        let n = self.x.rows() as f64;
-        OpCounts::scalar(3.0 * n * self.x.cols() as f64 + n * n.log2().max(1.0))
-    }
-
-    /// Stored matrix cells (memory-size proxy).
-    pub fn n_stored_cells(&self) -> usize {
-        self.x.rows() * self.x.cols()
     }
 }
 

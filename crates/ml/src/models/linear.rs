@@ -2,8 +2,8 @@
 //! SVM, both trained with mini-batch SGD.
 
 use crate::kernel;
-use crate::matrix::Matrix;
-use crate::models::softmax_inplace;
+use crate::matrix::{Matrix, Shape};
+use crate::models::{softmax_inplace, Predict, Steps, Traversals};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
@@ -194,27 +194,6 @@ impl LinearModel {
         }
     }
 
-    /// Class-probability predictions (softmax over scores for both kinds):
-    /// one blocked matmul for the whole batch, straight into the output
-    /// matrix, then bias + softmax in place per row.
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        let (n, d) = (x.rows(), x.cols());
-        let mut out = Matrix::zeros(n, self.n_classes);
-        kernel::matmul_transb(x, &self.weights, &mut out);
-        for r in 0..n {
-            let row = out.row_mut(r);
-            for (v, &b) in row.iter_mut().zip(&self.bias) {
-                *v += b;
-            }
-            kernel::softmax_row(row);
-        }
-        tracker.charge(
-            OpCounts::matmul((n * d * self.n_classes) as f64 * 2.0 * x.row_scale),
-            ParallelProfile::batch_inference(),
-        );
-        out
-    }
-
     /// Per-row inference cost: one dense score per class.
     pub fn inference_ops_per_row(&self) -> OpCounts {
         OpCounts::matmul(2.0 * (self.weights.cols() * self.n_classes) as f64)
@@ -228,6 +207,34 @@ impl LinearModel {
     /// Which loss trained this model.
     pub fn kind(&self) -> LinearKind {
         self.kind
+    }
+}
+
+/// Class-probability predictions (softmax over scores for both kinds):
+/// one blocked matmul for the whole batch, straight into the output
+/// matrix, then bias + softmax in place per row.
+impl Predict for LinearModel {
+    fn answer(&self, x: &Matrix, _walk: &mut Traversals) -> Matrix {
+        let n = x.rows();
+        let mut out = Matrix::zeros(n, self.n_classes);
+        kernel::matmul_transb(x, &self.weights, &mut out);
+        for r in 0..n {
+            let row = out.row_mut(r);
+            for (v, &b) in row.iter_mut().zip(&self.bias) {
+                *v += b;
+            }
+            kernel::softmax_row(row);
+        }
+        out
+    }
+
+    fn charge(&self, shape: Shape, _steps: &mut Steps<'_>, tracker: &mut CostTracker) {
+        tracker.charge(
+            OpCounts::matmul(
+                (shape.rows * shape.cols * self.n_classes) as f64 * 2.0 * shape.row_scale,
+            ),
+            ParallelProfile::batch_inference(),
+        );
     }
 }
 

@@ -11,8 +11,8 @@
 //! [`kernel::matmul_transb`] — bitwise identical to the per-row dot loop).
 
 use crate::kernel;
-use crate::matrix::Matrix;
-use crate::models::softmax_inplace;
+use crate::matrix::{Matrix, Shape};
+use crate::models::{softmax_inplace, Predict, Steps, Traversals};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
@@ -192,9 +192,24 @@ impl Mlp {
         Mlp { layers, n_classes }
     }
 
-    /// Class-probability predictions: one blocked matmul per layer over
-    /// the whole batch, on pooled scratch matrices.
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
+    /// Per-row inference cost (dense forward pass).
+    pub fn inference_ops_per_row(&self) -> OpCounts {
+        OpCounts::matmul(self.layers.iter().map(Dense::flops).sum())
+    }
+
+    /// Weight count.
+    pub fn n_weights(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|l| l.w.rows() * l.w.cols() + l.b.len())
+            .sum()
+    }
+}
+
+/// Class-probability predictions: one blocked matmul per layer over
+/// the whole batch, on pooled scratch matrices.
+impl Predict for Mlp {
+    fn answer(&self, x: &Matrix, _walk: &mut Traversals) -> Matrix {
         let n = x.rows();
         let mut out = Matrix::zeros(n, self.n_classes);
         let n_layers = self.layers.len();
@@ -221,25 +236,15 @@ impl Mlp {
             out.row_mut(r).copy_from_slice(row);
         }
         kernel::give_matrix(cur);
-        let flops_per_row: f64 = self.layers.iter().map(Dense::flops).sum();
-        tracker.charge(
-            OpCounts::matmul(flops_per_row * n as f64 * x.row_scale),
-            ParallelProfile::batch_inference(),
-        );
         out
     }
 
-    /// Per-row inference cost (dense forward pass).
-    pub fn inference_ops_per_row(&self) -> OpCounts {
-        OpCounts::matmul(self.layers.iter().map(Dense::flops).sum())
-    }
-
-    /// Weight count.
-    pub fn n_weights(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.w.rows() * l.w.cols() + l.b.len())
-            .sum()
+    fn charge(&self, shape: Shape, _steps: &mut Steps<'_>, tracker: &mut CostTracker) {
+        let flops_per_row: f64 = self.layers.iter().map(Dense::flops).sum();
+        tracker.charge(
+            OpCounts::matmul(flops_per_row * shape.rows as f64 * shape.row_scale),
+            ParallelProfile::batch_inference(),
+        );
     }
 }
 

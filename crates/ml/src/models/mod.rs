@@ -11,6 +11,15 @@
 //! * linear — [`linear`] (softmax regression and linear SVM);
 //! * distance/probabilistic — [`knn`], [`naive_bayes`];
 //! * neural — [`mlp`] and the TabPFN-style [`attention`] in-context model.
+//!
+//! Every fitted model predicts in two halves ([`Predict`]): an *answer*
+//! pass computes the outputs and records each tree visit's traversal
+//! steps ([`Traversals`]) without charging anything; a *charge* walk then
+//! issues the predict's charges, in order, from the input's [`Shape`] and
+//! those step totals alone. A predict is the answer followed by its
+//! charge, so every charge formula is written once — and a serving layer
+//! that answered rows earlier can price a batch of them by the charge
+//! walk alone.
 
 pub mod attention;
 pub mod boosting;
@@ -21,9 +30,107 @@ pub mod mlp;
 pub mod naive_bayes;
 pub mod tree;
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Shape};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts};
+
+/// The tree traversals of an answer pass: one entry per tree visit (one
+/// tree routing every row of one input), in visit order. Every model
+/// answers each row independently of the other rows of its input, and
+/// tree traversal is the one predict-path charge that reads more than the
+/// input's shape: a visit charges the sum over its rows of each row's
+/// path length (at least 1).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Traversals {
+    /// Each visit's step total over all rows — what charging the same
+    /// input needs.
+    Totals(Vec<u64>),
+    /// Each visit's per-row steps, the input's row count per visit in
+    /// row order — what pricing any batch of the input's rows needs.
+    PerRow(Vec<u16>),
+}
+
+impl Traversals {
+    /// Route `rows` rows through one tree, recording each row's steps
+    /// (its path length, at least 1) as `steps_of(row)` yields them.
+    fn record(&mut self, rows: usize, mut steps_of: impl FnMut(usize) -> usize) {
+        match self {
+            Traversals::Totals(totals) => {
+                totals.push((0..rows).map(|r| steps_of(r) as u64).sum());
+            }
+            Traversals::PerRow(steps) => steps
+                .extend((0..rows).map(|r| {
+                    u16::try_from(steps_of(r)).expect("a tree path longer than u16::MAX")
+                })),
+        }
+    }
+}
+
+/// A charge walk's cursor over per-visit step totals, in visit order.
+#[derive(Debug, Clone)]
+pub struct Steps<'a>(std::slice::Iter<'a, u64>);
+
+impl<'a> Steps<'a> {
+    /// A cursor over `totals`.
+    pub fn new(totals: &'a [u64]) -> Steps<'a> {
+        Steps(totals.iter())
+    }
+
+    /// The next visit's step total.
+    ///
+    /// # Panics
+    /// Panics if the answer pass recorded fewer visits than the charge
+    /// walk charges.
+    pub fn next_visit(&mut self) -> u64 {
+        *self.0.next().expect("one step total per tree visit")
+    }
+
+    /// `true` once every total has been charged.
+    pub fn is_done(&self) -> bool {
+        self.0.len() == 0
+    }
+}
+
+/// Run `answer` with a fresh step-total record, then `charge` the totals
+/// it recorded: the one way a predict composes its two halves.
+///
+/// # Panics
+/// Panics if `charge` leaves a recorded visit uncharged.
+pub fn answer_then_charge<T>(
+    answer: impl FnOnce(&mut Traversals) -> T,
+    charge: impl FnOnce(&mut Steps<'_>),
+) -> T {
+    let mut walk = Traversals::Totals(Vec::new());
+    let out = answer(&mut walk);
+    let Traversals::Totals(totals) = walk else {
+        unreachable!("answer passes only append")
+    };
+    let mut steps = Steps::new(&totals);
+    charge(&mut steps);
+    assert!(steps.is_done(), "every recorded tree visit is charged");
+    out
+}
+
+/// A fitted model's predict path, split into its two halves.
+pub trait Predict {
+    /// Class probabilities of every row of `x` (`rows x n_classes`),
+    /// recording tree visits in `walk`. Charges nothing; each output row
+    /// depends on its input row alone.
+    fn answer(&self, x: &Matrix, walk: &mut Traversals) -> Matrix;
+
+    /// Issue, in order, every charge predicting an input of `shape` makes,
+    /// taking each tree visit's step total from `steps`.
+    fn charge(&self, shape: Shape, steps: &mut Steps<'_>, tracker: &mut CostTracker);
+
+    /// Per-row class-probability predictions: [`Predict::answer`], then
+    /// [`Predict::charge`] of what it recorded.
+    fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
+        answer_then_charge(
+            |walk| self.answer(x, walk),
+            |steps| self.charge(x.shape(), steps, tracker),
+        )
+    }
+}
 
 /// An unfitted classifier with hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,21 +316,35 @@ pub enum FittedModel {
     Attention(attention::InContextAttention),
 }
 
-impl FittedModel {
-    /// Per-row class-probability predictions (`rows x n_classes`).
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
+impl Predict for FittedModel {
+    fn answer(&self, x: &Matrix, walk: &mut Traversals) -> Matrix {
         match self {
-            FittedModel::Tree(m) => m.predict_proba(x, tracker),
-            FittedModel::Forest(m) => m.predict_proba(x, tracker),
-            FittedModel::Boosting(m) => m.predict_proba(x, tracker),
-            FittedModel::Knn(m) => m.predict_proba(x, tracker),
-            FittedModel::Linear(m) => m.predict_proba(x, tracker),
-            FittedModel::Nb(m) => m.predict_proba(x, tracker),
-            FittedModel::Mlp(m) => m.predict_proba(x, tracker),
-            FittedModel::Attention(m) => m.predict_proba(x, tracker),
+            FittedModel::Tree(m) => m.answer(x, walk),
+            FittedModel::Forest(m) => m.answer(x, walk),
+            FittedModel::Boosting(m) => m.answer(x, walk),
+            FittedModel::Knn(m) => m.answer(x, walk),
+            FittedModel::Linear(m) => m.answer(x, walk),
+            FittedModel::Nb(m) => m.answer(x, walk),
+            FittedModel::Mlp(m) => m.answer(x, walk),
+            FittedModel::Attention(m) => m.answer(x, walk),
         }
     }
 
+    fn charge(&self, shape: Shape, steps: &mut Steps<'_>, tracker: &mut CostTracker) {
+        match self {
+            FittedModel::Tree(m) => m.charge(shape, steps, tracker),
+            FittedModel::Forest(m) => m.charge(shape, steps, tracker),
+            FittedModel::Boosting(m) => m.charge(shape, steps, tracker),
+            FittedModel::Knn(m) => m.charge(shape, steps, tracker),
+            FittedModel::Linear(m) => m.charge(shape, steps, tracker),
+            FittedModel::Nb(m) => m.charge(shape, steps, tracker),
+            FittedModel::Mlp(m) => m.charge(shape, steps, tracker),
+            FittedModel::Attention(m) => m.charge(shape, steps, tracker),
+        }
+    }
+}
+
+impl FittedModel {
     /// Hard-label predictions (argmax of probabilities).
     pub fn predict(&self, x: &Matrix, tracker: &mut CostTracker) -> Vec<u32> {
         argmax_rows(&self.predict_proba(x, tracker))

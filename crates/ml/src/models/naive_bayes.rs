@@ -1,6 +1,7 @@
 //! Gaussian naive Bayes — the cheapest model family in the search space.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Shape};
+use crate::models::{Predict, Steps, Traversals};
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
 /// Fitted Gaussian naive Bayes: per-class feature means/variances + priors.
@@ -68,8 +69,20 @@ impl GaussianNb {
         }
     }
 
-    /// Posterior class probabilities under the independence assumption.
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
+    /// Per-row inference cost.
+    pub fn inference_ops_per_row(&self) -> OpCounts {
+        OpCounts::scalar(4.0 * (self.means.cols() * self.n_classes) as f64)
+    }
+
+    /// Parameter count (means + variances + priors).
+    pub fn n_params(&self) -> usize {
+        2 * self.means.rows() * self.means.cols() + self.log_priors.len()
+    }
+}
+
+/// Posterior class probabilities under the independence assumption.
+impl Predict for GaussianNb {
+    fn answer(&self, x: &Matrix, _walk: &mut Traversals) -> Matrix {
         let (n, d) = (x.rows(), x.cols());
         let mut out = Matrix::zeros(n, self.n_classes);
         for r in 0..n {
@@ -89,21 +102,16 @@ impl GaussianNb {
             crate::models::softmax_inplace(&mut logp);
             out.row_mut(r).copy_from_slice(&logp);
         }
-        tracker.charge(
-            OpCounts::scalar((n * d * self.n_classes) as f64 * 4.0 * x.row_scale),
-            ParallelProfile::batch_inference(),
-        );
         out
     }
 
-    /// Per-row inference cost.
-    pub fn inference_ops_per_row(&self) -> OpCounts {
-        OpCounts::scalar(4.0 * (self.means.cols() * self.n_classes) as f64)
-    }
-
-    /// Parameter count (means + variances + priors).
-    pub fn n_params(&self) -> usize {
-        2 * self.means.rows() * self.means.cols() + self.log_priors.len()
+    fn charge(&self, shape: Shape, _steps: &mut Steps<'_>, tracker: &mut CostTracker) {
+        tracker.charge(
+            OpCounts::scalar(
+                (shape.rows * shape.cols * self.n_classes) as f64 * 4.0 * shape.row_scale,
+            ),
+            ParallelProfile::batch_inference(),
+        );
     }
 }
 

@@ -12,7 +12,8 @@
 //! the lists into its two children. A fitted tree is one flat pre-order
 //! node array plus one leaf-value array.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Shape};
+use crate::models::{answer_then_charge, Predict, Steps, Traversals};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 use std::cell::OnceCell;
@@ -949,38 +950,46 @@ impl DecisionTree {
     }
 
     /// Route every row of `x` to its leaf, call `visit(row, leaf values)`,
-    /// and charge the traversals as one tree-step charge.
+    /// and record the visit's traversal steps in `walk`.
     pub(crate) fn visit_leaves(
         &self,
         x: &Matrix,
-        tracker: &mut CostTracker,
+        walk: &mut Traversals,
         mut visit: impl FnMut(usize, &[f64]),
     ) {
-        let mut steps = 0.0;
-        for r in 0..x.rows() {
+        walk.record(x.rows(), |r| {
             let (offset, depth) = self.leaf_of(x.row(r));
-            steps += depth.max(1) as f64;
             visit(r, &self.leaf_values[offset..offset + self.n_outputs]);
-        }
+            depth.max(1)
+        });
+    }
+
+    /// The charge of one tree visit whose rows took `steps` traversal
+    /// steps in all, at the cache-hostile traversal rate.
+    pub(crate) fn charge_visit(steps: u64, row_scale: f64, tracker: &mut CostTracker) {
         tracker.charge(
-            OpCounts::tree(steps * TRAVERSAL_PENALTY * x.row_scale),
+            OpCounts::tree(steps as f64 * TRAVERSAL_PENALTY * row_scale),
             ParallelProfile::batch_inference(),
         );
     }
 
-    /// Class-probability predictions (classification trees).
-    pub fn predict_proba(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        let mut out = Matrix::zeros(x.rows(), self.n_outputs);
-        self.visit_leaves(x, tracker, |r, value| {
-            out.row_mut(r).copy_from_slice(value);
-        });
-        out
+    /// [`DecisionTree::visit_leaves`], then the visit's charge.
+    pub(crate) fn visit_and_charge(
+        &self,
+        x: &Matrix,
+        tracker: &mut CostTracker,
+        visit: impl FnMut(usize, &[f64]),
+    ) {
+        answer_then_charge(
+            |walk| self.visit_leaves(x, walk, visit),
+            |steps| Self::charge_visit(steps.next_visit(), x.row_scale, tracker),
+        );
     }
 
     /// Regression predictions (one value per row).
     pub fn predict_value(&self, x: &Matrix, tracker: &mut CostTracker) -> Vec<f64> {
         let mut out = Vec::with_capacity(x.rows());
-        self.visit_leaves(x, tracker, |_, value| out.push(value[0]));
+        self.visit_and_charge(x, tracker, |_, value| out.push(value[0]));
         out
     }
 
@@ -1003,6 +1012,21 @@ impl DecisionTree {
     /// Input width the tree was trained on.
     pub fn d_in(&self) -> usize {
         self.d_in
+    }
+}
+
+/// Class-probability predictions (classification trees): one visit.
+impl Predict for DecisionTree {
+    fn answer(&self, x: &Matrix, walk: &mut Traversals) -> Matrix {
+        let mut out = Matrix::zeros(x.rows(), self.n_outputs);
+        self.visit_leaves(x, walk, |r, value| {
+            out.row_mut(r).copy_from_slice(value);
+        });
+        out
+    }
+
+    fn charge(&self, shape: Shape, steps: &mut Steps<'_>, tracker: &mut CostTracker) {
+        Self::charge_visit(steps.next_visit(), shape.row_scale, tracker);
     }
 }
 

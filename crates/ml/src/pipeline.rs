@@ -7,8 +7,12 @@
 //! (paper §3.4) need.
 
 use crate::kernel;
-use crate::matrix::{encode, encoded_width, Matrix};
-use crate::models::{argmax_rows, FittedModel, ModelSpec};
+use crate::matrix::{
+    charge_encode, encode, encode_values, encoded_shape, encoded_width, Matrix, Shape,
+};
+use crate::models::{
+    answer_then_charge, argmax_rows, FittedModel, ModelSpec, Predict, Steps, Traversals,
+};
 use crate::preprocess::{FittedPreproc, PreprocSpec};
 use green_automl_dataset::Dataset;
 use green_automl_energy::{CostTracker, Device, OpCounts, ParallelProfile};
@@ -20,6 +24,32 @@ pub const PREDICT_OVERHEAD_FLOPS: f64 = 2.0e4;
 
 /// Per-fit framework overhead (pipeline assembly, process setup).
 pub const FIT_OVERHEAD_FLOPS: f64 = 5.0e6;
+
+/// How a predict pays the per-prediction framework overhead
+/// ([`PREDICT_OVERHEAD_FLOPS`] per framework predict call).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch {
+    /// One framework call per row: row-at-a-time requests (the default
+    /// predict path).
+    PerRow,
+    /// One framework call per batch: a micro-batching serving layer.
+    PerBatch,
+}
+
+impl Dispatch {
+    /// Charge the dispatch overhead of `models` model artefacts answering
+    /// a batch of `shape`.
+    pub fn charge(self, models: usize, shape: Shape, tracker: &mut CostTracker) {
+        let calls = match self {
+            Dispatch::PerRow => shape.rows * models,
+            Dispatch::PerBatch => models,
+        };
+        tracker.charge(
+            OpCounts::scalar(PREDICT_OVERHEAD_FLOPS * calls as f64 * shape.row_scale),
+            ParallelProfile::batch_inference(),
+        );
+    }
+}
 
 /// An unfitted pipeline specification.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,17 +167,7 @@ impl FittedPipeline {
 
     /// Class-probability predictions on a raw dataset.
     pub fn predict_proba(&self, ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
-        let x = encode(ds, tracker);
-        self.predict_proba_encoded(&x, tracker)
-    }
-
-    /// Class-probability predictions on an already encoded matrix.
-    pub fn predict_proba_encoded(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        tracker.charge(
-            OpCounts::scalar(PREDICT_OVERHEAD_FLOPS * x.rows() as f64 * x.row_scale),
-            ParallelProfile::batch_inference(),
-        );
-        self.proba_through_chain(x, tracker)
+        self.predict_proba_with(ds, Dispatch::PerRow, tracker)
     }
 
     /// Class-probability predictions on a raw dataset, charging the
@@ -160,32 +180,56 @@ impl FittedPipeline {
     /// size (the preprocessor chain and model work stay per-row). The
     /// predictions themselves are identical to [`FittedPipeline::predict`].
     pub fn predict_proba_batch(&self, ds: &Dataset, tracker: &mut CostTracker) -> Matrix {
-        let x = encode(ds, tracker);
-        tracker.charge(
-            OpCounts::scalar(PREDICT_OVERHEAD_FLOPS * x.row_scale),
-            ParallelProfile::batch_inference(),
-        );
-        self.proba_through_chain(&x, tracker)
+        self.predict_proba_with(ds, Dispatch::PerBatch, tracker)
     }
 
-    fn proba_through_chain(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        if self.fitted_preprocs.is_empty() {
-            return self.model.predict_proba(x, tracker);
-        }
-        // The caller keeps its matrix, so copy it once into a pooled
-        // scratch buffer (reused across folds and batch-predict calls);
-        // every stage then runs buffer-to-buffer via `transform_into`,
-        // which charges exactly what `transform` would.
-        let mut owned = kernel::take_matrix(x.rows(), x.cols());
-        owned.as_mut_slice().copy_from_slice(x.as_slice());
-        owned.row_scale = x.row_scale;
-        owned.feat_scale = x.feat_scale;
+    fn predict_proba_with(
+        &self,
+        ds: &Dataset,
+        dispatch: Dispatch,
+        tracker: &mut CostTracker,
+    ) -> Matrix {
+        answer_then_charge(
+            |walk| self.answer(ds, walk),
+            |steps| self.charge(encoded_shape(ds), dispatch, steps, tracker),
+        )
+    }
+
+    /// Class probabilities of every row of a raw dataset, recording tree
+    /// visits in `walk`; charges nothing (see [`Predict::answer`]).
+    pub fn answer(&self, ds: &Dataset, walk: &mut Traversals) -> Matrix {
+        // The features live in a pooled scratch buffer (reused across
+        // folds and batch-predict calls) that every element-wise stage
+        // transforms in place; it goes back to the pool once the model
+        // has answered.
+        let shape = encoded_shape(ds);
+        let mut x = encode_values(ds, kernel::take_matrix(shape.rows, shape.cols));
         for f in &self.fitted_preprocs {
-            owned = f.transform_into(owned, tracker);
+            x = f.apply_into(x);
         }
-        let proba = self.model.predict_proba(&owned, tracker);
-        kernel::give_matrix(owned);
+        let proba = self.model.answer(&x, walk);
+        kernel::give_matrix(x);
         proba
+    }
+
+    /// Issue, in order, every charge predicting a raw dataset whose
+    /// encoded matrix has `shape` makes under `dispatch`: the encoding,
+    /// the dispatch overhead, each preprocessor, the model.
+    pub fn charge(
+        &self,
+        shape: Shape,
+        dispatch: Dispatch,
+        steps: &mut Steps<'_>,
+        tracker: &mut CostTracker,
+    ) {
+        charge_encode(shape, tracker);
+        dispatch.charge(1, shape, tracker);
+        let mut shape = shape;
+        for f in &self.fitted_preprocs {
+            f.charge(shape, tracker);
+            shape = shape.with_cols(f.output_cols(shape.cols));
+        }
+        self.model.charge(shape, steps, tracker);
     }
 
     /// Hard-label predictions on a raw dataset.

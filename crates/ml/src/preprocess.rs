@@ -6,7 +6,7 @@
 //! FLAML's feature pruning for wide datasets), and PCA. Every routine
 //! charges its operations at the dataset's nominal scale.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Shape};
 use green_automl_energy::{CostTracker, OpCounts, ParallelProfile};
 
 /// An unfitted preprocessor choice (part of a pipeline's search space).
@@ -173,63 +173,31 @@ impl PreprocSpec {
 impl FittedPreproc {
     /// Transform a matrix (training or inference data).
     pub fn transform(&self, x: &Matrix, tracker: &mut CostTracker) -> Matrix {
-        let (n, d) = (x.rows(), x.cols());
-        let cells = (n * d) as f64 * x.scale();
+        self.charge(x.shape(), tracker);
+        self.apply(x)
+    }
+
+    /// Transform an *owned* matrix, reusing its buffer where the transform
+    /// is element-wise (imputer, scalers). Charges exactly the same
+    /// operations as [`FittedPreproc::transform`] and produces the same
+    /// values — the only difference is that the element-wise variants skip
+    /// the clone-per-stage allocation, which is the hottest allocation
+    /// site in pipeline fitting and batch prediction.
+    pub fn transform_into(&self, x: Matrix, tracker: &mut CostTracker) -> Matrix {
+        self.charge(x.shape(), tracker);
+        self.apply_into(x)
+    }
+
+    /// [`FittedPreproc::transform`]'s values, charging nothing.
+    fn apply(&self, x: &Matrix) -> Matrix {
         match self {
-            FittedPreproc::MeanImputer { means } => {
-                tracker.charge(OpCounts::scalar(cells), ParallelProfile::batch_inference());
-                let mut out = x.clone();
-                for r in 0..n {
-                    let row = out.row_mut(r);
-                    for c in 0..d.min(means.len()) {
-                        if row[c].is_nan() {
-                            row[c] = means[c];
-                        }
-                    }
-                }
-                out
-            }
-            FittedPreproc::StandardScaler { means, stds } => {
-                tracker.charge(
-                    OpCounts::scalar(2.0 * cells),
-                    ParallelProfile::batch_inference(),
-                );
-                let mut out = x.clone();
-                for r in 0..n {
-                    let row = out.row_mut(r);
-                    for c in 0..d.min(means.len()) {
-                        row[c] = (row[c] - means[c]) / stds[c];
-                    }
-                }
-                out
-            }
-            FittedPreproc::MinMaxScaler { mins, ranges } => {
-                tracker.charge(
-                    OpCounts::scalar(2.0 * cells),
-                    ParallelProfile::batch_inference(),
-                );
-                let mut out = x.clone();
-                for r in 0..n {
-                    let row = out.row_mut(r);
-                    for c in 0..d.min(mins.len()) {
-                        row[c] = (row[c] - mins[c]) / ranges[c];
-                    }
-                }
-                out
-            }
-            FittedPreproc::SelectKBest { cols } => {
-                tracker.charge(
-                    OpCounts::mem((n * cols.len()) as f64 * 8.0 * x.scale()),
-                    ParallelProfile::batch_inference(),
-                );
-                x.select_cols(cols)
-            }
+            FittedPreproc::MeanImputer { .. }
+            | FittedPreproc::StandardScaler { .. }
+            | FittedPreproc::MinMaxScaler { .. } => self.apply_into(x.clone()),
+            FittedPreproc::SelectKBest { cols } => x.select_cols(cols),
             FittedPreproc::Pca { mean, components } => {
+                let (n, d) = (x.rows(), x.cols());
                 let k = components.rows();
-                tracker.charge(
-                    OpCounts::matmul(2.0 * cells * k as f64),
-                    ParallelProfile::batch_inference(),
-                );
                 let mut out = Matrix::zeros(n, k);
                 out.row_scale = x.row_scale;
                 out.feat_scale = x.feat_scale;
@@ -249,18 +217,11 @@ impl FittedPreproc {
         }
     }
 
-    /// Transform an *owned* matrix, reusing its buffer where the transform
-    /// is element-wise (imputer, scalers). Charges exactly the same
-    /// operations as [`FittedPreproc::transform`] and produces the same
-    /// values — the only difference is that the element-wise variants skip
-    /// the clone-per-stage allocation, which is the hottest allocation
-    /// site in pipeline fitting and batch prediction.
-    pub fn transform_into(&self, mut x: Matrix, tracker: &mut CostTracker) -> Matrix {
+    /// [`FittedPreproc::transform_into`]'s values, charging nothing.
+    pub fn apply_into(&self, mut x: Matrix) -> Matrix {
         let (n, d) = (x.rows(), x.cols());
-        let cells = (n * d) as f64 * x.scale();
         match self {
             FittedPreproc::MeanImputer { means } => {
-                tracker.charge(OpCounts::scalar(cells), ParallelProfile::batch_inference());
                 for r in 0..n {
                     let row = x.row_mut(r);
                     for c in 0..d.min(means.len()) {
@@ -272,10 +233,6 @@ impl FittedPreproc {
                 x
             }
             FittedPreproc::StandardScaler { means, stds } => {
-                tracker.charge(
-                    OpCounts::scalar(2.0 * cells),
-                    ParallelProfile::batch_inference(),
-                );
                 for r in 0..n {
                     let row = x.row_mut(r);
                     for c in 0..d.min(means.len()) {
@@ -285,10 +242,6 @@ impl FittedPreproc {
                 x
             }
             FittedPreproc::MinMaxScaler { mins, ranges } => {
-                tracker.charge(
-                    OpCounts::scalar(2.0 * cells),
-                    ParallelProfile::batch_inference(),
-                );
                 for r in 0..n {
                     let row = x.row_mut(r);
                     for c in 0..d.min(mins.len()) {
@@ -298,10 +251,27 @@ impl FittedPreproc {
                 x
             }
             // Shape-changing transforms allocate a fresh matrix either way.
-            FittedPreproc::SelectKBest { .. } | FittedPreproc::Pca { .. } => {
-                self.transform(&x, tracker)
-            }
+            FittedPreproc::SelectKBest { .. } | FittedPreproc::Pca { .. } => self.apply(&x),
         }
+    }
+
+    /// The transform's charge on an input of `shape`; its output has
+    /// [`FittedPreproc::output_cols`] columns and the same scales.
+    pub fn charge(&self, shape: Shape, tracker: &mut CostTracker) {
+        let cells = (shape.rows * shape.cols) as f64 * shape.scale();
+        let ops = match self {
+            FittedPreproc::MeanImputer { .. } => OpCounts::scalar(cells),
+            FittedPreproc::StandardScaler { .. } | FittedPreproc::MinMaxScaler { .. } => {
+                OpCounts::scalar(2.0 * cells)
+            }
+            FittedPreproc::SelectKBest { cols } => {
+                OpCounts::mem((shape.rows * cols.len()) as f64 * 8.0 * shape.scale())
+            }
+            FittedPreproc::Pca { components, .. } => {
+                OpCounts::matmul(2.0 * cells * components.rows() as f64)
+            }
+        };
+        tracker.charge(ops, ParallelProfile::batch_inference());
     }
 
     /// Per-row inference operations of this transform on `d` input columns —

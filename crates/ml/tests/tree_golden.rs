@@ -15,7 +15,7 @@
 //! On a mismatch the test prints the whole actual table in source form.
 
 use green_automl_energy::{CostTracker, Device, Measurement, SplitMix64, StableHasher};
-use green_automl_ml::{ForestParams, GbParams, Matrix, ModelSpec, TreeParams};
+use green_automl_ml::{ForestParams, GbParams, Matrix, ModelSpec, Predict, TreeParams};
 
 /// Rows of `d = 6` features: continuous, five tied levels, signed zeros
 /// (`-0.0`, `+0.0`, `±1`), tie-heavy integers, noise, and a constant.

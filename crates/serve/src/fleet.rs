@@ -20,11 +20,22 @@
 //!    [`MAX_BATCH`] rows or [`MAX_DELAY_S`] has passed since its first
 //!    arrival, and the per-tenant plans merge into one global dispatch
 //!    order sorted by `(seal time, tenant)`.
-//! 2. **Batch execution** fans out over host threads, one private
-//!    [`CostTracker`] per batch. Every region runs the same [`Device`], so
-//!    a batch's duration and Joules are known *before* any routing
-//!    decision — execution never depends on phase 3, which is what lets it
-//!    parallelise.
+//! 2. **Batch execution** answers, then prices. Each tenant answers the
+//!    distinct pool rows its requests reference in one batched pass
+//!    ([`AnswerTable`]); then every batch is priced on host threads, one
+//!    private [`CostTracker`] per batch, by the predictor's charge walk
+//!    alone. This is exact because every model answers a row
+//!    independently of the other rows of its batch, and every predict
+//!    charge depends only on the model and the batch's shape except tree
+//!    traversal, whose per-visit step sum is an integer summed exactly
+//!    from the rows' recorded path lengths: each batch gets the labels,
+//!    the charge sequence and so the bit-identical measurement
+//!    `predict_batch` would give it, and no row is predicted twice in a
+//!    call. A table holds a `u32` label and a `u16` path length per tree
+//!    visit for each distinct row, and lives only inside one call. Every
+//!    region runs the same [`Device`], so a batch's duration and Joules
+//!    are known *before* any routing decision — execution never depends
+//!    on phase 3, which is what lets it parallelise.
 //! 3. **Dispatch** is strictly serial in merged order: queue-depth
 //!    sampling, autoscale decisions, routing, load shedding, registry
 //!    fetches, fault injection (pure in `(fault seed, batch index,
@@ -57,7 +68,7 @@ use green_automl_energy::{
     CarbonProfile, CostTracker, Device, EnergyBreakdown, FaultKind, OpCounts, ParallelProfile,
     Span, SpanKind, Trace, EUR_PER_KWH,
 };
-use green_automl_systems::Predictor;
+use green_automl_systems::{AnswerTable, Predictor};
 
 use crate::autoscale::{AutoscaleEvent, AutoscalePolicy, ScaleReason};
 use crate::registry::ModelRegistry;
@@ -549,21 +560,50 @@ pub fn run_fleet(
         .collect();
     let batches = form_fleet_batches(trace, &tenant_reqs, MAX_BATCH, MAX_DELAY_S);
 
-    // Phase 2: host-parallel execution; regions share one device, so
-    // durations and Joules are routing-independent.
-    let workers = executor::resolve_parallelism(cfg.host_parallelism);
-    let executed = executor::run_indexed(batches.len(), workers, |bi| {
-        let b = &batches[bi];
-        let rows: Vec<usize> = tenant_reqs[b.tenant][b.first..b.first + b.len]
+    // Phase 2: answer, then price. The answer tables live only here.
+    let executed = {
+        // Each tenant answers the distinct pool rows its requests
+        // reference, ascending, in one pass.
+        let tables: Vec<Option<(AnswerTable<'_>, Vec<usize>)>> = tenants
             .iter()
-            .map(|&ri| trace.requests[ri].row)
+            .zip(&tenant_reqs)
+            .map(|(t, reqs)| {
+                let mut referenced = vec![false; pool.n_rows()];
+                for &ri in reqs {
+                    referenced[trace.requests[ri].row] = true;
+                }
+                let rows: Vec<usize> = (0..pool.n_rows()).filter(|&r| referenced[r]).collect();
+                if rows.is_empty() {
+                    return None;
+                }
+                let mut ds = pool.take_rows(&rows);
+                ds.row_scale = 1.0;
+                Some((AnswerTable::new(&t.predictor, &ds), rows))
+            })
             .collect();
-        let mut ds = pool.take_rows(&rows);
-        ds.row_scale = 1.0;
-        let mut tracker = CostTracker::new(cfg.device, CORES_PER_REPLICA);
-        let preds = tenants[b.tenant].predictor.predict_batch(&ds, &mut tracker);
-        (preds, tracker.measurement())
-    });
+
+        // Host-parallel pricing, one private tracker per batch; regions
+        // share one device, so durations and Joules are
+        // routing-independent.
+        let workers = executor::resolve_parallelism(cfg.host_parallelism);
+        executor::run_indexed(batches.len(), workers, |bi| {
+            let b = &batches[bi];
+            let (table, answered) = tables[b.tenant]
+                .as_ref()
+                .expect("a tenant with a batch has requests");
+            let rows: Vec<usize> = tenant_reqs[b.tenant][b.first..b.first + b.len]
+                .iter()
+                .map(|&ri| {
+                    answered
+                        .binary_search(&trace.requests[ri].row)
+                        .expect("the tenant's table answered every row it references")
+                })
+                .collect();
+            let mut tracker = CostTracker::new(cfg.device, CORES_PER_REPLICA);
+            let preds = table.price(&rows, &mut tracker);
+            (preds, tracker.measurement())
+        })
+    };
 
     // Phase 3 state. Everything below runs serially in merged batch order.
     let injector = (cfg.fault.replica_crash_p > 0.0).then(|| FaultInjector::new(cfg.fault));
@@ -1448,5 +1488,162 @@ mod tests {
         assert!(report.regions[0].evictions > 0, "one-model cap must thrash");
         assert!(report.regions[0].cold_loads > 2);
         assert!(report.regions[0].cold_load_j > 0.0);
+    }
+
+    fn fnv(text: &str) -> u64 {
+        green_automl_energy::hash::fnv1a(text.bytes())
+    }
+
+    /// Every float of a [`ServingReport`] by its bits, then the FNV-1a of
+    /// its predictions and of its span trace's JSONL.
+    fn serving_bits(r: &crate::report::ServingReport) -> [u64; 16] {
+        let l = &r.latency;
+        let trace = r.trace.as_ref().expect("traced run").to_jsonl();
+        [
+            l.p50_s.to_bits(),
+            l.p95_s.to_bits(),
+            l.p99_s.to_bits(),
+            l.mean_s.to_bits(),
+            l.max_s.to_bits(),
+            r.mean_queue_depth.to_bits(),
+            r.busy_j.to_bits(),
+            r.idle_j.to_bits(),
+            r.makespan_s.to_bits(),
+            r.wasted_j.to_bits(),
+            r.ops.scalar_flops.to_bits(),
+            r.ops.matmul_flops.to_bits(),
+            r.ops.tree_steps.to_bits(),
+            r.ops.mem_bytes.to_bits(),
+            green_automl_energy::hash::fnv1a(r.predictions.iter().flat_map(|p| p.to_le_bytes())),
+            fnv(&trace),
+        ]
+    }
+
+    /// Serving bits pinned across commits. The equivalence suites compare
+    /// runs of one build, so a change that moves every run alike passes
+    /// them; this test does not. A chaos-faulted, shedding, traced fleet
+    /// serves every predictor shape (FLAML and CAML pipelines, an
+    /// AutoSklearn weighted ensemble, AutoGluon's stack, its refit and its
+    /// distilled student, a constant), and a traced TabPFN `serve` runs on
+    /// the GPU node; crash retries and shedding fire in both. To re-seed,
+    /// add this test to a `git archive` copy of the parent commit and read
+    /// the values there, never from the change under test.
+    #[test]
+    fn serving_bits_match_the_pinned_values() {
+        use crate::scheduler::{serve, ServeConfig};
+        use crate::traffic::TrafficConfig;
+        use green_automl_dataset::split::train_test_split;
+        use green_automl_systems::{
+            AutoGluon, AutoGluonQuality, AutoMlSystem, AutoSklearn1, Caml, Flaml, RunSpec, TabPfn,
+        };
+
+        let data = green_automl_dataset::TaskSpec::new("golden", 160, 5, 2).generate();
+        let (train, pool) = train_test_split(&data, 0.25, 7);
+        let fit = |system: &dyn AutoMlSystem, budget_s: f64| {
+            system
+                .fit(&train, &RunSpec::single_core(budget_s, 5))
+                .predictor
+        };
+        let autogluon = |quality| AutoGluon { quality };
+        let tenants: Vec<TenantSpec> = [
+            ("flaml", fit(&Flaml::default(), 10.0)),
+            ("caml", fit(&Caml::default(), 10.0)),
+            ("askl", fit(&AutoSklearn1::default(), 30.0)),
+            ("autogluon", fit(&autogluon(AutoGluonQuality::Best), 10.0)),
+            (
+                "refit",
+                fit(&autogluon(AutoGluonQuality::FasterInferenceRefit), 10.0),
+            ),
+            ("distill", fit(&autogluon(AutoGluonQuality::Distill), 10.0)),
+            (
+                "constant",
+                Predictor::Constant {
+                    class: 1,
+                    n_classes: 2,
+                },
+            ),
+        ]
+        .into_iter()
+        .map(|(name, p)| TenantSpec::new(name, p, 0.05))
+        .collect();
+        let shapes: Vec<&str> = tenants
+            .iter()
+            .map(|t| match &t.predictor {
+                Predictor::Single(_) => "single",
+                Predictor::Ensemble(_) => "ensemble",
+                Predictor::Stacked(_) => "stacked",
+                Predictor::Constant { .. } => "constant",
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            ["single", "single", "ensemble", "stacked", "stacked", "single", "constant"]
+        );
+
+        let trace = FleetTrafficConfig {
+            tenants: (0..tenants.len())
+                .map(|t| TenantTraffic {
+                    tenant: t as u32,
+                    rps: 100.0,
+                    shapes: vec![],
+                    n_requests: 80,
+                    seed: 40 + t as u64,
+                })
+                .collect(),
+        }
+        .generate(pool.n_rows());
+        let mut cfg = FleetConfig::cpu_testbed(two_regions())
+            .with_autoscale(AutoscalePolicy::elastic(1, 3))
+            .with_fault(FaultPlan::chaos(23))
+            .with_trace();
+        cfg.shed_queue_depth = 40;
+        cfg.host_parallelism = 2;
+        let fleet = run_fleet(&tenants, &pool, &trace, &cfg);
+        assert!(fleet.tenants.iter().any(|t| t.retried_requests > 0));
+        assert!(fleet.tenants.iter().any(|t| t.shed_requests > 0));
+        let fleet_trace = fleet.trace.as_ref().expect("traced fleet").to_jsonl();
+
+        let serve_trace = TrafficConfig {
+            rps: 50.0,
+            n_requests: 150,
+            seed: 9,
+        }
+        .generate(pool.n_rows());
+        let serve_cfg = ServeConfig {
+            device: Device::gpu_node(),
+            shed_queue_depth: 3,
+            host_parallelism: 2,
+            ..ServeConfig::cpu_testbed(1)
+        }
+        .with_fault(FaultPlan::chaos(31))
+        .with_trace();
+        let tabpfn = fit(&TabPfn::default(), 10.0);
+        assert!(matches!(tabpfn, Predictor::Single(_)));
+        let single = serve(&tabpfn, &pool, &serve_trace, &serve_cfg);
+        assert!(single.retried_requests > 0 && single.shed_requests > 0);
+
+        assert_eq!(fnv(&fleet.to_text()), 0xadd4_b512_bda7_9b79);
+        assert_eq!(fnv(&fleet_trace), 0x716d_c481_48fd_24ae);
+        assert_eq!(
+            serving_bits(&single),
+            [
+                0x3fa5_3ff7_2eda_39c0,
+                0x3fcb_f8fd_cbef_ed60,
+                0x3fd3_8fd9_36dc_4c9c,
+                0x3fab_d1ee_9fa0_5694,
+                0x3fd3_aadc_213d_b5d4,
+                0x3ffe_0000_0000_0000,
+                0x405c_b0b6_b220_4044,
+                0x404c_1ef9_c7ef_d030,
+                0x4009_c986_780c_dd09,
+                0x4004_449c_eeb0_ca21,
+                0x4132_a016_0000_0000,
+                0x4267_0745_4200_0000,
+                0x0000_0000_0000_0000,
+                0x40b3_b000_0000_0000,
+                0x09dc_5f69_0822_e284,
+                0x2942_56ec_4939_af0a,
+            ]
+        );
     }
 }
