@@ -2,9 +2,10 @@
 //! The kernel-layer perf baseline: microbenches the shared `ml::kernel`
 //! primitives (cache-blocked matmul vs the naive reference), times the
 //! rewritten model predict paths and the tree family's fit and ensemble
-//! predict paths (forest and boosting fits also on a tie-heavy 165 × 86
-//! matrix shaped like the grid's), and re-times the evaluation grid so the
-//! raw-speed pass shows up in the committed perf trajectory. Writes the
+//! predict paths (forest, extra-trees, boosting and PCA fits also on a
+//! tie-heavy 165 × 86 matrix shaped like the grid's), and re-times the
+//! evaluation grid so the raw-speed pass shows up in the committed perf
+//! trajectory. Writes the
 //! machine-readable `BENCH_kernels.json` at the workspace root — the
 //! committed point CI compares against (see `.github/workflows/ci.yml`).
 //!
@@ -24,7 +25,7 @@ use green_automl_dataset::{amlb39, DatasetMeta, MaterializeOptions, TaskSpec};
 use green_automl_energy::rng::SplitMix64;
 use green_automl_energy::{CostTracker, Device};
 use green_automl_ml::{
-    kernel, matrix, AttentionParams, KnnParams, Matrix, MlpParams, ModelSpec, Predict,
+    kernel, matrix, AttentionParams, KnnParams, Matrix, MlpParams, ModelSpec, Predict, PreprocSpec,
 };
 use green_automl_systems::{all_systems, AutoMlSystem, RunSpec};
 use std::hint::black_box;
@@ -163,11 +164,14 @@ fn grid_shaped_task() -> (Matrix, Vec<u32>) {
     (x, ds.labels)
 }
 
-/// Seconds per default forest and boosting fit on [`grid_shaped_task`].
-fn bench_grid_shaped_fits() -> [f64; 2] {
+/// Seconds per default forest, extra-trees and boosting fit, and per
+/// PCA fit keeping half the columns (16 components, the cap), on
+/// [`grid_shaped_task`].
+fn bench_grid_shaped_fits() -> [f64; 4] {
     let (x, y) = grid_shaped_task();
-    [
+    let [forest, extra_trees, boosting] = [
         ModelSpec::RandomForest(Default::default()),
+        ModelSpec::ExtraTrees(Default::default()),
         ModelSpec::GradientBoosting(Default::default()),
     ]
     .map(|spec| {
@@ -176,7 +180,13 @@ fn bench_grid_shaped_fits() -> [f64; 2] {
                 black_box(spec.fit(black_box(&x), &y, 2, &mut tracker(), SEED));
             })
         })
-    })
+    });
+    let pca = best_of(3, || {
+        per_call(8, || {
+            black_box(PreprocSpec::Pca { frac: 0.5 }.fit(black_box(&x), &y, 2, &mut tracker()));
+        })
+    });
+    [forest, extra_trees, boosting, pca]
 }
 
 /// Seconds per fit of each tree family (tree, forest, extra trees,
@@ -238,7 +248,8 @@ fn main() {
     let (attention_s, knn_s, mlp_s) = bench_models();
     let ([tree_fit_s, forest_fit_s, extra_fit_s, boosting_fit_s], [forest_s, boosting_s]) =
         bench_trees();
-    let [forest_grid_fit_s, boosting_grid_fit_s] = bench_grid_shaped_fits();
+    let [forest_grid_fit_s, extra_grid_fit_s, boosting_grid_fit_s, pca_grid_fit_s] =
+        bench_grid_shaped_fits();
 
     let systems = all_systems();
     let datasets: Vec<DatasetMeta> = amlb39().into_iter().take(N_DATASETS).collect();
@@ -263,7 +274,9 @@ fn main() {
          \"tree\": {tree_fit_s:.4},\n    \"forest\": {forest_fit_s:.4},\n    \
          \"extra_trees\": {extra_fit_s:.4},\n    \"boosting\": {boosting_fit_s:.4},\n    \
          \"forest_grid_shaped\": {forest_grid_fit_s:.4},\n    \
-         \"boosting_grid_shaped\": {boosting_grid_fit_s:.4}\n  }},\n  \
+         \"extra_trees_grid_shaped\": {extra_grid_fit_s:.4},\n    \
+         \"boosting_grid_shaped\": {boosting_grid_fit_s:.4},\n    \
+         \"pca_grid_shaped\": {pca_grid_fit_s:.4}\n  }},\n  \
          \"grid_wall_s\": {{\n    \
          \"cold_serial\": {grid_cold:.4},\n    \"fresh_serial\": {grid_fresh:.4},\n    \
          \"seed_cold_serial\": {SEED_COLD_SERIAL:.4},\n    \

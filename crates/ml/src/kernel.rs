@@ -109,9 +109,8 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// stays cache-hot across a tile of `a` rows.
 ///
 /// This is the natural GEMM shape for dense layers whose weights are
-/// stored `(out x in)`: both operands stream row-major. Each dot
-/// accumulates in ascending `k` order (zero-seeded), matching a scalar
-/// `iter().zip().map().sum()`.
+/// stored `(out x in)`: both operands stream row-major. Each output is a
+/// [`dot`]: ascending `k` order from `+0.0`.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -135,8 +134,13 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Fused dot product, zero-seeded, ascending order — bitwise identical to
-/// `x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>()`.
+/// Fused dot product: the products added in ascending order to `+0.0`.
+///
+/// That equals `x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>()` bit for
+/// bit except in one case: the iterator sum starts from `-0.0`, so when
+/// the slices are empty or every product is `-0.0` it returns `-0.0` where
+/// `dot` returns `+0.0` (any other first addend absorbs either seed).
+/// Callers that replaced such a sum keep its `-0.0` start themselves.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
@@ -190,7 +194,8 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Squared Euclidean distance, fused single pass, ascending order.
+/// Squared Euclidean distance, fused single pass, ascending order from
+/// `+0.0`.
 #[inline]
 pub fn sq_dist(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
@@ -200,6 +205,37 @@ pub fn sq_dist(x: &[f64], y: &[f64]) -> f64 {
         acc += d * d;
     }
     acc
+}
+
+/// Squared distances from every row of `m` to `query`:
+/// `out[t] = sq_dist(m.row(t), query)`.
+///
+/// Rows are processed four at a time sharing one pass over `query`, as
+/// [`gemv_t`] does for [`dot`]: each row keeps its own `+0.0`-seeded
+/// ascending accumulator, so every `out[t]` is bitwise identical to
+/// [`sq_dist`]. Remainder rows fall back to it. This is k-NN's per-query
+/// hot loop.
+#[inline]
+pub fn sq_dists(m: &Matrix, query: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(m.cols(), query.len());
+    debug_assert_eq!(m.rows(), out.len());
+    let mut t = 0;
+    while t + 4 <= out.len() {
+        let (r0, r1, r2, r3) = (m.row(t), m.row(t + 1), m.row(t + 2), m.row(t + 3));
+        let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
+        for ((((&q, &v0), &v1), &v2), &v3) in query.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            let (d0, d1, d2, d3) = (v0 - q, v1 - q, v2 - q, v3 - q);
+            a0 += d0 * d0;
+            a1 += d1 * d1;
+            a2 += d2 * d2;
+            a3 += d3 * d3;
+        }
+        out[t..t + 4].copy_from_slice(&[a0, a1, a2, a3]);
+        t += 4;
+    }
+    for (v, r) in out[t..].iter_mut().zip(t..) {
+        *v = sq_dist(m.row(r), query);
+    }
 }
 
 /// Numerically stable in-place softmax over one row: fused max / exp /
@@ -224,9 +260,15 @@ pub fn softmax_row(v: &mut [f64]) {
 
 // --- Scratch arena -------------------------------------------------------
 
-/// Pool-size cap: buffers beyond this are dropped instead of retained, so
-/// a burst of large checkouts cannot pin memory forever.
+/// Pool-size cap: buffers beyond this are dropped instead of retained.
 const POOL_MAX: usize = 32;
+
+/// Retained-bytes cap per thread: a returned buffer that would lift the
+/// pool's total capacity past it is dropped, so a burst of large returns
+/// cannot pin more than this. It fits the largest scratch set in the zoo
+/// (in-context attention at its 1000-row context: an 8 MB score matrix
+/// and its companions), so that still recycles.
+const POOL_MAX_BYTES: usize = 16 << 20;
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
@@ -255,16 +297,26 @@ pub fn take_vec(len: usize) -> Vec<f64> {
 }
 
 /// Return a buffer to the thread-local pool for later [`take_vec`] reuse.
+/// It is dropped instead when the pool already holds [`POOL_MAX`] buffers
+/// or when keeping it would lift the pool past [`POOL_MAX_BYTES`].
 pub fn give_vec(buf: Vec<f64>) {
     if buf.capacity() == 0 {
         return;
     }
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        if pool.len() < POOL_MAX {
+        let held: usize = pool.iter().map(Vec::capacity).sum();
+        let fits = (held + buf.capacity()) * std::mem::size_of::<f64>() <= POOL_MAX_BYTES;
+        if pool.len() < POOL_MAX && fits {
             pool.push(buf);
         }
     });
+}
+
+/// Bytes of capacity the calling thread's pool retains.
+#[cfg(test)]
+fn pooled_bytes() -> usize {
+    POOL.with(|p| p.borrow().iter().map(Vec::capacity).sum::<usize>()) * std::mem::size_of::<f64>()
 }
 
 /// RAII scratch buffer: zero-filled on checkout, returned to the pool on
@@ -411,6 +463,21 @@ mod tests {
     }
 
     #[test]
+    fn dot_starts_from_plus_zero_where_the_iterator_sum_starts_from_minus_zero() {
+        let sum = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>();
+        // Empty, and every product -0.0: the two seeds show.
+        let neg: [f64; 2] = [-0.0, 2.0];
+        let pos: [f64; 2] = [1.0, -0.0];
+        for (x, y) in [(&[][..], &[][..]), (&neg[..], &pos[..])] {
+            assert_eq!(dot(x, y).to_bits(), 0.0f64.to_bits());
+            assert_eq!(sum(x, y).to_bits(), (-0.0f64).to_bits());
+        }
+        // A +0.0 product, or any non-zero one, absorbs either seed.
+        let (x, y) = ([-0.0, 0.0], [1.0, 1.0]);
+        assert_eq!(dot(&x, &y).to_bits(), sum(&x, &y).to_bits());
+    }
+
+    #[test]
     fn gemv_t_matches_per_row_dot_bitwise() {
         // Both a 4-multiple and a remainder-tail row count.
         for rows in [8usize, 7, 3, 1] {
@@ -420,6 +487,24 @@ mod tests {
             gemv_t(&w, x.row(0), &mut out);
             for (r, &got) in out.iter().enumerate() {
                 assert_eq!(got.to_bits(), dot(w.row(r), x.row(0)).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn sq_dists_match_per_row_sq_dist_bitwise() {
+        // 4-multiples and remainder tails, with signed zeros and ties.
+        for rows in [8usize, 7, 3, 1, 0] {
+            let mut m = random_matrix(rows, 13, 31);
+            if rows > 1 {
+                m.row_mut(1).fill(-0.0);
+            }
+            let mut q = random_matrix(1, 13, 32);
+            q.row_mut(0)[..4].fill(0.0);
+            let mut out = vec![f64::NAN; rows];
+            sq_dists(&m, q.row(0), &mut out);
+            for (r, &got) in out.iter().enumerate() {
+                assert_eq!(got.to_bits(), sq_dist(m.row(r), q.row(0)).to_bits());
             }
         }
     }
@@ -479,6 +564,32 @@ mod tests {
         let b = take_vec(512); // fits in the retained capacity
         assert_eq!(b.as_ptr(), ptr, "pool should hand back the same buffer");
         give_vec(b);
+    }
+
+    #[test]
+    fn a_burst_of_large_returns_pins_at_most_the_byte_cap() {
+        POOL.with(|p| p.borrow_mut().clear());
+        // Each buffer holds a little under a quarter of the cap, so four
+        // are kept and the rest of the burst is dropped; a buffer larger
+        // than the cap is never kept. (Capacity alone counts, so the
+        // buffers need not be touched.)
+        let quarter = POOL_MAX_BYTES / 4 / std::mem::size_of::<f64>() - 8;
+        for _ in 0..8 {
+            give_vec(Vec::with_capacity(quarter));
+        }
+        give_vec(Vec::with_capacity(
+            POOL_MAX_BYTES / std::mem::size_of::<f64>() + 1,
+        ));
+        let held = pooled_bytes();
+        assert!(held <= POOL_MAX_BYTES, "pool pins {held} bytes");
+        assert!(
+            held >= 3 * POOL_MAX_BYTES / 4,
+            "pool kept too little: {held}"
+        );
+        // Small buffers still fit beside them.
+        give_vec(Vec::with_capacity(4));
+        assert!(pooled_bytes() > held);
+        POOL.with(|p| p.borrow_mut().clear());
     }
 
     #[test]

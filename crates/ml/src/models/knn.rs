@@ -92,8 +92,10 @@ impl Knn {
 /// of the `k` smallest distances followed by a sort of only that
 /// prefix, under the total order `(distance, stored-row index)` — the
 /// same neighbour sequence the previous full stable sort produced, at
-/// `O(n + k log k)` per query instead of `O(n log n)`. Distance and
-/// index buffers are reused across queries.
+/// `O(n + k log k)` per query instead of `O(n log n)`. Each pass over a
+/// query computes four stored rows' distances ([`kernel::sq_dists`]), each
+/// the same `+0.0`-seeded chain as [`kernel::sq_dist`]. Distance and index
+/// buffers are reused across queries.
 impl Predict for Knn {
     fn answer(&self, x: &Matrix, _walk: &mut Traversals) -> Matrix {
         let n_train = self.x.rows();
@@ -101,10 +103,7 @@ impl Predict for Knn {
         let mut dists = kernel::scratch(n_train);
         let mut order: Vec<u32> = Vec::with_capacity(n_train);
         for r in 0..x.rows() {
-            let query = x.row(r);
-            for (t, slot) in dists.iter_mut().enumerate() {
-                *slot = kernel::sq_dist(self.x.row(t), query);
-            }
+            kernel::sq_dists(&self.x, x.row(r), &mut dists);
             order.clear();
             order.extend(0..n_train as u32);
             let cmp = |a: &u32, b: &u32| {
@@ -284,6 +283,71 @@ mod tests {
         // And run-to-run: byte-identical on a repeat call (scratch reuse).
         let again = knn.predict_proba(&x, &mut t);
         assert_eq!(fast, again);
+    }
+
+    /// Cross-commit golden of k-NN answers and charges: per case, the
+    /// digest of every probability's bits and of the predict measurement.
+    /// Features sit on a small integer grid with signed zeros, so distances
+    /// tie often and queries repeat stored rows (distance 0). The stored
+    /// sets hold 37, 3, 5, 42 and (subsampled from 50) 37 rows, `k` runs
+    /// below, at and above the stored size, with uniform and
+    /// inverse-distance votes.
+    #[test]
+    fn knn_bits_match_the_pinned_values() {
+        use green_automl_energy::rng::SplitMix64;
+        use green_automl_energy::StableHasher;
+        // (train rows, k, distance_weighted, max_train_rows, digest)
+        #[rustfmt::skip]
+        const CASES: [(usize, usize, bool, usize, u64); 6] = [
+            (37, 7, true, 2000, 0x1098dca5ac117f4d),
+            (37, 1, false, 2000, 0x6c2fdd1b1893eed5),
+            (3, 5, true, 2000, 0xdf362ffa04f59733),
+            (5, 5, false, 2000, 0x286324e8b7223ca7),
+            (42, 40, true, 2000, 0xcd974c6c55a22e4c),
+            (50, 9, true, 37, 0x60d287d9b2218a67),
+        ];
+        let grid = |rows: usize, seed: u64| {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let data = (0..rows * 3)
+                .map(|_| [-0.0, 0.0, 1.0, 2.0, -1.0][rng.gen_range(0..5usize)])
+                .collect();
+            Matrix::from_vec(data, rows, 3)
+        };
+        let actual: Vec<u64> = CASES
+            .iter()
+            .map(|&(n, k, distance_weighted, max_train_rows, _)| {
+                let x = grid(n, n as u64);
+                let y: Vec<u32> = (0..n).map(|i| (i % 3) as u32).collect();
+                let mut t = crate::models::testutil::tracker();
+                let knn = Knn::fit(
+                    &KnnParams {
+                        k,
+                        distance_weighted,
+                        max_train_rows,
+                    },
+                    &x,
+                    &y,
+                    3,
+                    &mut t,
+                    5,
+                );
+                let mut queries = grid(11, 99);
+                queries.row_scale = 3.0;
+                let mut t = crate::models::testutil::tracker();
+                let proba = knn.predict_proba(&queries, &mut t);
+                let m = t.measurement();
+                let mut h = StableHasher::new(0x4a4a);
+                for &v in proba.as_slice() {
+                    h.write_f64(v);
+                }
+                for v in [m.duration_s, m.energy.total_joules(), m.ops.scalar_flops] {
+                    h.write_f64(v);
+                }
+                h.finish()
+            })
+            .collect();
+        let want: Vec<u64> = CASES.iter().map(|c| c.4).collect();
+        assert_eq!(actual, want, "k-NN bits moved: {actual:#018x?}");
     }
 
     #[test]

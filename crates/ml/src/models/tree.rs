@@ -5,6 +5,13 @@
 //! reduction for regression, exhaustive sorted-scan split search (or random
 //! thresholds in extra-trees mode), optional per-node feature subsampling.
 //!
+//! A node searches its sampled features four at a time in lockstep: one
+//! pass over the node's rows (or sorted lists) advances four independent
+//! running sums, so their latency chains overlap. Each feature's sums keep
+//! the addends and order of a search of that feature alone, and the pick
+//! runs in sampling order, so trees are the one-feature search's bit for
+//! bit.
+//!
 //! The sorted scan never sorts at a node, and an ensemble never sorts per
 //! tree: every feature column of the ensemble's fit matrix is ranked once
 //! (`RankTable`), each tree derives the sorted lists of the rows it fits
@@ -51,6 +58,10 @@ impl Default for TreeParams {
 
 /// `Node::feature` of a leaf.
 const LEAF: u32 = u32::MAX;
+
+/// Sampled features a split search scans in lockstep: independent
+/// dependency chains that one pass over a node's rows runs interleaved.
+const LANES: usize = 4;
 
 /// One node of the flat pre-order layout. A split's left child is always
 /// the next node, so only the right child is stored.
@@ -204,33 +215,67 @@ impl RankTable {
         narrow(m);
         let d = self.starts.len() - 1;
         let mut lists = vec![0; m * d];
-        let mut drawn: Vec<u32> = Vec::with_capacity(m);
-        let mut slots: Vec<u32> = Vec::new();
-        for f in 0..d {
-            let ranks = &self.ranks[f * self.n..(f + 1) * self.n];
-            let out = &mut lists[f * m..(f + 1) * m];
-            drawn.clear();
-            drawn.extend(rows.iter().map(|&r| ranks[r]));
-            // Count each rank, then turn the counts into each rank's first
-            // slot.
-            slots.clear();
-            slots.resize(self.starts[f + 1] - self.starts[f], 0);
-            for &k in &drawn {
-                slots[k as usize] += 1;
+        let mut slots: [Vec<u32>; LANES] = Default::default();
+        // Four columns at a time; a last group of 1 to 3 runs the same
+        // code with fewer lanes.
+        let mut f = 0;
+        while f + LANES <= d {
+            self.derive_lanes([f, f + 1, f + 2, f + 3], rows, &mut lists, &mut slots);
+            f += LANES;
+        }
+        match d - f {
+            3 => self.derive_lanes([f, f + 1, f + 2], rows, &mut lists, &mut slots),
+            2 => self.derive_lanes([f, f + 1], rows, &mut lists, &mut slots),
+            1 => self.derive_lanes([f], rows, &mut lists, &mut slots),
+            _ => {}
+        }
+        lists
+    }
+
+    /// [`RankTable::derive`]'s lists of the `L` consecutive columns
+    /// `feats`, sorted in lockstep. Each column keeps its own slot counts
+    /// in `slots`: a run of drawn rows of one rank is a chain of updates
+    /// to one count, and the columns' chains overlap.
+    fn derive_lanes<const L: usize>(
+        &self,
+        feats: [usize; L],
+        rows: &[usize],
+        lists: &mut [u64],
+        slots: &mut [Vec<u32>; LANES],
+    ) {
+        let m = rows.len();
+        let ranks = feats.map(|f| &self.ranks[f * self.n..(f + 1) * self.n]);
+        let mut outs = lists[feats[0] * m..(feats[0] + L) * m].chunks_exact_mut(m);
+        let outs: [&mut [u64]; L] =
+            std::array::from_fn(|_| outs.next().expect("one list per lane"));
+        let (slots, _) = slots.split_at_mut(L);
+        // Count each rank, then turn the counts into each rank's first
+        // slot.
+        for (slot, &f) in slots.iter_mut().zip(&feats) {
+            slot.clear();
+            slot.resize(self.starts[f + 1] - self.starts[f], 0);
+        }
+        for &r in rows {
+            for l in 0..L {
+                slots[l][ranks[l][r] as usize] += 1;
             }
+        }
+        for slot in slots.iter_mut() {
             let mut at = 0;
-            for slot in &mut slots {
+            for slot in slot.iter_mut() {
                 let count = *slot;
                 *slot = at;
                 at += count;
             }
-            for (row, &k) in drawn.iter().enumerate() {
-                let slot = &mut slots[k as usize];
-                out[*slot as usize] = entry(k, row);
+        }
+        for (row, &r) in rows.iter().enumerate() {
+            for l in 0..L {
+                let k = ranks[l][r];
+                let slot = &mut slots[l][k as usize];
+                outs[l][*slot as usize] = entry(k, row);
                 *slot += 1;
             }
         }
-        lists
     }
 }
 
@@ -329,6 +374,9 @@ struct FitCtx<'a> {
     /// Scratch reused across the whole build. Perf only: every buffer is
     /// refilled before each use, so fitted trees are bitwise unchanged.
     feats: Vec<usize>,
+    /// Extra trees: the node's values of one lane group's features, `L`
+    /// per row, in row order.
+    gathered: Vec<f64>,
     cl: Vec<f64>,
     cr: Vec<f64>,
     ct: Vec<f64>,
@@ -543,6 +591,7 @@ impl DecisionTree {
             sum: 0.0,
             sq: 0.0,
             feats: Vec::new(),
+            gathered: Vec::new(),
             cl: Vec::new(),
             cr: Vec::new(),
             ct: Vec::new(),
@@ -629,21 +678,28 @@ impl DecisionTree {
         if !ctx.params.random_thresholds {
             ctx.fill_totals(start, end);
         }
+        #[cfg(test)]
+        let rng_before = rng.clone();
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-        for &f in &feats {
-            let candidate = if ctx.params.random_thresholds {
-                Self::random_split(ctx, start, end, f, rng, impurity)
-            } else {
-                Self::best_split(ctx, start, end, f, impurity)
-            };
-            if let Some((thr, gain)) = candidate {
-                if best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((f, thr, gain));
+
+        // Four features at a time; a last group of 1 to 3 runs the same
+        // code with fewer lanes.
+        for group in feats.chunks(LANES) {
+            let best = &mut best;
+            match *group {
+                [f0, f1, f2, f3] => {
+                    Self::split_lanes(ctx, start, end, [f0, f1, f2, f3], rng, impurity, best)
                 }
+                [f0, f1, f2] => {
+                    Self::split_lanes(ctx, start, end, [f0, f1, f2], rng, impurity, best)
+                }
+                [f0, f1] => Self::split_lanes(ctx, start, end, [f0, f1], rng, impurity, best),
+                [f0] => Self::split_lanes(ctx, start, end, [f0], rng, impurity, best),
+                _ => unreachable!("feature groups hold 1 to {LANES} features"),
             }
         }
         #[cfg(test)]
-        tests::assert_oracle_pick(ctx, start, end, &feats, impurity, best);
+        tests::assert_oracle_pick(ctx, start, end, &feats, impurity, best, rng_before, rng);
         ctx.feats = feats;
 
         let Some((feature, threshold, gain)) = best else {
@@ -724,23 +780,52 @@ impl DecisionTree {
         };
     }
 
-    /// Exhaustive sorted-scan search for the best threshold on feature `f`
-    /// over segment `[start, end)`.
-    ///
-    /// The feature's list segment is already in `(rank, row)` order, so
-    /// the scan reads it directly: equal ranks are equal values, and a
-    /// threshold is the midpoint of two adjacent ranks' values. The
-    /// charges still model a per-node `n log n` sort, a scan step per row
-    /// and the per-row target arithmetic. `parent` is the node impurity
-    /// and the totals come from [`FitCtx::fill_totals`]; both are pure
-    /// values.
-    fn best_split(
+    /// Search the `L` features `feats` of segment `[start, end)` for splits
+    /// and fold each candidate `(threshold, gain)` into `best` in `feats`
+    /// order, keeping the first of equal gains: the pick a one-feature-at-a-
+    /// time search makes.
+    #[allow(clippy::too_many_arguments)]
+    fn split_lanes<const L: usize>(
         ctx: &mut FitCtx<'_>,
         start: usize,
         end: usize,
-        f: usize,
+        feats: [usize; L],
+        rng: &mut SplitMix64,
         parent: f64,
-    ) -> Option<(f64, f64)> {
+        best: &mut Option<(usize, f64, f64)>,
+    ) {
+        let candidates = if ctx.params.random_thresholds {
+            Self::random_splits(ctx, start, end, feats, rng, parent)
+        } else {
+            Self::best_splits(ctx, start, end, feats, parent)
+        };
+        for (f, candidate) in feats.into_iter().zip(candidates) {
+            if let Some((thr, gain)) = candidate {
+                if best.is_none_or(|(_, _, g)| gain > g) {
+                    *best = Some((f, thr, gain));
+                }
+            }
+        }
+    }
+
+    /// Exhaustive sorted-scan search for the best threshold on each of the
+    /// `L` features `feats` over segment `[start, end)`, the features
+    /// scanned in lockstep by [`scan_lanes`].
+    ///
+    /// Each feature's list segment is already in `(rank, row)` order, so
+    /// the scan reads it directly: equal ranks are equal values, and a
+    /// threshold is the midpoint of two adjacent ranks' values. The charges
+    /// still model a per-node `n log n` sort, a scan step per row and the
+    /// per-row target arithmetic for every feature, in `feats` order.
+    /// `parent` is the node impurity and the totals come from
+    /// [`FitCtx::fill_totals`]; both are pure values.
+    fn best_splits<const L: usize>(
+        ctx: &mut FitCtx<'_>,
+        start: usize,
+        end: usize,
+        feats: [usize; L],
+        parent: f64,
+    ) -> [Option<(f64, f64)>; L] {
         let n = end - start;
         let FitCtx {
             x,
@@ -752,158 +837,193 @@ impl DecisionTree {
             sum,
             sq,
             cl,
-            cr,
             ct,
             ..
         } = ctx;
         let stride = x.rows();
-        let vals = &lists[f * stride + start..f * stride + end];
-        let values = draw.values(f);
-        let threshold =
-            |i: usize| 0.5 * (values[entry_rank(vals[i])] + values[entry_rank(vals[i + 1])]);
-        *scalar += n as f64 * (n as f64).log2().max(1.0); // sort
-        *steps += n as f64; // scan
-
-        match targets {
-            Targets::Classes { y, k } => {
-                let (left_counts, right_counts, total_counts) = (cl, cr, &*ct);
-                left_counts.clear();
-                left_counts.resize(*k, 0.0);
-                right_counts.clear();
-                right_counts.resize(*k, 0.0);
-                let mut best: Option<(f64, f64)> = None;
-                for i in 0..n - 1 {
-                    left_counts[y[entry_row(vals[i])] as usize] += 1.0;
-                    if entry_rank(vals[i]) == entry_rank(vals[i + 1]) {
-                        continue;
-                    }
-                    let nl = (i + 1) as f64;
-                    let nr = (n - i - 1) as f64;
-                    let gl = gini(left_counts, nl);
-                    for (rc, (t, l)) in right_counts
-                        .iter_mut()
-                        .zip(total_counts.iter().zip(&*left_counts))
-                    {
-                        *rc = t - l;
-                    }
-                    let gr = gini(right_counts, nr);
-                    let gain = parent - (nl * gl + nr * gr) / n as f64;
-                    let thr = threshold(i);
-                    if best.is_none_or(|(_, g)| gain > g) {
-                        best = Some((thr, gain));
-                    }
-                }
-                *scalar += (n * *k) as f64;
-                best
-            }
-            Targets::Regression { y } => {
-                let (total_sum, total_sq) = (*sum, *sq);
-                let mut ls = 0.0;
-                let mut lq = 0.0;
-                let mut best: Option<(f64, f64)> = None;
-                for i in 0..n - 1 {
-                    let v = y[entry_row(vals[i])];
-                    ls += v;
-                    lq += v * v;
-                    if entry_rank(vals[i]) == entry_rank(vals[i + 1]) {
-                        continue;
-                    }
-                    let nl = (i + 1) as f64;
-                    let nr = (n - i - 1) as f64;
-                    let var_l = (lq - ls * ls / nl).max(0.0);
-                    let rs = total_sum - ls;
-                    let rq = total_sq - lq;
-                    let var_r = (rq - rs * rs / nr).max(0.0);
-                    let gain = parent - (var_l + var_r) / n as f64;
-                    let thr = threshold(i);
-                    if best.is_none_or(|(_, g)| gain > g) {
-                        best = Some((thr, gain));
-                    }
-                }
-                *scalar += 4.0 * n as f64;
-                best
-            }
+        let scan = match targets {
+            Targets::Classes { k, .. } => (n * *k) as f64,
+            Targets::Regression { .. } => 4.0 * n as f64,
+        };
+        for _ in feats {
+            *scalar += n as f64 * (n as f64).log2().max(1.0); // sort
+            *steps += n as f64; // scan
+            *scalar += scan;
         }
+        let segs = feats.map(|f| &lists[f * stride + start..f * stride + end]);
+        let picks = match *targets {
+            Targets::Regression { y } => scan_lanes(
+                segs,
+                parent,
+                Variance {
+                    y,
+                    ls: [0.0; L],
+                    lq: [0.0; L],
+                    total: (*sum, *sq),
+                },
+            ),
+            Targets::Classes { y, k: 2 } => scan_lanes(
+                segs,
+                parent,
+                Binary {
+                    y,
+                    counts: [[0.0; 2]; L],
+                    total: [ct[0], ct[1]],
+                },
+            ),
+            Targets::Classes { y, k } => {
+                cl.clear();
+                cl.resize(L * k, 0.0);
+                let mut slices = cl.chunks_exact_mut(k);
+                let counts = std::array::from_fn(|_| slices.next().expect("one slice per lane"));
+                scan_lanes(
+                    segs,
+                    parent,
+                    Classes {
+                        y,
+                        counts,
+                        total: ct,
+                    },
+                )
+            }
+        };
+        std::array::from_fn(|l| {
+            let values = draw.values(feats[l]);
+            picks[l].map(|(i, gain)| {
+                let rank = |e: u64| values[entry_rank(e)];
+                (0.5 * (rank(segs[l][i]) + rank(segs[l][i + 1])), gain)
+            })
+        })
     }
 
-    /// Extra-trees split: one uniformly random threshold in the value range
-    /// of feature `f` over segment `[start, end)`.
+    /// Extra-trees splits: for each of the `L` features `feats`, one
+    /// uniformly random threshold in the feature's value range over
+    /// segment `[start, end)`.
     ///
-    /// `parent` is the node impurity computed by the caller. The sides are
-    /// filtered passes over the rows in order, so every accumulated sum
-    /// sees its rows in ascending order.
-    fn random_split(
+    /// One pass over the rows copies the lanes' values out of the matrix
+    /// and finds every lane's range; thresholds are then drawn in `feats`
+    /// order, and only for lanes whose range is not empty, so the RNG sees
+    /// the draws of one feature at a time. Another pass over the copy (two
+    /// for regression) sorts each lane's rows into sides. Every side's
+    /// sums see its rows in ascending order and start from `-0.0`, as the
+    /// iterator sums of a one-feature search do. `parent` is the node
+    /// impurity computed by the caller.
+    fn random_splits<const L: usize>(
         ctx: &mut FitCtx<'_>,
         start: usize,
         end: usize,
-        f: usize,
+        feats: [usize; L],
         rng: &mut SplitMix64,
         parent: f64,
-    ) -> Option<(f64, f64)> {
+    ) -> [Option<(f64, f64)>; L] {
         let FitCtx {
             x,
             targets,
             steps,
             rows,
+            gathered,
             cl,
             cr,
             ..
         } = ctx;
         let rows = &rows[start..end];
         let n = rows.len();
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &r in rows {
-            let v = x.get(r, f);
-            lo = lo.min(v);
-            hi = hi.max(v);
+        // Copy the lanes' values out of the matrix row by row, finding each
+        // lane's range on the way; the side passes read the copy.
+        gathered.clear();
+        gathered.resize(n * L, 0.0);
+        let (mut lo, mut hi) = ([f64::INFINITY; L], [f64::NEG_INFINITY; L]);
+        for (vals, &r) in gathered.chunks_exact_mut(L).zip(rows) {
+            let row = x.row(r);
+            for l in 0..L {
+                let v = row[feats[l]];
+                vals[l] = v;
+                lo[l] = lo[l].min(v);
+                hi[l] = hi[l].max(v);
+            }
         }
-        *steps += n as f64;
-        if hi <= lo {
-            return None;
+        let gathered = gathered.chunks_exact(L);
+        // A lane without a threshold sends every row right and is dropped.
+        let mut thr = [f64::NAN; L];
+        let mut drawn = [false; L];
+        for l in 0..L {
+            *steps += n as f64;
+            if hi[l] <= lo[l] {
+                continue;
+            }
+            thr[l] = rng.gen_range(lo[l]..hi[l]);
+            drawn[l] = true;
+            *steps += n as f64;
         }
-        let thr = rng.gen_range(lo..hi);
-        *steps += n as f64;
-        let goes_left = |r: usize| x.get(r, f) <= thr;
-        let (nl, nr, weighted_child) = match targets {
+        // The side passes are branchless: a row adds to both sides of every
+        // lane, the true term to its own side and an identity to the
+        // other (`0.0` to a count, which is never `-0.0`; `-0.0` to a sum),
+        // which moves no bit. Rows fall left or right at random, so a
+        // branch per row and lane would mispredict half the time.
+        let mut nl = [0usize; L];
+        let weighted_child: [f64; L] = match targets {
             Targets::Classes { y, k } => {
-                let (left, right) = (cl, cr);
+                // Lane `l`'s left counts sit at `cl[l * k..(l + 1) * k]`;
+                // `cr` counts the node's rows, so a lane's right counts are
+                // `cr - cl`, the integers a count of its right side makes.
+                let (left, total) = (cl, cr);
                 left.clear();
-                left.resize(*k, 0.0);
-                right.clear();
-                right.resize(*k, 0.0);
-                let (mut nl, mut nr) = (0usize, 0usize);
-                for &r in rows {
-                    if goes_left(r) {
-                        left[y[r] as usize] += 1.0;
-                        nl += 1;
-                    } else {
-                        right[y[r] as usize] += 1.0;
-                        nr += 1;
+                left.resize(L * *k, 0.0);
+                total.clear();
+                total.resize(*k, 0.0);
+                for (vals, &r) in gathered.zip(rows) {
+                    let c = y[r] as usize;
+                    total[c] += 1.0;
+                    for l in 0..L {
+                        let goes_left = vals[l] <= thr[l];
+                        left[l * *k + c] += f64::from(u8::from(goes_left));
+                        nl[l] += usize::from(goes_left);
                     }
                 }
-                let child = nl as f64 * gini(left, nl as f64) + nr as f64 * gini(right, nr as f64);
-                (nl, nr, child)
+                std::array::from_fn(|l| {
+                    let lane = &left[l * *k..(l + 1) * *k];
+                    let (nl, nr) = (nl[l] as f64, (n - nl[l]) as f64);
+                    nl * gini(lane, nl) + nr * gini_rest(total, lane, nr)
+                })
             }
             Targets::Regression { y } => {
-                let side_sse = |want_left: bool| {
-                    let side = rows.iter().copied().filter(|&r| goes_left(r) == want_left);
-                    let cnt = side.clone().count();
-                    if cnt == 0 {
-                        return (0usize, 0.0);
+                let side = |goes_left: bool, v: f64| if goes_left { (v, -0.0) } else { (-0.0, v) };
+                let (mut sum_l, mut sum_r) = ([-0.0; L], [-0.0; L]);
+                for (vals, &r) in gathered.clone().zip(rows) {
+                    let v = y[r];
+                    for l in 0..L {
+                        let goes_left = vals[l] <= thr[l];
+                        let (add_l, add_r) = side(goes_left, v);
+                        sum_l[l] += add_l;
+                        sum_r[l] += add_r;
+                        nl[l] += usize::from(goes_left);
                     }
-                    let mean = side.clone().map(|r| y[r]).sum::<f64>() / cnt as f64;
-                    let sse = side.map(|r| (y[r] - mean).powi(2)).sum::<f64>() / cnt as f64;
-                    (cnt, sse)
-                };
-                let (nl, sse_l) = side_sse(true);
-                let (nr, sse_r) = side_sse(false);
-                (nl, nr, nl as f64 * sse_l + nr as f64 * sse_r)
+                }
+                let mean_l: [f64; L] = std::array::from_fn(|l| sum_l[l] / nl[l] as f64);
+                let mean_r: [f64; L] = std::array::from_fn(|l| sum_r[l] / (n - nl[l]) as f64);
+                let (mut sse_l, mut sse_r) = ([-0.0; L], [-0.0; L]);
+                for (vals, &r) in gathered.zip(rows) {
+                    let v = y[r];
+                    for l in 0..L {
+                        let goes_left = vals[l] <= thr[l];
+                        let mean = if goes_left { mean_l[l] } else { mean_r[l] };
+                        let (add_l, add_r) = side(goes_left, (v - mean).powi(2));
+                        sse_l[l] += add_l;
+                        sse_r[l] += add_r;
+                    }
+                }
+                std::array::from_fn(|l| {
+                    let (nl, nr) = (nl[l], n - nl[l]);
+                    nl as f64 * (sse_l[l] / nl as f64) + nr as f64 * (sse_r[l] / nr as f64)
+                })
             }
         };
-        if nl == 0 || nr == 0 {
-            return None;
-        }
-        Some((thr, parent - weighted_child / n as f64))
+        std::array::from_fn(|l| {
+            if !drawn[l] || nl[l] == 0 || nl[l] == n {
+                return None;
+            }
+            Some((thr[l], parent - weighted_child[l] / n as f64))
+        })
     }
 
     /// Gini impurity or target variance of segment `[start, end)`.
@@ -1030,11 +1150,152 @@ impl Predict for DecisionTree {
     }
 }
 
+/// The left sides of the `L` lanes of a sorted scan: what a lane adds per
+/// entry, and the children's impurity it reads where its rank changes.
+trait LeftSides<const L: usize> {
+    /// Move row `row` to lane `l`'s left side.
+    fn push(&mut self, l: usize, row: usize);
+
+    /// Lane `l`'s children's impurity, weighted by their sizes, for `nl`
+    /// rows left and `nr` right: the split's gain is `parent - child / n`.
+    fn child(&self, l: usize, nl: f64, nr: f64) -> f64;
+}
+
+/// Scan `L` sorted list segments of one node in lockstep: entry `i` of
+/// every lane, then entry `i + 1`. Each lane's `left` state sees exactly
+/// the entries, in exactly the order, of a scan of its segment alone, so
+/// its sums carry the same bits; interleaving the lanes only overlaps
+/// their dependency chains. Returns each lane's best boundary `i` (the
+/// split after entry `i`) and its gain, keeping the first of equal gains.
+fn scan_lanes<const L: usize>(
+    segs: [&[u64]; L],
+    parent: f64,
+    mut left: impl LeftSides<L>,
+) -> [Option<(usize, f64)>; L] {
+    let n = segs[0].len();
+    assert!(segs.iter().all(|seg| seg.len() == n), "lane lengths differ");
+    // Each lane's best boundary so far (`NONE` before its first), and its
+    // child impurity and gain.
+    const NONE: usize = usize::MAX;
+    let (mut best_i, mut best_child, mut best_gain) = ([NONE; L], [0.0; L], [0.0; L]);
+    for i in 0..n - 1 {
+        let (nl, nr) = ((i + 1) as f64, (n - i - 1) as f64);
+        for l in 0..L {
+            let (e, next) = (segs[l][i], segs[l][i + 1]);
+            left.push(l, entry_row(e));
+            if entry_rank(e) == entry_rank(next) {
+                continue;
+            }
+            let child = left.child(l, nl, nr);
+            // Dividing by `n > 0` and subtracting from `parent` both round
+            // monotonically, so a child impurity no lower than the best's
+            // gives no greater gain (or a NaN, which never compares
+            // greater): skipping it skips only the division.
+            if best_i[l] != NONE && child >= best_child[l] {
+                continue;
+            }
+            let gain = parent - child / n as f64;
+            if best_i[l] == NONE || gain > best_gain[l] {
+                (best_i[l], best_child[l], best_gain[l]) = (i, child, gain);
+            }
+        }
+    }
+    std::array::from_fn(|l| (best_i[l] != NONE).then_some((best_i[l], best_gain[l])))
+}
+
+/// Regression lanes: each lane's running target sum and sum of squares;
+/// the node's totals (`sum`, `sum of squares`) give the right side.
+struct Variance<'a, const L: usize> {
+    y: &'a [f64],
+    ls: [f64; L],
+    lq: [f64; L],
+    total: (f64, f64),
+}
+
+impl<const L: usize> LeftSides<L> for Variance<'_, L> {
+    #[inline(always)]
+    fn push(&mut self, l: usize, row: usize) {
+        let v = self.y[row];
+        self.ls[l] += v;
+        self.lq[l] += v * v;
+    }
+
+    #[inline(always)]
+    fn child(&self, l: usize, nl: f64, nr: f64) -> f64 {
+        let (ls, lq) = (self.ls[l], self.lq[l]);
+        let var_l = (lq - ls * ls / nl).max(0.0);
+        let rs = self.total.0 - ls;
+        let rq = self.total.1 - lq;
+        let var_r = (rq - rs * rs / nr).max(0.0);
+        var_l + var_r
+    }
+}
+
+/// Two-class lanes: each lane's two left counts, held in registers. A
+/// push adds `1.0` to its row's class and `0.0` to the other, which
+/// leaves that count's bits as they were, so the counts are those of
+/// [`Classes`].
+struct Binary<'a, const L: usize> {
+    y: &'a [u32],
+    counts: [[f64; 2]; L],
+    total: [f64; 2],
+}
+
+impl<const L: usize> LeftSides<L> for Binary<'_, L> {
+    #[inline(always)]
+    fn push(&mut self, l: usize, row: usize) {
+        let one = f64::from(self.y[row]);
+        self.counts[l][1] += one;
+        self.counts[l][0] += 1.0 - one;
+    }
+
+    #[inline(always)]
+    fn child(&self, l: usize, nl: f64, nr: f64) -> f64 {
+        let gl = gini(&self.counts[l], nl);
+        let gr = gini_rest(&self.total, &self.counts[l], nr);
+        nl * gl + nr * gr
+    }
+}
+
+/// Lanes over any number of classes: each lane's left counts in its own
+/// `k`-slot slice.
+struct Classes<'a, const L: usize> {
+    y: &'a [u32],
+    counts: [&'a mut [f64]; L],
+    total: &'a [f64],
+}
+
+impl<const L: usize> LeftSides<L> for Classes<'_, L> {
+    #[inline(always)]
+    fn push(&mut self, l: usize, row: usize) {
+        self.counts[l][self.y[row] as usize] += 1.0;
+    }
+
+    #[inline(always)]
+    fn child(&self, l: usize, nl: f64, nr: f64) -> f64 {
+        let gl = gini(self.counts[l], nl);
+        let gr = gini_rest(self.total, self.counts[l], nr);
+        nl * gl + nr * gr
+    }
+}
+
 fn gini(counts: &[f64], n: f64) -> f64 {
     if n <= 0.0 {
         return 0.0;
     }
     1.0 - counts.iter().map(|c| (c / n).powi(2)).sum::<f64>()
+}
+
+/// [`gini`] of the counts `total - left`, computed without storing them.
+fn gini_rest(total: &[f64], left: &[f64], n: f64) -> f64 {
+    if n <= 0.0 {
+        return 0.0;
+    }
+    1.0 - total
+        .iter()
+        .zip(left)
+        .map(|(t, l)| ((t - l) / n).powi(2))
+        .sum::<f64>()
 }
 
 #[cfg(test)]
@@ -1113,14 +1374,81 @@ mod tests {
         best
     }
 
-    thread_local! {
-        /// Nodes whose presorted pick was checked against the reference.
-        static ORACLE_NODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// The one-feature extra-trees split the lane scan replaced, kept as
+    /// the reference its lanes must match bit for bit, draw for draw: one
+    /// random threshold in the feature's range over `rows` (no draw when
+    /// the range is empty), and the sides' iterator sums in row order. It
+    /// charges nothing.
+    fn random_split_reference(
+        x: &Matrix,
+        targets: &Targets<'_>,
+        rows: &[usize],
+        f: usize,
+        rng: &mut SplitMix64,
+        parent: f64,
+    ) -> Option<(f64, f64)> {
+        let n = rows.len();
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &r in rows {
+            lo = lo.min(x.get(r, f));
+            hi = hi.max(x.get(r, f));
+        }
+        if hi <= lo {
+            return None;
+        }
+        let thr = rng.gen_range(lo..hi);
+        let goes_left = |r: usize| x.get(r, f) <= thr;
+        let (nl, nr, weighted_child) = match targets {
+            Targets::Classes { y, k } => {
+                let (mut left, mut right) = (vec![0.0; *k], vec![0.0; *k]);
+                let (mut nl, mut nr) = (0usize, 0usize);
+                for &r in rows {
+                    if goes_left(r) {
+                        left[y[r] as usize] += 1.0;
+                        nl += 1;
+                    } else {
+                        right[y[r] as usize] += 1.0;
+                        nr += 1;
+                    }
+                }
+                let child =
+                    nl as f64 * gini(&left, nl as f64) + nr as f64 * gini(&right, nr as f64);
+                (nl, nr, child)
+            }
+            Targets::Regression { y } => {
+                let side_sse = |want_left: bool| {
+                    let side = rows.iter().copied().filter(|&r| goes_left(r) == want_left);
+                    let cnt = side.clone().count();
+                    if cnt == 0 {
+                        return (0usize, 0.0);
+                    }
+                    let mean = side.clone().map(|r| y[r]).sum::<f64>() / cnt as f64;
+                    let sse = side.map(|r| (y[r] - mean).powi(2)).sum::<f64>() / cnt as f64;
+                    (cnt, sse)
+                };
+                let (nl, sse_l) = side_sse(true);
+                let (nr, sse_r) = side_sse(false);
+                (nl, nr, nl as f64 * sse_l + nr as f64 * sse_r)
+            }
+        };
+        if nl == 0 || nr == 0 {
+            return None;
+        }
+        Some((thr, parent - weighted_child / n as f64))
     }
 
-    /// Called by every sorted-scan split search in test builds: the
-    /// reference must pick the same `(feature, threshold bits, gain bits)`
-    /// over the node's sampled features.
+    thread_local! {
+        /// Nodes whose sorted-scan pick was checked against the reference.
+        static ORACLE_NODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Nodes whose extra-trees pick and draws were checked.
+        static RANDOM_ORACLE_NODES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Called by every split search in test builds: searching the node's
+    /// sampled features one at a time with the references from
+    /// `rng_before` must pick the same `(feature, threshold bits, gain
+    /// bits)` and leave the RNG where the lane scan left it (`rng_after`).
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn assert_oracle_pick(
         ctx: &FitCtx<'_>,
         start: usize,
@@ -1128,26 +1456,32 @@ mod tests {
         feats: &[usize],
         parent: f64,
         pick: Option<(usize, f64, f64)>,
+        mut rng: SplitMix64,
+        rng_after: &SplitMix64,
     ) {
-        if ctx.params.random_thresholds {
-            return;
-        }
         let rows = &ctx.rows[start..end];
         let mut best: Option<(usize, f64, f64)> = None;
         for &f in feats {
-            if let Some((thr, gain)) = best_split_reference(ctx.x, &ctx.targets, rows, f, parent) {
+            let candidate = if ctx.params.random_thresholds {
+                random_split_reference(ctx.x, &ctx.targets, rows, f, &mut rng, parent)
+            } else {
+                best_split_reference(ctx.x, &ctx.targets, rows, f, parent)
+            };
+            if let Some((thr, gain)) = candidate {
                 if best.is_none_or(|(_, _, g)| gain > g) {
                     best = Some((f, thr, gain));
                 }
             }
         }
         let bits = |p: Option<(usize, f64, f64)>| p.map(|(f, t, g)| (f, t.to_bits(), g.to_bits()));
-        assert_eq!(
-            bits(pick),
-            bits(best),
-            "presorted pick differs on rows {rows:?}"
-        );
-        ORACLE_NODES.with(|c| c.set(c.get() + 1));
+        assert_eq!(bits(pick), bits(best), "lane pick differs on rows {rows:?}");
+        assert_eq!(&rng, rng_after, "lane draws differ on rows {rows:?}");
+        let counter = if ctx.params.random_thresholds {
+            &RANDOM_ORACLE_NODES
+        } else {
+            &ORACLE_NODES
+        };
+        counter.with(|c| c.set(c.get() + 1));
     }
 
     /// A value drawn from a small pool full of ties and signed zeros.
@@ -1179,7 +1513,8 @@ mod tests {
         let mut gen = SplitMix64::seed_from_u64(0xd3a5);
         for case in 0..240 {
             let n = gen.gen_range(2..120usize);
-            let d = gen.gen_range(1..6usize);
+            // Up to 9 columns: every size of a last lockstep group.
+            let d = gen.gen_range(1..9usize);
             // `d` tie-heavy columns with signed zeros, then a constant one.
             let mut data = Vec::with_capacity(n * (d + 1));
             for _ in 0..n {
@@ -1215,14 +1550,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn presorted_split_search_matches_the_gather_and_sort_reference() {
-        let before = ORACLE_NODES.with(|c| c.get());
-        let mut gen = SplitMix64::seed_from_u64(0x5eed);
+    /// Seeded fits whose every node goes through [`assert_oracle_pick`]:
+    /// 1 to 9 features (so every size of a last lane group, behind up to
+    /// two full ones), some of them constant (lanes with no rank change,
+    /// or no threshold to draw), 2 to 10 classes, and regression targets.
+    fn fit_oracle_cases(seed: u64, random_thresholds: bool) {
+        let mut gen = SplitMix64::seed_from_u64(seed);
         for case in 0..120 {
             let n = gen.gen_range(2..160usize);
-            let d = gen.gen_range(1..7usize);
-            let data: Vec<f64> = (0..n * d).map(|_| tied_value(&mut gen)).collect();
+            let d = gen.gen_range(1..10usize);
+            let constant: Vec<bool> = (0..d).map(|_| gen.gen_bool(0.2)).collect();
+            let mut data = Vec::with_capacity(n * d);
+            for _ in 0..n {
+                for &c in &constant {
+                    data.push(if c { 0.5 } else { tied_value(&mut gen) });
+                }
+            }
             let parent = Matrix::from_vec(data, n, d);
             // Half the cases fit every row of `parent`, the other half a
             // bootstrap or subsample draw from it, with lists derived from
@@ -1236,12 +1579,12 @@ mod tests {
                 min_samples_split: gen.gen_range(2..6usize),
                 min_samples_leaf: gen.gen_range(1..3usize),
                 max_features_frac: [0.35, 0.8, 1.0][case % 3],
-                random_thresholds: false,
+                random_thresholds,
             };
             let mut rng = SplitMix64::seed_from_u64(case as u64);
             let profile = ParallelProfile::model_training();
             if case % 2 == 1 {
-                let k = gen.gen_range(2..5usize);
+                let k = [2, 3, 4, 10][(case / 2) % 4];
                 let labels: Vec<u32> = (0..n).map(|_| gen.gen_range(0..k) as u32).collect();
                 let y: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
                 let _ = DecisionTree::fit_classifier_presorted(
@@ -1283,7 +1626,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn presorted_split_search_matches_the_gather_and_sort_reference() {
+        let before = ORACLE_NODES.with(|c| c.get());
+        fit_oracle_cases(0x5eed, false);
         let checked = ORACLE_NODES.with(|c| c.get()) - before;
+        assert!(checked > 500, "only {checked} nodes were checked");
+    }
+
+    #[test]
+    fn extra_trees_split_search_matches_the_one_feature_reference() {
+        let before = RANDOM_ORACLE_NODES.with(|c| c.get());
+        fit_oracle_cases(0xe7a5, true);
+        let checked = RANDOM_ORACLE_NODES.with(|c| c.get()) - before;
         assert!(checked > 500, "only {checked} nodes were checked");
     }
 

@@ -393,18 +393,16 @@ fn pca_power_iteration(x: &Matrix, k: usize, iters: usize) -> (Vec<f64>, Matrix)
             .collect();
         normalize(&mut v);
         for _ in 0..iters {
-            // w = X^T (X v)
-            let mut xv = vec![0.0; n];
-            for r in 0..n {
-                let row = centered.row(r);
-                xv[r] = row.iter().zip(&v).map(|(a, b)| a * b).sum();
-            }
+            // w = X^T (X v), four rows per pass.
             let mut w = vec![0.0; d];
-            for r in 0..n {
-                let row = centered.row(r);
-                for c in 0..d {
-                    w[c] += row[c] * xv[r];
-                }
+            let mut r = 0;
+            while r + 4 <= n {
+                let rows = [r, r + 1, r + 2, r + 3].map(|r| centered.row(r));
+                power_step(rows, &v, &mut w);
+                r += 4;
+            }
+            for r in r..n {
+                power_step([centered.row(r)], &v, &mut w);
             }
             // Deflate against previous components.
             for prev in 0..ki {
@@ -424,6 +422,28 @@ fn pca_power_iteration(x: &Matrix, k: usize, iters: usize) -> (Vec<f64>, Matrix)
     (mean, components)
 }
 
+/// Add the `L` rows' terms of one power step to `w`: `w += Σ row·(row·v)`.
+///
+/// Each row's dot with `v` is its own chain over ascending columns, from
+/// `-0.0` as the iterator sum it replaced started; then every `w[c]` adds
+/// the rows' terms in row order. So a pass over four rows at a time adds
+/// exactly the addends, in exactly the order, of a pass computing all of
+/// `Xv` and then `Xᵀ(Xv)` row by row, while the rows are still in cache
+/// and the four dots overlap.
+fn power_step<const L: usize>(rows: [&[f64]; L], v: &[f64], w: &mut [f64]) {
+    let mut xv = [-0.0; L];
+    for (c, &vc) in v.iter().enumerate() {
+        for l in 0..L {
+            xv[l] += rows[l][c] * vc;
+        }
+    }
+    for (c, wc) in w.iter_mut().enumerate() {
+        for l in 0..L {
+            *wc += rows[l][c] * xv[l];
+        }
+    }
+}
+
 fn normalize(v: &mut [f64]) -> f64 {
     let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
     if norm > 1e-12 {
@@ -437,7 +457,8 @@ fn normalize(v: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use green_automl_energy::Device;
+    use green_automl_energy::rng::SplitMix64;
+    use green_automl_energy::{Device, StableHasher};
 
     fn tracker() -> CostTracker {
         CostTracker::new(Device::xeon_gold_6132(), 1)
@@ -580,6 +601,72 @@ mod tests {
                     || matches!(spec, PreprocSpec::SelectKBest { .. })
             );
         }
+    }
+
+    /// A seeded `n x d` matrix of signed zeros, small integers and
+    /// continuous values with a few NaN cells. Columns from `rank` on are
+    /// scaled copies of the first `rank`, so the matrix has rank `rank`.
+    fn pca_fixture(n: usize, d: usize, rank: usize, seed: u64) -> Matrix {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut x = Matrix::zeros(n, d);
+        for r in 0..n {
+            for c in 0..d {
+                let v = if c >= rank {
+                    x.get(r, c % rank) * (c + 1) as f64
+                } else if rng.gen_bool(0.03) {
+                    f64::NAN
+                } else if rng.gen_bool(0.3) {
+                    [-0.0, 0.0, 1.0, -2.0][rng.gen_range(0..4usize)]
+                } else {
+                    rng.next_f64() * 6.0 - 3.0
+                };
+                x.set(r, c, v);
+            }
+        }
+        x
+    }
+
+    /// Cross-commit golden of PCA fits: per case, the digest of the bits
+    /// of the column means, the components and the transformed training
+    /// matrix. The cases cover row counts that are not multiples of 4 (and
+    /// below 4), `d = 1`, a rank-deficient matrix whose later components
+    /// stop early, and the 16-component cap.
+    #[test]
+    fn pca_bits_match_the_pinned_values() {
+        // (n, d, rank, frac, digest)
+        #[rustfmt::skip]
+        const CASES: [(usize, usize, usize, f64, u64); 6] = [
+            (37, 5, 5, 0.6, 0x18ca5841049024c1),
+            (10, 1, 1, 1.0, 0xc93bdfbfde3159ed),
+            (3, 4, 4, 1.0, 0x96be81a3b98d7210),
+            (23, 7, 3, 1.0, 0x0a1e27b92ca080d3),
+            (41, 20, 20, 1.0, 0x4e24d3298b25ab45),
+            (64, 9, 6, 0.5, 0xcd637aecf2c4c67e),
+        ];
+        let actual: Vec<u64> = CASES
+            .iter()
+            .map(|&(n, d, rank, frac, _)| {
+                let x = pca_fixture(n, d, rank, (n * 100 + d) as u64);
+                let y = vec![0u32; n];
+                let mut tr = tracker();
+                let f = PreprocSpec::Pca { frac }.fit(&x, &y, 2, &mut tr);
+                let out = f.transform(&x, &mut tr);
+                let FittedPreproc::Pca { mean, components } = &f else {
+                    unreachable!()
+                };
+                let mut h = StableHasher::new(0x9ca);
+                for &v in mean
+                    .iter()
+                    .chain(components.as_slice())
+                    .chain(out.as_slice())
+                {
+                    h.write_f64(v);
+                }
+                h.finish()
+            })
+            .collect();
+        let want: Vec<u64> = CASES.iter().map(|c| c.4).collect();
+        assert_eq!(actual, want, "PCA bits moved: {actual:#018x?}");
     }
 
     #[test]

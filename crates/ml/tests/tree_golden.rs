@@ -12,9 +12,19 @@
 //! fit/predict `Measurement` fails here. The CI runs this file in release mode too, so
 //! optimised float codegen cannot move a bit unseen either.
 //!
+//! The lane-tail cases fit single trees (sorted-scan and extra-trees,
+//! 2 and 10 classes, regression) on a 9-feature fixture with two constant
+//! columns, sampling each of 1 to 9 features per node, so every size of a
+//! split search's last group of lockstep features is pinned, beside the
+//! default ensembles at 10 classes; each case pins one digest of the same
+//! fields plus the fit's next RNG draw.
+//!
 //! On a mismatch the test prints the whole actual table in source form.
 
-use green_automl_energy::{CostTracker, Device, Measurement, SplitMix64, StableHasher};
+use green_automl_energy::{
+    CostTracker, Device, Measurement, ParallelProfile, SplitMix64, StableHasher,
+};
+use green_automl_ml::models::tree::DecisionTree;
 use green_automl_ml::{ForestParams, GbParams, Matrix, ModelSpec, Predict, TreeParams};
 
 /// Rows of `d = 6` features: continuous, five tied levels, signed zeros
@@ -239,5 +249,162 @@ fn tree_family_bits_are_frozen() {
             "tree-family bits moved; actual table:\n{}",
             table.join("\n")
         );
+    }
+}
+
+/// Rows of `d = 9` features for the lane-tail cases: the six columns of
+/// [`fixture`], a second constant (`-0.0`), a two-level column and a
+/// continuous one. Constant columns give sorted scans with no rank change
+/// and extra-trees features with no threshold to draw; deep nodes make
+/// more of them. Returns `k`-class labels cut from a noisy score and a
+/// continuous regression target.
+fn wide_fixture(n: usize, k: usize, seed: u64) -> (Matrix, Vec<u32>, Vec<f64>) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut data = Vec::with_capacity(n * 9);
+    let (mut labels, mut target) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for _ in 0..n {
+        let a = rng.next_f64() * 4.0 - 2.0;
+        let b = rng.gen_range(0..5usize) as f64 * 0.5;
+        let z = [-0.0, 0.0, 1.0, -1.0][rng.gen_range(0..4usize)];
+        let c = if rng.gen_bool(0.3) {
+            -0.0
+        } else {
+            (rng.next_f64() * 8.0).floor()
+        };
+        let e = rng.next_f64();
+        let two = f64::from(u8::from(rng.gen_bool(0.5)));
+        let g = rng.next_f64() * 10.0 - 5.0;
+        data.extend([a, b, z, c, e, 1.5, -0.0, two, g]);
+        let score = a + 0.8 * b - z + 0.3 * c + 0.5 * e + two - 0.2 * g;
+        let noisy = score + 0.3 * (rng.next_f64() - 0.5);
+        let bin = ((noisy + 4.0) / 12.0 * k as f64)
+            .floor()
+            .clamp(0.0, (k - 1) as f64);
+        labels.push(bin as u32);
+        target.push(if rng.gen_bool(0.2) { b } else { noisy });
+    }
+    let mut x = Matrix::from_vec(data, n, 9);
+    x.row_scale = 2.0;
+    x.feat_scale = 1.5;
+    (x, labels, target)
+}
+
+/// One single-tree fit on [`wide_fixture`] sampling `m` of its 9 features
+/// at every node: the digest of the held-out predictions, the node count
+/// and depth, the fit and predict measurements, and the next draw of the
+/// fit's RNG (so a change to how many numbers the fit drew shows too).
+fn lane_tail_digest(case: &str, m: usize) -> u64 {
+    let k = if case.ends_with("k10") { 10 } else { 2 };
+    let (x, y, target) = wide_fixture(240, k, 31 + k as u64);
+    let (xt, _, _) = wide_fixture(70, k, 131 + k as u64);
+    let params = TreeParams {
+        max_depth: 10,
+        min_samples_split: 2,
+        min_samples_leaf: 1,
+        // `ceil(9 * frac)` is exactly `m`.
+        max_features_frac: (m as f64 - 0.5) / 9.0,
+        random_thresholds: case.starts_with("extra"),
+    };
+    let mut tracker = CostTracker::new(Device::xeon_gold_6132(), 4);
+    let mut rng = SplitMix64::seed_from_u64(m as u64);
+    let profile = ParallelProfile::model_training();
+    let mut h = StableHasher::new(0x1a4e);
+    let tree = if case.ends_with("reg") {
+        DecisionTree::fit_regressor(&params, &x, &target, &mut tracker, &mut rng, profile)
+    } else {
+        DecisionTree::fit_classifier(&params, &x, &y, k, &mut tracker, &mut rng, profile)
+    };
+    let fit = tracker.measurement();
+    let pred = if case.ends_with("reg") {
+        tree.predict_value(&xt, &mut tracker)
+    } else {
+        tree.predict_proba(&xt, &mut tracker).as_slice().to_vec()
+    };
+    let predict = tracker.measurement().since(&fit);
+    for p in pred {
+        h.write_f64(p);
+    }
+    h.write_usize(tree.n_nodes());
+    h.write_usize(tree.depth());
+    for w in measurement_bits(&fit)
+        .into_iter()
+        .chain(measurement_bits(&predict))
+    {
+        h.write_u64(w);
+    }
+    h.write_u64(rng.next_u64());
+    h.finish()
+}
+
+/// The default ensembles at `k = 10` on [`wide_fixture`]: the digest of
+/// a [`Golden`] row's fields.
+fn wide_ensemble_digest(spec: &ModelSpec) -> u64 {
+    let (x, y, _) = wide_fixture(240, 10, 41);
+    let (xt, _, _) = wide_fixture(70, 10, 141);
+    let mut tracker = CostTracker::new(Device::xeon_gold_6132(), 4);
+    let model = spec.fit(&x, &y, 10, &mut tracker, 7);
+    let fit = tracker.measurement();
+    let proba = model.predict_proba(&xt, &mut tracker);
+    let predict = tracker.measurement().since(&fit);
+    let mut h = StableHasher::new(0x1a4f);
+    for &p in proba.as_slice() {
+        h.write_f64(p);
+    }
+    h.write_usize(model.n_params());
+    for w in measurement_bits(&fit)
+        .into_iter()
+        .chain(measurement_bits(&predict))
+    {
+        h.write_u64(w);
+    }
+    h.finish()
+}
+
+/// Per case, the [`lane_tail_digest`] at 1 to 9 sampled features: every
+/// size of a last group of features scanned together, behind 0, 1 and 2
+/// full groups of four.
+#[rustfmt::skip]
+const LANE_TAILS: [(&str, [u64; 9]); 6] = [
+    ("cart_k2", [0xacb6d8707f469b86, 0x28fb95da04998baa, 0x6a4c6f1c913e5ab6, 0x39c8c888f1260f56, 0xf50e02c77b03c828, 0x4c1ba7d98ea8aadf, 0x8bf16e60b329caba, 0x63398a03c3613681, 0xebcd35e4787d5032]),
+    ("cart_k10", [0x77f3cdabd75e15d0, 0x44b4e602b2ad4fca, 0x35f00af2c3fdbdd6, 0x4f407b8832d309b8, 0xfe133bcb1d739c11, 0x54599443e72803e1, 0x6fb0f5af11c53a52, 0x78335f09ad48937b, 0x9c56a6b383400a32]),
+    ("cart_reg", [0x443b8f54ab25a4e8, 0xbbac6f802a0204b5, 0x8806b7441404e1d4, 0xddd091e083a36b7a, 0x6ba54c3696b38cdb, 0x6801bd5b8a0208c1, 0x779e0fda503e0a65, 0x9392b09e1e4c03b1, 0x65baf4e18e09943e]),
+    ("extra_k2", [0x0922863e6c19aea3, 0xc90d3d7e73ededdf, 0xc85d6ca06cefb8db, 0xb4266f1afaf3da7d, 0xc904b45b12673770, 0x370ecc846c485d0a, 0xcd7963bd2356bc6d, 0x3ebdd2d5abe8403c, 0xe7be31b22c97110e]),
+    ("extra_k10", [0x6e4d93500090f3e4, 0x6fb7165fede95db5, 0x27d8e1997933675d, 0xdb16523cfc6967a6, 0x8258b6c0dcf3da49, 0x5185dc3604633556, 0x54ba99662f905ac1, 0x51392523a51d2c6a, 0x1cfd920ac59da6fc]),
+    ("extra_reg", [0x567a39eafcf22dae, 0x9e41a8e4ea506ffe, 0x647ccc4c14831d9a, 0xd734ad866d2577f6, 0x4c82ca3a07227027, 0x77f1975d64a1bb4e, 0x52612fc86a04cf55, 0xb7e45339179fbc32, 0x8532d1b55dddb21b]),
+];
+
+#[rustfmt::skip]
+const WIDE_ENSEMBLES: [(&str, u64); 3] = [
+    ("forest", 0xf534c2a3a15ba874),
+    ("extra_trees", 0xf1299a10af0276a1),
+    ("boosting", 0xfaaa998e7de746e7),
+];
+
+#[test]
+fn lane_tail_bits_are_frozen() {
+    let tails: Vec<(&str, [u64; 9])> = LANE_TAILS
+        .iter()
+        .map(|&(case, _)| (case, std::array::from_fn(|i| lane_tail_digest(case, i + 1))))
+        .collect();
+    let ensembles: Vec<(&str, u64)> = [
+        ModelSpec::RandomForest(ForestParams::default()),
+        ModelSpec::ExtraTrees(ForestParams::default()),
+        ModelSpec::GradientBoosting(GbParams::default()),
+    ]
+    .iter()
+    .zip(WIDE_ENSEMBLES)
+    .map(|(spec, (name, _))| (name, wide_ensemble_digest(spec)))
+    .collect();
+    if tails != LANE_TAILS || ensembles != WIDE_ENSEMBLES {
+        let rows: Vec<String> = tails
+            .iter()
+            .map(|(case, d)| format!("    ({case:?}, {}),", hex(d)))
+            .chain(
+                ensembles
+                    .iter()
+                    .map(|(name, d)| format!("    ({name:?}, {d:#018x}),")),
+            )
+            .collect();
+        panic!("lane-tail bits moved; actual rows:\n{}", rows.join("\n"));
     }
 }
