@@ -244,43 +244,33 @@ impl AutoMlSystem for Caml {
                     }
                     let sub = tr.head(n_rows);
                     let eval_seed = spec.seed ^ n_evaluations as u64;
-                    let limit = spec.constraints.max_inference_s_per_row;
                     // One rung = fit + early constraint check + validation
                     // scoring (successive halving "prunes ML pipelines that
-                    // violate constraints"). A constraint-pruned rung still
-                    // burned its fit energy, so it memoises as `None` with the
-                    // recorded charges; the limit is part of the key.
-                    let rung_unit = |t: &mut CostTracker| {
-                        let fitted = pipeline.fit(&sub, t, eval_seed);
-                        if let Some(limit) = limit {
-                            let per_row = fitted.inference_seconds_per_row(spec.device, spec.cores);
-                            if per_row > limit {
-                                return None;
-                            }
+                    // violate constraints"). The fit and the scoring are
+                    // memo units keyed by the rung's data alone; the check
+                    // reads the device and cores, so it runs live between
+                    // them. A pruned rung has still charged its fit.
+                    let words = [eval_seed, keep_word, split_seed, holdout.to_bits()];
+                    let rung_key = |kind: u64| {
+                        let pipeline = &pipeline;
+                        move |sc: &EvalScope<'_>| {
+                            let fp = evalcache::fingerprint_pipeline(pipeline);
+                            sc.key(kind, fp, &words, n_rows as u64)
                         }
+                    };
+                    let fitted = memo(scope, tracker, rung_key(kind::RUNG), |t| {
+                        pipeline.fit(&sub, t, eval_seed)
+                    });
+                    if let Some(limit) = spec.constraints.max_inference_s_per_row {
+                        if fitted.inference_seconds_per_row(spec.device, spec.cores) > limit {
+                            rung_fit = None;
+                            break;
+                        }
+                    }
+                    let score = memo(scope, tracker, rung_key(kind::RUNG_SCORE), |t| {
                         let pred = fitted.predict(val, t);
-                        let score = balanced_accuracy(&val.labels, &pred, val.n_classes);
-                        Some((score, fitted))
-                    };
-                    let rung_key = |sc: &EvalScope<'_>| {
-                        sc.key(
-                            kind::RUNG,
-                            evalcache::fingerprint_pipeline(&pipeline),
-                            &[
-                                eval_seed,
-                                keep_word,
-                                split_seed,
-                                holdout.to_bits(),
-                                limit.map_or(0, |_| 1),
-                                limit.map_or(0, f64::to_bits),
-                            ],
-                            n_rows as u64,
-                        )
-                    };
-                    let Some((score, fitted)) = memo(scope, tracker, rung_key, rung_unit) else {
-                        rung_fit = None;
-                        break;
-                    };
+                        balanced_accuracy(&val.labels, &pred, val.n_classes)
+                    });
                     rung_fit = Some((score, fitted));
 
                     // Prune pipelines that are clearly losing at low fidelity.

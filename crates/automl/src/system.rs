@@ -512,8 +512,8 @@ impl<'a> Search<'a> {
     }
 
     /// [`Search::new`] with a system-wide `profile` override installed on
-    /// the tracker before the eval scope is taken: the override is part of
-    /// every memo key's context fingerprint.
+    /// the tracker. Memo units record the callee's profiles, so the
+    /// override prices their replays and keys nothing.
     pub fn with_profile(
         id: SystemId,
         spec: &RunSpec,
@@ -528,11 +528,9 @@ impl<'a> Search<'a> {
             tracker.span_open(SpanKind::Stage, || "execution".to_string());
         }
         tracker.set_profile_override(profile);
-        // Taken after the override: device, cores and override are all
-        // part of the scope's context fingerprint.
         let scope = ctx
             .eval_cache
-            .map(|c| EvalScope::new_with_view(c, ctx.cache_view, train, &tracker));
+            .map(|c| EvalScope::new_with_view(c, ctx.cache_view, train));
         let injector = (spec.fault.trial_fault_p() > 0.0).then(|| FaultInjector::new(spec.fault));
         Search {
             tracker,

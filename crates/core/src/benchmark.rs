@@ -44,9 +44,10 @@ pub struct BenchmarkOptions {
     /// Worker threads for [`run_grid_checked`]: `0` = one per available core,
     /// `1` = serial. Results are byte-identical at every setting.
     pub parallelism: usize,
-    /// Memoise evaluations in a grid-wide [`EvalCache`]. Hits skip the
-    /// real compute but replay the recorded virtual-energy charges, so
-    /// every point is byte-identical with the cache on or off.
+    /// Memoise evaluations in a grid-wide [`EvalCache`] (sweep-wide in
+    /// [`run_sweep_with`]). Hits skip the real compute but replay the
+    /// recorded virtual-energy charges, so every point is byte-identical
+    /// with the cache on or off.
     pub eval_cache: bool,
 }
 
@@ -403,6 +404,12 @@ pub struct GridRun {
     /// Evaluation-cache misses across the whole grid (same caveat as
     /// `eval_cache_hits`).
     pub eval_cache_misses: u64,
+    /// Of `eval_cache_hits`, those on units recorded under another meter
+    /// context (device, cores or profile override): in a sweep of context
+    /// twins ([`run_sweep_with`]), what this grid reused from the grids
+    /// before it. Zero in a grid with a cache of its own, whose cells all
+    /// share one context. Observability only, like the other counts.
+    pub eval_cache_cross_context_hits: u64,
     /// Cell attempts lost to a simulated host crash mid-run and retried
     /// with backoff on a surviving host. Deterministic per cluster
     /// topology (and zero on a single host).
@@ -576,6 +583,70 @@ pub fn run_grid_with(
         memo,
     )
     .map(|run| run.grid)
+}
+
+/// Run one single-host grid per spec of `specs`, in order, over one
+/// [`EvalCache`] that lives for the call: a sweep of context twins, the
+/// same searches at several core counts, on a device and on its CPU-only
+/// twin, or under several inference limits. Evaluation-unit keys carry no
+/// meter context, so a unit one grid computed replays in the grids after
+/// it, priced by their own trackers; each grid stays byte-identical to its
+/// own [`run_grid_with`] call. Every spec is validated before any grid
+/// runs, and each [`GridRun`]'s eval-cache counts are its own share.
+///
+/// Only context twins should share a cache: one kept across unrelated
+/// grids holds every entry of all of them at once.
+pub fn run_sweep_with(
+    systems: &[Box<dyn AutoMlSystem>],
+    datasets: &[DatasetMeta],
+    budgets: &[f64],
+    specs: &[RunSpec],
+    opts: &BenchmarkOptions,
+    memo: Option<&PointMemo>,
+) -> Result<Vec<GridRun>, RunSpecError> {
+    let eval_cache = opts.eval_cache.then(EvalCache::new);
+    run_sweep_in(
+        systems,
+        datasets,
+        budgets,
+        specs,
+        opts,
+        memo,
+        eval_cache.as_ref(),
+    )
+}
+
+/// [`run_sweep_with`] over the caller's `eval_cache` (an
+/// [`EvalCache::audited`] one, say), used only with `opts.eval_cache` set.
+pub fn run_sweep_in(
+    systems: &[Box<dyn AutoMlSystem>],
+    datasets: &[DatasetMeta],
+    budgets: &[f64],
+    specs: &[RunSpec],
+    opts: &BenchmarkOptions,
+    memo: Option<&PointMemo>,
+    eval_cache: Option<&EvalCache>,
+) -> Result<Vec<GridRun>, RunSpecError> {
+    for spec in specs {
+        spec.validate()?;
+    }
+    specs
+        .iter()
+        .map(|spec| {
+            crate::cluster::run_grid_cluster_in(
+                systems,
+                datasets,
+                budgets,
+                spec,
+                opts,
+                &crate::cluster::ClusterOptions::single_host(),
+                None,
+                memo,
+                eval_cache,
+            )
+            .map(|run| run.grid)
+        })
+        .collect()
 }
 
 /// An aggregated cell of the benchmark grid.

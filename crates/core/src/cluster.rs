@@ -852,7 +852,9 @@ pub fn run_grid_cluster(
 /// [`run_grid_cluster`] through the run's point `memo` (`None` computes
 /// every cell): phase 1 looks each cell's point up before materialising
 /// its dataset. A hit is placement-invariant like any point, so phase 2
-/// and the checkpoint shards see the same cells either way.
+/// and the checkpoint shards see the same cells either way. The grid
+/// memoises its evaluation units in a fresh [`EvalCache`] of its own
+/// (when `opts.eval_cache` is set).
 #[allow(clippy::too_many_arguments)]
 pub fn run_grid_cluster_with(
     systems: &[Box<dyn AutoMlSystem>],
@@ -863,6 +865,37 @@ pub fn run_grid_cluster_with(
     cluster: &ClusterOptions,
     checkpoint_path: Option<&Path>,
     memo: Option<&PointMemo>,
+) -> Result<ClusterGridRun, RunSpecError> {
+    let eval_cache = opts.eval_cache.then(EvalCache::new);
+    run_grid_cluster_in(
+        systems,
+        datasets,
+        budgets,
+        spec_base,
+        opts,
+        cluster,
+        checkpoint_path,
+        memo,
+        eval_cache.as_ref(),
+    )
+}
+
+/// The one grid path: [`run_grid_cluster_with`] over the caller's
+/// evaluation cache, the grid's own fresh one or a sweep's shared one
+/// ([`crate::benchmark::run_sweep_in`]). The cache is used only with
+/// `opts.eval_cache` set; `None` computes every unit live. The grid's
+/// eval-cache counts are the cache's counts over this call alone.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_grid_cluster_in(
+    systems: &[Box<dyn AutoMlSystem>],
+    datasets: &[DatasetMeta],
+    budgets: &[f64],
+    spec_base: &RunSpec,
+    opts: &BenchmarkOptions,
+    cluster: &ClusterOptions,
+    checkpoint_path: Option<&Path>,
+    memo: Option<&PointMemo>,
+    eval_cache: Option<&EvalCache>,
 ) -> Result<ClusterGridRun, RunSpecError> {
     spec_base.validate()?;
     let n_hosts = cluster.n_hosts();
@@ -891,10 +924,18 @@ pub fn run_grid_cluster_with(
 
     let workers = executor::resolve_parallelism(opts.parallelism);
     let ds_cache = DatasetCache::new();
-    // One cross-host evaluation memo table for the whole grid. The cache
-    // (and each host's view of it) cannot change any point: hits replay
-    // the recorded charges bitwise.
-    let eval_cache = opts.eval_cache.then(EvalCache::new);
+    // One cross-host evaluation memo table for the whole grid (and, in a
+    // sweep, for the grids before and after it). The cache (and each
+    // host's view of it) cannot change any point: hits replay the recorded
+    // charges bitwise, priced by the cell's own tracker.
+    let eval_cache = eval_cache.filter(|_| opts.eval_cache);
+    let eval_counts = || {
+        eval_cache.map_or([0; 3], |c| {
+            let (hits, misses) = c.stats();
+            [hits, misses, c.cross_context_hits()]
+        })
+    };
+    let counts_before = eval_counts();
 
     // Is this cell's primary host partitioned at its first attempt? Pure
     // in (plan, topology, cell) — known before the cell starts, so the
@@ -921,7 +962,7 @@ pub fn run_grid_cluster_with(
             let spec = cell.spec(budgets, spec_base);
             let point = PointMemo::point(memo, system, meta, &spec, opts, || {
                 let ds = ds_cache.materialize(meta, &materialize_options(&spec, opts));
-                let ctx = match &eval_cache {
+                let ctx = match eval_cache {
                     Some(c) => FitContext::with_cache(c).viewed(CacheView {
                         host: home as u64,
                         horizon: frozen(i).then(|| c.current_epoch()),
@@ -979,6 +1020,10 @@ pub fn run_grid_cluster_with(
         .into_iter()
         .flatten()
         .collect();
+    let [eval_cache_hits, eval_cache_misses, eval_cache_cross_context_hits] = {
+        let after = eval_counts();
+        [0, 1, 2].map(|k| after[k] - counts_before[k])
+    };
     // Back into `todo` order, so nothing below sees the chains.
     ran.sort_unstable_by_key(|&(i, _)| i);
     let fresh: Vec<CellOutcome<Vec<BenchmarkPoint>>> =
@@ -1035,11 +1080,11 @@ pub fn run_grid_cluster_with(
 
     // ---- Reassemble the grid in the reference serial cell order. ----
     let mut fresh_iter = fresh.into_iter();
-    let (eval_cache_hits, eval_cache_misses) = eval_cache.as_ref().map_or((0, 0), EvalCache::stats);
     let mut grid = GridRun {
         resumed_cells,
         eval_cache_hits,
         eval_cache_misses,
+        eval_cache_cross_context_hits,
         retried_cells: report.retried_cells,
         speculated_cells: report.speculated_cells,
         requeued_cells: report.requeued_cells,

@@ -19,10 +19,11 @@
 //!   staying byte-identical to the serial run, plus the per-cell panic
 //!   isolation ([`executor::catch_cell`]) behind the grid's fault
 //!   tolerance;
-//! * [`EvalCache`] (from `ml::evalcache`) — the grid-wide
-//!   content-addressed evaluation memo table whose hits skip real compute
-//!   but replay the recorded virtual-energy charges, keeping every
-//!   artefact byte-identical with the cache on or off;
+//! * [`EvalCache`] (from `ml::evalcache`) — the grid-wide (for a sweep
+//!   of context twins, [`run_sweep_with`], sweep-wide) content-addressed
+//!   evaluation memo table whose hits skip real compute but replay the
+//!   recorded virtual-energy charges, keeping every artefact
+//!   byte-identical with the cache on or off;
 //! * [`cluster`] — the simulated multi-host executor: grid cells sharded
 //!   across hosts with per-host device profiles and clocks, network
 //!   transfer costs in virtual Joules, host-level chaos (crash /
@@ -58,8 +59,8 @@ pub use green_automl_energy::fault;
 
 pub use amortize::{crossover_predictions, runs_to_amortize, total_kwh};
 pub use benchmark::{
-    average_points, run_grid_checked, run_grid_with, BenchmarkOptions, BenchmarkPoint, BudgetGrid,
-    CellFailure, GridRun, PointMemo,
+    average_points, run_grid_checked, run_grid_with, run_sweep_in, run_sweep_with,
+    BenchmarkOptions, BenchmarkPoint, BudgetGrid, CellFailure, GridRun, PointMemo,
 };
 pub use checkpoint::Checkpoint;
 pub use cluster::{

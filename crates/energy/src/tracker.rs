@@ -84,9 +84,11 @@ impl Measurement {
 ///
 /// A sequence of `ChargeRec`s captured while computing an evaluation is
 /// the exact virtual-energy cost of that evaluation: replaying it through
-/// [`CostTracker::replay`] on a tracker in the same configuration (device,
-/// cores, profile override) advances the clock and the meter bitwise
-/// identically to re-running the computation.
+/// [`CostTracker::replay`] advances the clock and the meter bitwise
+/// identically to re-running the computation on the replaying tracker,
+/// in whatever configuration (device, cores, profile override) that
+/// tracker is — provided the computation never read the configuration or
+/// the clock, so that it would charge the same records there.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargeRec {
     /// Operations charged.
@@ -180,9 +182,11 @@ impl CostTracker {
     }
 
     /// Replay a recorded charge sequence: advances the clock and the meter
-    /// exactly as the original computation did, provided the tracker is in
-    /// the same configuration (device, cores, profile override) — which the
-    /// memoisation key guarantees.
+    /// exactly as re-running the recorded computation on this tracker
+    /// would. Each record is priced under this tracker's device, cores and
+    /// profile override, so a recording made in another configuration
+    /// replays exactly too, as long as the computation read none of them
+    /// (the memoisation layer's units never do).
     pub fn replay(&mut self, recs: &[ChargeRec]) {
         for rec in recs {
             self.charge(rec.ops, rec.profile);
@@ -268,9 +272,8 @@ impl CostTracker {
         self.profile_override = profile;
     }
 
-    /// The currently active profile override, if any (part of the
-    /// evaluation-memoisation context fingerprint: replaying a charge
-    /// record is only valid under the override it was recorded with).
+    /// The currently active profile override, if any. It applies to
+    /// replayed charge records exactly as to live charges.
     #[inline]
     pub fn profile_override(&self) -> Option<ParallelProfile> {
         self.profile_override
@@ -664,21 +667,34 @@ mod tests {
 
     #[test]
     fn recording_keeps_callee_profiles_for_overridden_trackers() {
-        // Record under an override, replay under the same override: bitwise
-        // equal. The record stores the callee profile, so the override must
-        // be part of the memoisation key — which this test documents.
+        // Record under an override; the record keeps the callee profile, so
+        // a replay in any configuration — another override, none, other
+        // cores, another device — charges what the callee would there.
         let ops = OpCounts::scalar(2.0e10);
-        let mut live = CostTracker::new(Device::xeon_gold_6132(), 8);
-        live.set_profile_override(Some(ParallelProfile::embarrassing()));
-        live.start_recording();
-        live.charge(ops, ParallelProfile::serial());
-        let recs = live.finish_recording();
+        let mut recording = CostTracker::new(Device::xeon_gold_6132(), 8);
+        recording.set_profile_override(Some(ParallelProfile::embarrassing()));
+        recording.start_recording();
+        recording.charge(ops, ParallelProfile::serial());
+        let recs = recording.finish_recording();
         assert_eq!(recs[0].profile, ParallelProfile::serial());
 
-        let mut replayed = CostTracker::new(Device::xeon_gold_6132(), 8);
-        replayed.set_profile_override(Some(ParallelProfile::embarrassing()));
-        replayed.replay(&recs);
-        assert_eq!(live.now().to_bits(), replayed.now().to_bits());
+        let configurations = || {
+            let mut overridden = CostTracker::new(Device::xeon_gold_6132(), 8);
+            overridden.set_profile_override(Some(ParallelProfile::embarrassing()));
+            [
+                overridden,
+                CostTracker::new(Device::xeon_gold_6132(), 8),
+                CostTracker::new(Device::xeon_gold_6132(), 1),
+                CostTracker::new(Device::gpu_node(), 4),
+            ]
+        };
+        for (mut live, mut replayed) in configurations().into_iter().zip(configurations()) {
+            live.charge(ops, ParallelProfile::serial());
+            replayed.replay(&recs);
+            assert_eq!(live.now().to_bits(), replayed.now().to_bits());
+            let (a, b) = (live.measurement().energy, replayed.measurement().energy);
+            assert_eq!(a.total_joules().to_bits(), b.total_joules().to_bits());
+        }
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! embarrassingly parallel bagging).
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::{ExpConfig, SharedPoints};
-use green_automl_core::benchmark::run_grid_with;
+use crate::suite::{note_eval_cache, ExpConfig, SharedPoints};
+use green_automl_core::benchmark::run_sweep_with;
 use green_automl_systems::{AutoGluon, AutoMlSystem, Caml, RunSpec, SystemId};
 
 /// Core counts swept (each physical CPU of the testbed has two cores).
 pub const CORE_GRID: [usize; 4] = [1, 2, 4, 8];
 
 /// Run the parallelism sweep. Its 1-core cells are shared-grid cells,
-/// served from the run's memo once the grid has computed them.
+/// served from the run's memo once the grid has computed them; the four
+/// core counts share one eval cache, so a fit computed on 2 cores replays
+/// on 4 and 8.
 pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let datasets = cfg.datasets();
     // A subset keeps the sweep affordable; shapes are per-system anyway.
@@ -22,23 +24,23 @@ pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut per_sys_core: Vec<(String, usize, f64, f64, f64)> = Vec::new();
     let mut failed = 0;
-    for cores in CORE_GRID {
-        let spec = RunSpec {
-            cores,
-            ..cfg.base_spec()
-        };
-        let systems: Vec<Box<dyn AutoMlSystem>> =
-            vec![Box::new(Caml::default()), Box::new(AutoGluon::default())];
-        let grid = run_grid_with(
-            &systems,
-            datasets,
-            &cfg.budgets,
-            &spec,
-            &opts,
-            None,
-            shared.memo(cfg),
-        )
-        .expect("ExpConfig produces a valid RunSpec");
+    let systems: Vec<Box<dyn AutoMlSystem>> =
+        vec![Box::new(Caml::default()), Box::new(AutoGluon::default())];
+    let specs = CORE_GRID.map(|cores| RunSpec {
+        cores,
+        ..cfg.base_spec()
+    });
+    let grids = run_sweep_with(
+        &systems,
+        datasets,
+        &cfg.budgets,
+        &specs,
+        &opts,
+        shared.memo(cfg),
+    )
+    .expect("ExpConfig produces a valid RunSpec");
+    for (cores, grid) in CORE_GRID.into_iter().zip(grids) {
+        note_eval_cache(&format!("fig5: {cores} core(s)"), &grid);
         failed += grid.failures.len();
         let points = grid.points;
         for sys in [SystemId::Caml, SystemId::AutoGluon] {

@@ -3,8 +3,8 @@
 //! and AutoGluon's `good_quality_faster_inference_only_refit` preset.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::{ExpConfig, SharedPoints};
-use green_automl_core::benchmark::run_grid_with;
+use crate::suite::{note_eval_cache, ExpConfig, SharedPoints};
+use green_automl_core::benchmark::{run_grid_with, run_sweep_with, GridRun};
 use green_automl_systems::{AutoGluon, AutoGluonQuality, AutoMlSystem, Caml, Constraints, RunSpec};
 
 /// The constraint sweep, seconds per instance. The paper used 1–3 ms on
@@ -16,7 +16,9 @@ pub const CONSTRAINTS: [f64; 3] = [2.0e-5, 4.0e-5, 8.0e-5];
 
 /// Run the inference-configuration sweep. Its unconstrained CAML and
 /// best-quality AutoGluon cells are shared-grid cells, served from the
-/// run's memo once the grid has computed them.
+/// run's memo once the grid has computed them. The four CAML variants
+/// share one eval cache: their fits do not depend on the limit, which is
+/// checked live after each one.
 pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let datasets = cfg.datasets();
     let datasets = &datasets[..datasets.len().min(8)];
@@ -26,21 +28,8 @@ pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let mut summaries: Vec<(String, f64, f64)> = Vec::new(); // (variant, acc, inf kwh)
     let mut failed = 0;
 
-    let mut sweep = |label: String, system: Box<dyn AutoMlSystem>, constraints: Constraints| {
-        let spec = RunSpec {
-            constraints,
-            ..cfg.base_spec()
-        };
-        let grid = run_grid_with(
-            &[system],
-            datasets,
-            &cfg.budgets,
-            &spec,
-            &opts,
-            None,
-            shared.memo(cfg),
-        )
-        .expect("ExpConfig produces a valid RunSpec");
+    let mut record = |label: String, grid: GridRun| {
+        note_eval_cache(&format!("fig6: {label}"), &grid);
         failed += grid.failures.len();
         let points = grid.points;
         let n = points.len() as f64;
@@ -51,32 +40,51 @@ pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
         summaries.push((label, acc, inf));
     };
 
-    sweep(
-        "CAML (unconstrained)".into(),
-        Box::<Caml>::default(),
-        Constraints::default(),
-    );
-    for limit in CONSTRAINTS {
-        sweep(
-            format!("CAML (<= {limit}s/inst)"),
-            Box::<Caml>::default(),
-            Constraints {
-                max_inference_s_per_row: Some(limit),
+    let limits = std::iter::once(None).chain(CONSTRAINTS.map(Some));
+    let caml_specs: Vec<RunSpec> = limits
+        .clone()
+        .map(|limit| RunSpec {
+            constraints: Constraints {
+                max_inference_s_per_row: limit,
             },
-        );
+            ..cfg.base_spec()
+        })
+        .collect();
+    let caml_grids = run_sweep_with(
+        &[Box::<Caml>::default() as Box<dyn AutoMlSystem>],
+        datasets,
+        &cfg.budgets,
+        &caml_specs,
+        &opts,
+        shared.memo(cfg),
+    )
+    .expect("ExpConfig produces a valid RunSpec");
+    for (limit, grid) in limits.zip(caml_grids) {
+        let label = match limit {
+            None => "CAML (unconstrained)".to_string(),
+            Some(limit) => format!("CAML (<= {limit}s/inst)"),
+        };
+        record(label, grid);
     }
-    sweep(
-        "AutoGluon (best quality)".into(),
-        Box::<AutoGluon>::default(),
-        Constraints::default(),
-    );
-    sweep(
-        "AutoGluon (faster inference, refit)".into(),
-        Box::new(AutoGluon {
-            quality: AutoGluonQuality::FasterInferenceRefit,
-        }),
-        Constraints::default(),
-    );
+    for (label, quality) in [
+        ("AutoGluon (best quality)", AutoGluonQuality::Best),
+        (
+            "AutoGluon (faster inference, refit)",
+            AutoGluonQuality::FasterInferenceRefit,
+        ),
+    ] {
+        let grid = run_grid_with(
+            &[Box::new(AutoGluon { quality }) as Box<dyn AutoMlSystem>],
+            datasets,
+            &cfg.budgets,
+            &cfg.base_spec(),
+            &opts,
+            None,
+            shared.memo(cfg),
+        )
+        .expect("ExpConfig produces a valid RunSpec");
+        record(label.to_string(), grid);
+    }
 
     let table = Table::new(
         "Fig 6: inference-optimised configurations",

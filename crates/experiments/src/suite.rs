@@ -2,7 +2,7 @@
 //! which several tables (4, 6, 7) are derived from.
 
 use green_automl_core::benchmark::{
-    run_grid_with, BenchmarkOptions, BenchmarkPoint, BudgetGrid, PointMemo,
+    run_grid_with, BenchmarkOptions, BenchmarkPoint, BudgetGrid, GridRun, PointMemo,
 };
 use green_automl_dataset::{amlb39, DatasetMeta, MaterializeOptions};
 use green_automl_systems::{all_systems, RunSpec};
@@ -237,12 +237,7 @@ impl SharedPoints {
                     failure.cell, failure.system, failure.dataset, failure.message
                 );
             }
-            if grid.eval_cache_hits + grid.eval_cache_misses > 0 {
-                eprintln!(
-                    "grid: eval cache {} hit(s) / {} miss(es)",
-                    grid.eval_cache_hits, grid.eval_cache_misses
-                );
-            }
+            note_eval_cache("grid", &grid);
             if grid.retried_cells + grid.speculated_cells + grid.requeued_cells > 0 {
                 eprintln!(
                     "grid: cluster recovery {} retried / {} speculated / {} requeued cell(s)",
@@ -253,6 +248,24 @@ impl SharedPoints {
         }
         self.points.as_deref().expect("just computed")
     }
+}
+
+/// Print `grid`'s own eval-cache counts on stderr, as
+/// `LABEL: eval cache N hit(s) / M miss(es)`, naming the hits on units
+/// recorded in another context (an earlier grid of a sweep) when there
+/// are any. Prints nothing for a grid that ran without a cache.
+pub(crate) fn note_eval_cache(label: &str, grid: &GridRun) {
+    if grid.eval_cache_hits + grid.eval_cache_misses == 0 {
+        return;
+    }
+    let cross = match grid.eval_cache_cross_context_hits {
+        0 => String::new(),
+        n => format!(" ({n} from another context)"),
+    };
+    eprintln!(
+        "{label}: eval cache {} hit(s){cross} / {} miss(es)",
+        grid.eval_cache_hits, grid.eval_cache_misses
+    );
 }
 
 #[cfg(test)]

@@ -2,12 +2,14 @@
 //! metric reported as the ratio `GPU result / CPU-only result`.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::ExpConfig;
-use green_automl_core::benchmark::run_grid_checked;
+use crate::suite::{note_eval_cache, ExpConfig};
+use green_automl_core::benchmark::run_sweep_with;
 use green_automl_energy::Device;
 use green_automl_systems::{AutoGluon, AutoMlSystem, RunSpec, TabPfn};
 
-/// Run both systems on both device variants and report the ratios.
+/// Run both systems on both device variants and report the ratios. Each
+/// system's two grids share one eval cache, so the CPU-only twin replays
+/// the GPU node's fits, priced on its own device.
 pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
     let datasets = cfg.datasets();
     // TabPFN needs <= 10 classes; keep it honest by filtering.
@@ -24,26 +26,25 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
     let mut failed = 0;
     let systems: Vec<Box<dyn AutoMlSystem>> =
         vec![Box::new(AutoGluon::default()), Box::new(TabPfn::default())];
+    let specs = [Device::gpu_node(), Device::gpu_node_cpu_only()].map(|device| RunSpec {
+        cores: device.cpu.cores,
+        device,
+        ..cfg.base_spec()
+    });
     for system in &systems {
         let mut agg = [[0.0f64; 2]; 4]; // [exec kwh, exec s, inf kwh, inf s] x [gpu, cpu]
-        for (di, device) in [Device::gpu_node(), Device::gpu_node_cpu_only()]
-            .into_iter()
-            .enumerate()
-        {
-            let spec = RunSpec {
-                cores: device.cpu.cores,
-                device,
-                ..cfg.base_spec()
-            };
-            let grid = run_grid_checked(
-                std::slice::from_ref(system),
-                &datasets,
-                &[budget],
-                &spec,
-                &opts,
-                None,
-            )
-            .expect("ExpConfig produces a valid RunSpec");
+        let grids = run_sweep_with(
+            std::slice::from_ref(system),
+            &datasets,
+            &[budget],
+            &specs,
+            &opts,
+            None,
+        )
+        .expect("ExpConfig produces a valid RunSpec");
+        for (di, (grid, spec)) in grids.iter().zip(&specs).enumerate() {
+            let label = format!("table3: {} on {}", system.name(), spec.device.name);
+            note_eval_cache(&label, grid);
             failed += grid.failures.len();
             for p in &grid.points {
                 agg[0][di] += p.execution.kwh();

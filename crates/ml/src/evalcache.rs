@@ -20,11 +20,20 @@
 //!
 //! Three rules make this sound:
 //!
-//! 1. **Keys are content-addressed.** An [`EvalKey`] combines the pipeline
-//!    fingerprint, the dataset fingerprint, the split derivation, the
-//!    fidelity, and a context fingerprint (device, cores, profile
-//!    override). Two lookups collide only if they would perform the same
-//!    computation under the same meter configuration.
+//! 1. **Keys are content-addressed and carry no meter context.** An
+//!    [`EvalKey`] combines the pipeline fingerprint, the dataset
+//!    fingerprint, the split derivation and the fidelity: everything that
+//!    decides the computation, nothing about where it runs. Units never
+//!    read the device, the cores, the profile override or the clock, so a
+//!    unit's value and its charge records (the ops and the callee's
+//!    pre-override profile) are the same in every context, and a replay
+//!    prices them through the *live* tracker. A unit recorded on 2 cores
+//!    and hit on 8, or on the GPU node and hit on its CPU-only twin,
+//!    therefore charges exactly what recomputing there would. Each entry
+//!    remembers the context it was recorded under only to count such
+//!    cross-context hits ([`EvalCache::cross_context_hits`]); an
+//!    [`EvalCache::audited`] cache recomputes every one of them live and
+//!    checks its bits.
 //! 2. **Cached units are span-free and idle-free.** Recording panics on
 //!    `idle_for`/`idle_until`/`set_profile_override`, and callers only wrap
 //!    regions that open no trace spans, so a replay needs no tracer state.
@@ -43,7 +52,7 @@ use crate::matrix::Matrix;
 use crate::pipeline::Pipeline;
 use green_automl_dataset::{ColumnData, Dataset};
 use green_automl_energy::hash::StableHasher;
-use green_automl_energy::{ChargeRec, CostTracker, MetricsRegistry};
+use green_automl_energy::{ChargeRec, CostTracker, Device, MetricsRegistry, ParallelProfile};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,8 +64,6 @@ const TAG_PIPELINE: u64 = 0x70_69_70_65; // "pipe"
 const TAG_DATASET: u64 = 0x64_61_74_61; // "data"
 /// Domain tag for split/derivation words.
 const TAG_SPLIT: u64 = 0x73_70_6c_74; // "splt"
-/// Domain tag for tracker-context fingerprints.
-const TAG_CONTEXT: u64 = 0x63_6f_6e_78; // "conx"
 
 /// Unit-kind word mixed into every split id so differently-shaped units
 /// (hold-out vs CV vs bare fit …) never share an entry.
@@ -71,10 +78,14 @@ pub mod kind {
     pub const PROBA_EVAL: u64 = 4;
     /// One bagging fold: model fit + out-of-fold probabilities.
     pub const FOLD_FIT: u64 = 5;
-    /// One fidelity rung: fit + constraint check + predict + score.
+    /// One fidelity rung's fit (CAML's successive halving). The rung's
+    /// inference-constraint check runs live after it, outside any unit.
     pub const RUNG: u64 = 6;
     /// Bare model refit on an encoded matrix (AutoGluon's collapse-refit).
     pub const REFIT: u64 = 7;
+    /// One fidelity rung's validation predict + score, once its fit passed
+    /// the constraint check.
+    pub const RUNG_SCORE: u64 = 8;
 }
 
 /// Number of lock stripes in the memo table.
@@ -93,8 +104,6 @@ pub struct EvalKey {
     pub split_id: u64,
     /// Fidelity (sample-size rung, fold count, …); `u64::MAX` = full.
     pub fidelity: u64,
-    /// Meter context: device, cores, profile override.
-    pub ctx_fp: u64,
 }
 
 impl EvalKey {
@@ -104,7 +113,6 @@ impl EvalKey {
         h.write_u64(self.data_fp);
         h.write_u64(self.split_id);
         h.write_u64(self.fidelity);
-        h.write_u64(self.ctx_fp);
         (h.finish() % N_SHARDS as u64) as usize
     }
 }
@@ -113,10 +121,42 @@ struct CacheEntry {
     /// The unit's result, type-erased: each unit reads back its own type.
     value: Box<dyn Any + Send + Sync>,
     charges: Vec<ChargeRec>,
+    /// The meter context the unit was recorded under. Not part of the
+    /// key: it only tells a cross-context hit from a same-context one.
+    context: MeterContext,
     /// Global publication epoch (1-based insertion order).
     epoch: u64,
     /// Host id that published the entry.
     publisher: u64,
+}
+
+/// The meter configuration a tracker charges under: device, allocated
+/// cores and profile override. No unit reads it, so it keys nothing.
+#[derive(PartialEq)]
+struct MeterContext {
+    device: Device,
+    cores: usize,
+    profile_override: Option<ParallelProfile>,
+}
+
+impl MeterContext {
+    fn of(tracker: &CostTracker) -> MeterContext {
+        MeterContext {
+            device: *tracker.device(),
+            cores: tracker.cores(),
+            profile_override: tracker.profile_override(),
+        }
+    }
+}
+
+impl std::fmt::Display for MeterContext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} core(s) of {}, override {:?}",
+            self.cores, self.device.name, self.profile_override
+        )
+    }
 }
 
 /// A host's view of a shared cross-host [`EvalCache`].
@@ -140,11 +180,17 @@ pub struct CacheView {
 ///
 /// Shared across every cell of a benchmark grid (the `DatasetCache`
 /// pattern): entries computed by the 10-second cell are hits for the
-/// 30-second cell's identical trial prefix, at any `--jobs` count.
+/// 30-second cell's identical trial prefix, at any `--jobs` count. A sweep
+/// of context twins (one grid per core count or device) shares one cache
+/// across its grids, since keys carry no meter context.
 pub struct EvalCache {
     shards: Vec<Mutex<HashMap<EvalKey, std::sync::Arc<CacheEntry>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Hits on entries recorded under another meter context.
+    cross_context_hits: AtomicU64,
+    /// Recompute every cross-context hit and check its bits (tests).
+    audited: bool,
     /// Monotone publication counter; each insert takes the next epoch.
     epoch: AtomicU64,
     /// Lookups where an entry existed but the view's horizon hid it.
@@ -169,9 +215,25 @@ impl EvalCache {
             shards: (0..N_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            cross_context_hits: AtomicU64::new(0),
+            audited: false,
             epoch: AtomicU64::new(0),
             invisible_misses: AtomicU64::new(0),
             reconciled: AtomicU64::new(0),
+        }
+    }
+
+    /// An empty cache that audits the context-freedom of its units, for
+    /// tests: every hit on an entry recorded under another meter context
+    /// also runs the unit live, on a copy of the calling tracker, and
+    /// panics unless the value's `Debug` text and the charge records equal
+    /// the stored ones bit for bit. The hit then replays as usual, so an
+    /// audited cache returns what [`EvalCache::new`] would, at the cost of
+    /// one recompute per cross-context hit.
+    pub fn audited() -> EvalCache {
+        EvalCache {
+            audited: true,
+            ..EvalCache::new()
         }
     }
 
@@ -187,6 +249,10 @@ impl EvalCache {
     /// duplicate dropped — when the host rejoins. Each key names one unit
     /// kind, so an entry holding another type than `T` can only come from
     /// a key collision; it is treated as a miss too.
+    ///
+    /// A hit on an entry recorded under another device, core count or
+    /// profile override counts as a cross-context hit; an
+    /// [`EvalCache::audited`] cache recomputes it live and checks its bits.
     pub fn get_or_compute_viewed<T, F>(
         &self,
         key: EvalKey,
@@ -195,7 +261,7 @@ impl EvalCache {
         compute: F,
     ) -> T
     where
-        T: Clone + Send + Sync + 'static,
+        T: Clone + std::fmt::Debug + Send + Sync + 'static,
         F: FnOnce(&mut CostTracker) -> T,
     {
         let shard = &self.shards[key.shard()];
@@ -211,6 +277,13 @@ impl EvalCache {
                 self.invisible_misses.fetch_add(1, Ordering::Relaxed);
             } else if let Some(value) = entry.value.downcast_ref::<T>() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
+                let context = MeterContext::of(tracker);
+                if entry.context != context {
+                    self.cross_context_hits.fetch_add(1, Ordering::Relaxed);
+                    if self.audited {
+                        audit(&entry, value, tracker, compute);
+                    }
+                }
                 tracker.replay(&entry.charges);
                 return value.clone();
             }
@@ -223,6 +296,7 @@ impl EvalCache {
         let entry = std::sync::Arc::new(CacheEntry {
             value: Box::new(value.clone()),
             charges,
+            context: MeterContext::of(tracker),
             epoch,
             publisher: view.host,
         });
@@ -249,6 +323,13 @@ impl EvalCache {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Hits so far (counted in [`EvalCache::stats`] too) on an entry
+    /// recorded under another device, core count or profile override.
+    /// Observability only, like the other counters.
+    pub fn cross_context_hits(&self) -> u64 {
+        self.cross_context_hits.load(Ordering::Relaxed)
     }
 
     /// The current publication epoch: the number of entries ever
@@ -287,6 +368,7 @@ impl EvalCache {
         let (invisible, reconciled) = self.epoch_stats();
         reg.inc("evalcache_hits", hits);
         reg.inc("evalcache_misses", misses);
+        reg.inc("evalcache_cross_context_hits", self.cross_context_hits());
         reg.inc("evalcache_entries", self.len() as u64);
         reg.inc("evalcache_epoch", self.current_epoch());
         reg.inc("evalcache_invisible_misses", invisible);
@@ -301,38 +383,71 @@ impl std::fmt::Debug for EvalCache {
             .field("entries", &self.len())
             .field("hits", &hits)
             .field("misses", &misses)
+            .field("cross_context_hits", &self.cross_context_hits())
+            .field("audited", &self.audited)
             .finish()
     }
 }
 
+/// Audit a cross-context hit: run `compute` live on a copy of the calling
+/// `tracker` and panic unless its value's `Debug` text and its charge
+/// records equal the entry's bit for bit.
+fn audit<T, F>(entry: &CacheEntry, stored: &T, tracker: &CostTracker, compute: F)
+where
+    T: std::fmt::Debug,
+    F: FnOnce(&mut CostTracker) -> T,
+{
+    let live_context = MeterContext::of(tracker);
+    let mut live = tracker.clone();
+    live.start_recording();
+    let value = compute(&mut live);
+    let charges = live.finish_recording();
+    let bits = |recs: &[ChargeRec]| -> Vec<[u64; 6]> {
+        recs.iter()
+            .map(|r| {
+                [
+                    r.ops.scalar_flops,
+                    r.ops.matmul_flops,
+                    r.ops.tree_steps,
+                    r.ops.mem_bytes,
+                    r.profile.parallel_fraction,
+                    r.profile.extra_core_efficiency,
+                ]
+                .map(f64::to_bits)
+            })
+            .collect()
+    };
+    assert!(
+        format!("{value:?}") == format!("{stored:?}"),
+        "evalcache audit: a unit recorded on {} returns another value on {live_context}",
+        entry.context
+    );
+    assert!(
+        bits(&charges) == bits(&entry.charges),
+        "evalcache audit: a unit recorded on {} charges other ops on {live_context}",
+        entry.context
+    );
+}
+
 /// Per-fit handle on a shared [`EvalCache`]: the cache reference, the
-/// host's view, and the fingerprints every key from this fit shares (its
-/// training dataset and its meter context). Created once per fit and
-/// handed to every [`memo`] call of its search.
+/// host's view, and the fingerprint every key from this fit shares (its
+/// training dataset). Created once per fit and handed to every [`memo`]
+/// call of its search.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalScope<'a> {
     cache: &'a EvalCache,
     view: CacheView,
     data_fp: u64,
-    ctx_fp: u64,
 }
 
 impl<'a> EvalScope<'a> {
     /// A scope over `cache`, seen through a host's [`CacheView`], for a
-    /// system training on `train` and charging `tracker`. Compute this
-    /// *after* any `set_profile_override`, so the override is part of the
-    /// context fingerprint.
-    pub fn new_with_view(
-        cache: &'a EvalCache,
-        view: CacheView,
-        train: &Dataset,
-        tracker: &CostTracker,
-    ) -> EvalScope<'a> {
+    /// system training on `train`.
+    pub fn new_with_view(cache: &'a EvalCache, view: CacheView, train: &Dataset) -> EvalScope<'a> {
         EvalScope {
             cache,
             view,
             data_fp: fingerprint_dataset(train),
-            ctx_fp: context_fingerprint(tracker),
         }
     }
 
@@ -345,7 +460,6 @@ impl<'a> EvalScope<'a> {
             data_fp: self.data_fp,
             split_id: split_word(kind, split_words),
             fidelity,
-            ctx_fp: self.ctx_fp,
         }
     }
 }
@@ -360,7 +474,7 @@ impl<'a> EvalScope<'a> {
 /// idle-free, and complete.
 pub fn memo<T, K, F>(scope: Option<&EvalScope<'_>>, tracker: &mut CostTracker, key: K, unit: F) -> T
 where
-    T: Clone + Send + Sync + 'static,
+    T: Clone + std::fmt::Debug + Send + Sync + 'static,
     K: FnOnce(&EvalScope<'_>) -> EvalKey,
     F: FnOnce(&mut CostTracker) -> T,
 {
@@ -447,25 +561,13 @@ pub fn fingerprint_matrix(m: &Matrix) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of the meter configuration a unit records under: device,
-/// allocated cores, and any active profile override. Charge replay is only
-/// bitwise-faithful under the configuration it was recorded with, so this
-/// is part of every key.
-pub fn context_fingerprint(tracker: &CostTracker) -> u64 {
-    let mut h = StableHasher::new(TAG_CONTEXT);
-    h.write_str(&format!("{:?}", tracker.device()));
-    h.write_usize(tracker.cores());
-    h.write_str(&format!("{:?}", tracker.profile_override()));
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::ModelSpec;
     use crate::preprocess::PreprocSpec;
     use green_automl_dataset::TaskSpec;
-    use green_automl_energy::{Device, OpCounts, ParallelProfile};
+    use green_automl_energy::OpCounts;
 
     fn tracker() -> CostTracker {
         CostTracker::new(Device::xeon_gold_6132(), 1)
@@ -485,7 +587,7 @@ mod tests {
     }
 
     /// A lookup with full (coordinator) visibility.
-    fn lookup<T: Clone + Send + Sync + 'static>(
+    fn lookup<T: Clone + std::fmt::Debug + Send + Sync + 'static>(
         cache: &EvalCache,
         key: EvalKey,
         tracker: &mut CostTracker,
@@ -498,8 +600,7 @@ mod tests {
     fn hit_replays_identical_energy_and_value() {
         let cache = EvalCache::new();
         let ds = task();
-        let scope_tracker = tracker();
-        let scope = EvalScope::new_with_view(&cache, CacheView::default(), &ds, &scope_tracker);
+        let scope = EvalScope::new_with_view(&cache, CacheView::default(), &ds);
         let key = |sc: &EvalScope<'_>| {
             sc.key(
                 kind::HOLDOUT,
@@ -554,7 +655,6 @@ mod tests {
             data_fp: 2,
             split_id: split,
             fidelity: u64::MAX,
-            ctx_fp: 3,
         };
         for s in 0..10 {
             lookup(&cache, mk(s), &mut t, |tr| {
@@ -581,7 +681,6 @@ mod tests {
             data_fp: 2,
             split_id: 3,
             fidelity: u64::MAX,
-            ctx_fp: 4,
         };
         assert_eq!(lookup(&cache, key, &mut t, |_| 0.5f64), 0.5);
         // A colliding unit of another type recomputes instead of
@@ -608,14 +707,100 @@ mod tests {
         assert_eq!(fingerprint_dataset(&d1), fingerprint_dataset(&task()));
     }
 
+    /// A unit charging two profiles, one of them overridable, and
+    /// returning a value that reads no context.
+    fn mixed_unit(t: &mut CostTracker) -> f64 {
+        t.charge(OpCounts::scalar(3.0e7), ParallelProfile::model_training());
+        t.charge(OpCounts::matmul(2.0e8), ParallelProfile::batch_inference());
+        t.charge(OpCounts::scalar(1.0e6), ParallelProfile::serial());
+        0.625
+    }
+
     #[test]
-    fn context_fingerprint_tracks_override_and_cores() {
-        let t1 = CostTracker::new(Device::xeon_gold_6132(), 1);
-        let t8 = CostTracker::new(Device::xeon_gold_6132(), 8);
-        assert_ne!(context_fingerprint(&t1), context_fingerprint(&t8));
-        let mut t8o = CostTracker::new(Device::xeon_gold_6132(), 8);
-        t8o.set_profile_override(Some(ParallelProfile::embarrassing()));
-        assert_ne!(context_fingerprint(&t8), context_fingerprint(&t8o));
+    fn a_cross_context_hit_charges_what_recomputing_there_would() {
+        let key = EvalKey {
+            pipeline_fp: 1,
+            data_fp: 2,
+            split_id: 3,
+            fidelity: u64::MAX,
+        };
+        let contexts = || {
+            let mut overridden = CostTracker::new(Device::xeon_gold_6132(), 8);
+            overridden.set_profile_override(Some(ParallelProfile::embarrassing()));
+            [
+                CostTracker::new(Device::xeon_gold_6132(), 8),
+                overridden,
+                CostTracker::new(Device::gpu_node(), 8),
+                CostTracker::new(Device::gpu_node_cpu_only(), 8),
+            ]
+        };
+        let cache = EvalCache::new();
+        // Recorded on one core, before any other context looks it up.
+        assert_eq!(lookup(&cache, key, &mut tracker(), mixed_unit), 0.625);
+        for (mut hit, mut live) in contexts().into_iter().zip(contexts()) {
+            let v: f64 = lookup(&cache, key, &mut hit, |_| panic!("must hit"));
+            assert_eq!(v, mixed_unit(&mut live));
+            let (a, b) = (hit.measurement(), live.measurement());
+            assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
+            assert_eq!(a.energy.package_j.to_bits(), b.energy.package_j.to_bits());
+            assert_eq!(a.energy.dram_j.to_bits(), b.energy.dram_j.to_bits());
+            assert_eq!(a.energy.gpu_j.to_bits(), b.energy.gpu_j.to_bits());
+        }
+        assert_eq!(cache.stats(), (4, 1));
+        assert_eq!(cache.cross_context_hits(), 4);
+        // A hit in the recording context is not a cross-context one.
+        let _: f64 = lookup(&cache, key, &mut tracker(), |_| panic!("must hit"));
+        assert_eq!(cache.cross_context_hits(), 4);
+    }
+
+    #[test]
+    fn an_audited_cache_recomputes_cross_context_hits_only() {
+        let key = EvalKey {
+            pipeline_fp: 1,
+            data_fp: 2,
+            split_id: 3,
+            fidelity: u64::MAX,
+        };
+        let cache = EvalCache::audited();
+        let runs = std::cell::Cell::new(0);
+        let counted = |t: &mut CostTracker| {
+            runs.set(runs.get() + 1);
+            mixed_unit(t)
+        };
+        let mut recording = tracker();
+        lookup(&cache, key, &mut recording, counted);
+        lookup(&cache, key, &mut tracker(), counted);
+        assert_eq!(runs.get(), 1, "a same-context hit is not audited");
+        let mut eight = CostTracker::new(Device::xeon_gold_6132(), 8);
+        let mut live = eight.clone();
+        assert_eq!(lookup(&cache, key, &mut eight, counted), 0.625);
+        assert_eq!(runs.get(), 2, "a cross-context hit is recomputed once");
+        // The audit runs on a copy: the caller is charged by the replay.
+        mixed_unit(&mut live);
+        assert_eq!(
+            eight.measurement().energy.package_j.to_bits(),
+            live.measurement().energy.package_j.to_bits()
+        );
+        assert_eq!(cache.stats(), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "evalcache audit: a unit recorded on")]
+    fn the_audit_catches_a_unit_that_reads_its_cores() {
+        let key = EvalKey {
+            pipeline_fp: 1,
+            data_fp: 2,
+            split_id: 3,
+            fidelity: u64::MAX,
+        };
+        let cache = EvalCache::audited();
+        let reads_cores = |t: &mut CostTracker| {
+            t.charge(OpCounts::scalar(1e6), ParallelProfile::serial());
+            t.cores() as f64
+        };
+        lookup(&cache, key, &mut tracker(), reads_cores);
+        let mut eight = CostTracker::new(Device::xeon_gold_6132(), 8);
+        lookup(&cache, key, &mut eight, reads_cores);
     }
 
     #[test]
@@ -632,7 +817,6 @@ mod tests {
                             data_fp: 1,
                             split_id: s % 3,
                             fidelity: u64::MAX,
-                            ctx_fp: 9,
                         };
                         let v = lookup(&cache, key, &mut t, |tr| {
                             tr.charge(
@@ -662,7 +846,6 @@ mod tests {
             data_fp: 2,
             split_id: 3,
             fidelity: u64::MAX,
-            ctx_fp: 4,
         };
         // Host 1 partitions at epoch 0, before host 0 publishes.
         let frozen = CacheView {
@@ -721,7 +904,6 @@ mod tests {
             data_fp: 1,
             split_id: 1,
             fidelity: 1,
-            ctx_fp: 1,
         };
         lookup(&cache, key, &mut t, |_| ());
         lookup(&cache, key, &mut t, |_| -> () { panic!("must hit") });

@@ -148,11 +148,15 @@ impl Mlp {
                 delta.extend_from_slice(&activations[last]);
                 softmax_inplace(&mut delta);
                 delta[y[i] as usize] -= 1.0;
-                // Backward.
+                // Backward. Layer 0's input is the raw features, so its
+                // gradient is never computed: nothing would read it.
                 for l in (0..layers.len()).rev() {
                     let input = &activations[l];
-                    next_delta.clear();
-                    next_delta.resize(input.len(), 0.0);
+                    let propagate = l > 0;
+                    if propagate {
+                        next_delta.clear();
+                        next_delta.resize(input.len(), 0.0);
+                    }
                     {
                         let layer = &mut layers[l];
                         for o in 0..layer.b.len() {
@@ -162,8 +166,10 @@ impl Mlp {
                             // off the pre-update weights, then the weight
                             // step) — same values as one fused loop, but
                             // each pass vectorizes cleanly.
-                            for (nd, &w) in next_delta.iter_mut().zip(row.iter()) {
-                                *nd += w * g;
+                            if propagate {
+                                for (nd, &w) in next_delta.iter_mut().zip(row.iter()) {
+                                    *nd += w * g;
+                                }
                             }
                             let gs = step * g;
                             for (w, &xv) in row.iter_mut().zip(input) {
@@ -172,15 +178,15 @@ impl Mlp {
                             layer.b[o] -= step * g;
                         }
                     }
-                    if l > 0 {
+                    if propagate {
                         // ReLU derivative w.r.t. pre-activation sign.
                         for (nd, &a) in next_delta.iter_mut().zip(&activations[l]) {
                             if a <= 0.0 {
                                 *nd = 0.0;
                             }
                         }
+                        std::mem::swap(&mut delta, &mut next_delta);
                     }
-                    std::mem::swap(&mut delta, &mut next_delta);
                 }
             }
         }
@@ -367,5 +373,57 @@ mod tests {
         );
         assert!(deep.n_weights() > shallow.n_weights());
         assert!(deep.inference_ops_per_row().total() > shallow.inference_ops_per_row().total());
+    }
+
+    #[test]
+    fn mlp_bits_match_the_pinned_values() {
+        // (classes, input columns, hidden1, hidden2, epochs, digest): one
+        // and two hidden layers, a one-neuron layer, a one-column input
+        // and 10 classes.
+        #[rustfmt::skip]
+        const CASES: [(usize, usize, usize, usize, usize, u64); 5] = [
+            (2, 8, 48, 0, 3, 0xc95311bf1f532853),
+            (3, 8, 16, 12, 4, 0xd3ee1a04dec0e6fe),
+            (10, 8, 5, 7, 2, 0x872f9af9cdd8a6c3),
+            (2, 8, 1, 0, 5, 0x7c6e933271c5c336),
+            (3, 1, 9, 4, 3, 0xbde7d5d010a63bb5),
+        ];
+        let actual: Vec<u64> = CASES
+            .iter()
+            .map(|&(k, cols, hidden1, hidden2, epochs, _)| {
+                let ((x, y), (xt, _)) = crate::models::testutil::separable_task(k);
+                let first_cols = |m: &Matrix| {
+                    let data = (0..m.rows()).flat_map(|r| m.row(r)[..cols].to_vec());
+                    Matrix::from_vec(data.collect(), m.rows(), cols)
+                };
+                let (x, xt) = (first_cols(&x), first_cols(&xt));
+                let mut t = crate::models::testutil::tracker();
+                let mut rng = SplitMix64::seed_from_u64((k * 100 + hidden1) as u64);
+                let params = MlpParams {
+                    hidden1,
+                    hidden2,
+                    epochs,
+                    ..Default::default()
+                };
+                let mlp = Mlp::fit(&params, &x, &y, k, &mut t, &mut rng);
+                let mut h = green_automl_energy::StableHasher::new(0x31a9);
+                for layer in &mlp.layers {
+                    for &v in layer.w.as_slice().iter().chain(&layer.b) {
+                        h.write_f64(v);
+                    }
+                }
+                let m = t.measurement();
+                for v in [m.duration_s, m.energy.package_j, m.ops.matmul_flops] {
+                    h.write_f64(v);
+                }
+                for &v in mlp.predict_proba(&xt, &mut t).as_slice() {
+                    h.write_f64(v);
+                }
+                h.write_u64(rng.next_u64());
+                h.finish()
+            })
+            .collect();
+        let want: Vec<u64> = CASES.iter().map(|c| c.5).collect();
+        assert_eq!(actual, want, "MLP bits moved: {actual:#018x?}");
     }
 }

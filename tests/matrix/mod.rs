@@ -16,16 +16,24 @@
 //! | `evalcache_equivalence` | clean and trial-chaos rows with the cache on and off, journals across the cache, budget chains | cache hit and miss counts |
 //! | `fault_equivalence` | untraced trial chaos, two runs a cell | trials are killed |
 //! | `trace_determinism` | traced clean and trial-chaos rows | spans carry faults, root spans reconcile, tracing never perturbs |
+//! | `sweep_equivalence` | context sweeps ([`SweepRow`]) with one shared, an audited, per-grid or no eval cache | later grids hit earlier contexts' units, the limit binds on 1 core only |
+//!
+//! A [`SweepRow`] runs a sweep of context twins, one grid per meter
+//! context, and [`check_sweeps`] compares each of its grids with the
+//! serial, uncached sweep's.
 //!
 //! Every row and reference is computed once per test process.
 #![allow(dead_code)]
 
-use green_automl::core::benchmark::BenchmarkPoint;
+use green_automl::core::benchmark::{run_grid_with, run_sweep_in, run_sweep_with, BenchmarkPoint};
 use green_automl::core::checkpoint::shard_path;
 use green_automl::core::executor::{resolve_parallelism, run_indexed};
-use green_automl::experiments::ExpConfig;
+use green_automl::core::EvalCache;
+use green_automl::dataset::DatasetMeta;
+use green_automl::experiments::{fig5, fig6, ExpConfig};
 use green_automl::prelude::*;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -268,18 +276,29 @@ fn compute(row: Row) -> Outcome {
     outcome
 }
 
-/// `row`'s outcome, computed on first use and shared by every test of the
-/// process.
-pub fn outcome(row: Row) -> &'static Outcome {
-    type Cells = Mutex<HashMap<Row, &'static OnceLock<Outcome>>>;
-    static CELLS: OnceLock<Cells> = OnceLock::new();
-    let cell = *CELLS
+/// Values computed once per key and shared by every test of the process.
+type Cells<K, V> = OnceLock<Mutex<HashMap<K, &'static OnceLock<V>>>>;
+
+/// The value of `key` in `cells`, computed on first use.
+fn once<K: Copy + Eq + Hash, V>(
+    cells: &'static Cells<K, V>,
+    key: K,
+    compute: impl FnOnce(K) -> V,
+) -> &'static V {
+    let cell = *cells
         .get_or_init(Default::default)
         .lock()
         .expect("no panic while the map is locked")
-        .entry(row)
-        .or_insert_with(|| Box::leak(Box::default()));
-    cell.get_or_init(|| compute(row))
+        .entry(key)
+        .or_insert_with(|| Box::leak(Box::new(OnceLock::new())));
+    cell.get_or_init(|| compute(key))
+}
+
+/// `row`'s outcome, computed on first use and shared by every test of the
+/// process.
+pub fn outcome(row: Row) -> &'static Outcome {
+    static CELLS: Cells<Row, Outcome> = OnceLock::new();
+    once(&CELLS, row, compute)
 }
 
 /// The outcomes of `rows`, computed over one worker per core.
@@ -351,4 +370,192 @@ pub fn assert_same_grid(ctx: &str, reference: &GridRun, other: &GridRun) {
 /// Trial faults across a grid's points.
 pub fn trial_faults(grid: &GridRun) -> usize {
     grid.points.iter().map(|p| p.n_trial_faults).sum()
+}
+
+/// A sweep of context twins at the smoke profile: the same searches in
+/// several meter contexts, one grid per spec, in order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Sweep {
+    /// `fig5`'s: CAML and AutoGluon at 1, 2, 4 and 8 cores.
+    Cores,
+    /// `table3`'s: AutoGluon and TabPFN at 300 s on the GPU node, then on
+    /// its CPU-only twin.
+    Devices,
+    /// `fig6`'s: CAML unconstrained, then under each inference limit.
+    Limits,
+    /// CAML under [`BINDING_LIMIT`] on 1 core, then on 8.
+    Binding,
+}
+
+/// An inference limit, seconds per row, that prunes some of CAML's
+/// smoke-profile rungs on 1 core and none on 8: a pipeline's per-row time
+/// falls about 4x from 1 to 8 cores, so a fit the 1-core grid pruned
+/// passes the 8-core grid's check and is scored there for the first time.
+pub const BINDING_LIMIT: f64 = 1e-5;
+
+/// What a sweep runs: one grid of `systems` x `datasets` x `budgets`
+/// per spec.
+pub struct SweepInputs {
+    pub systems: Vec<Box<dyn AutoMlSystem>>,
+    pub datasets: Vec<DatasetMeta>,
+    pub budgets: Vec<f64>,
+    pub specs: Vec<RunSpec>,
+}
+
+/// The systems, datasets, budgets and specs of `sweep`.
+pub fn sweep_inputs(sweep: Sweep) -> SweepInputs {
+    let smoke = ExpConfig::smoke();
+    let base = smoke.base_spec();
+    let limited = |cores: usize, limit: Option<f64>| RunSpec {
+        cores,
+        constraints: Constraints {
+            max_inference_s_per_row: limit,
+        },
+        ..base
+    };
+    let caml = || vec![Box::new(Caml::default()) as Box<dyn AutoMlSystem>];
+    let smoke_grid = |systems, specs| SweepInputs {
+        systems,
+        datasets: smoke.datasets(),
+        budgets: smoke.budgets.clone(),
+        specs,
+    };
+    match sweep {
+        Sweep::Cores => smoke_grid(
+            vec![Box::new(Caml::default()), Box::new(AutoGluon::default())],
+            fig5::CORE_GRID.map(|cores| limited(cores, None)).to_vec(),
+        ),
+        Sweep::Devices => SweepInputs {
+            systems: vec![Box::new(AutoGluon::default()), Box::new(TabPfn::default())],
+            datasets: smoke
+                .datasets()
+                .into_iter()
+                .filter(|m| m.classes <= 10)
+                .collect(),
+            budgets: vec![300.0],
+            specs: [Device::gpu_node(), Device::gpu_node_cpu_only()]
+                .map(|device| RunSpec {
+                    cores: device.cpu.cores,
+                    device,
+                    ..base
+                })
+                .to_vec(),
+        },
+        Sweep::Limits => smoke_grid(
+            caml(),
+            std::iter::once(None)
+                .chain(fig6::CONSTRAINTS.map(Some))
+                .map(|limit| limited(1, limit))
+                .collect(),
+        ),
+        Sweep::Binding => smoke_grid(
+            caml(),
+            vec![
+                limited(1, Some(BINDING_LIMIT)),
+                limited(8, Some(BINDING_LIMIT)),
+            ],
+        ),
+    }
+}
+
+/// How a sweep row caches evaluation units.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Caches {
+    /// One cache for the whole sweep (`run_sweep_with`).
+    Shared,
+    /// One [`EvalCache::audited`] cache for the whole sweep, which
+    /// recomputes every cross-context hit live and checks its bits.
+    Audited,
+    /// A fresh cache per grid (`run_grid_with` per spec).
+    PerGrid,
+    /// No cache.
+    Off,
+}
+
+/// One sweep row: a sweep, its caches and its worker count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct SweepRow {
+    pub sweep: Sweep,
+    pub caches: Caches,
+    pub jobs: usize,
+}
+
+/// The serial, uncached sweep `row` is compared with.
+pub fn sweep_reference(row: SweepRow) -> SweepRow {
+    SweepRow {
+        caches: Caches::Off,
+        jobs: 1,
+        ..row
+    }
+}
+
+fn run_sweep(row: SweepRow) -> Vec<GridRun> {
+    let SweepInputs {
+        systems,
+        datasets,
+        budgets,
+        specs,
+    } = sweep_inputs(row.sweep);
+    let opts = BenchmarkOptions {
+        parallelism: row.jobs,
+        eval_cache: row.caches != Caches::Off,
+        ..ExpConfig::smoke().bench_options()
+    };
+    let grids = match row.caches {
+        Caches::PerGrid => specs
+            .iter()
+            .map(|spec| run_grid_with(&systems, &datasets, &budgets, spec, &opts, None, None))
+            .collect(),
+        Caches::Audited => {
+            let audited = EvalCache::audited();
+            run_sweep_in(
+                &systems,
+                &datasets,
+                &budgets,
+                &specs,
+                &opts,
+                None,
+                Some(&audited),
+            )
+        }
+        Caches::Shared | Caches::Off => {
+            run_sweep_with(&systems, &datasets, &budgets, &specs, &opts, None)
+        }
+    };
+    grids.expect("the sweep specs are valid")
+}
+
+/// `row`'s grids, computed on first use and shared by every test of the
+/// process.
+pub fn sweep_outcome(row: SweepRow) -> &'static [GridRun] {
+    static CELLS: Cells<SweepRow, Vec<GridRun>> = OnceLock::new();
+    once(&CELLS, row, run_sweep).as_slice()
+}
+
+/// Compute `rows` and their references over one worker per core, then
+/// assert each grid of each row byte-identical to the reference's (a
+/// failed audit is a failed cell, so it shows up here too). Returns the
+/// rows' grids.
+pub fn check_sweeps(rows: &[SweepRow]) -> Vec<(SweepRow, &'static [GridRun])> {
+    let mut all = rows.to_vec();
+    for &row in rows {
+        if !all.contains(&sweep_reference(row)) {
+            all.push(sweep_reference(row));
+        }
+    }
+    run_indexed(all.len(), resolve_parallelism(0), |i| sweep_outcome(all[i]));
+    for &row in rows {
+        let (grids, reference) = (sweep_outcome(row), sweep_outcome(sweep_reference(row)));
+        assert_eq!(grids.len(), reference.len(), "{row:?}: one grid per spec");
+        for (i, (reference, grid)) in reference.iter().zip(grids).enumerate() {
+            assert!(!reference.points.is_empty(), "{row:?} grid {i}: no points");
+            assert!(
+                reference.failures.is_empty(),
+                "{row:?} grid {i}: {:?}",
+                reference.failures
+            );
+            assert_same_grid(&format!("{row:?} grid {i}"), reference, grid);
+        }
+    }
+    rows.iter().map(|&row| (row, sweep_outcome(row))).collect()
 }
