@@ -59,7 +59,7 @@ pub struct CamlParams {
     /// paper's measured behaviour (search until the budget is exhausted).
     pub early_stop_patience: Option<usize>,
     /// Extension (paper §1: "we can incorporate this constraint in the
-    /// objective function [47]"): weight of the inference-energy penalty in
+    /// objective function \[47\]"): weight of the inference-energy penalty in
     /// the search objective, `score − weight · (kWh/prediction · 1e9)`.
     /// `0` reproduces the paper's accuracy-only objective.
     pub energy_weight: f64,

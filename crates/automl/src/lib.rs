@@ -15,7 +15,8 @@
 //!
 //! Every `fit` runs against a **virtual-clock budget** on a simulated
 //! [`green_automl_energy::Device`] and returns both a deployable
-//! [`Predictor`] and the execution-stage [`Measurement`]. The systems'
+//! [`Predictor`] and the execution-stage
+//! [`Measurement`](green_automl_energy::Measurement). The systems'
 //! budget-adherence quirks from the paper's Table 7 are reproduced: CAML
 //! strict, FLAML finishes its last model, AutoGluon estimates stacking
 //! cost optimistically, AutoSklearn excludes ensembling from the budget,

@@ -1,9 +1,9 @@
 //! Simulated multi-host cluster execution of the benchmark grid.
 //!
 //! [`run_grid_cluster`] generalises the single-host work queue in
-//! [`executor`](crate::executor) into a deterministic cluster: grid cells
+//! [`executor`] into a deterministic cluster: grid cells
 //! are sharded across the hosts of a [`ClusterOptions`] (each with its
-//! own [`Device`](green_automl_energy::Device) profile and per-host
+//! own [`Device`] profile and per-host
 //! virtual clock), dataset shipping / result collection / cache
 //! synchronisation are charged as virtual Joules over a fixed 10 GbE
 //! interconnect, and host-level faults ([`HostFault`]: crash, straggler,

@@ -16,8 +16,18 @@
 //!
 //! Everything the tuner executes is metered: the summed execution energy is
 //! the **development-stage cost** reported in Fig. 7 / Tables 8–9.
+//!
+//! The CAML runs are independent, so the tuner runs them on the worker
+//! pool, in batches of runs the serial order is certain to compute: the
+//! baseline is one batch, and a trial runs its datasets up to the first
+//! one after which the pruner may fire ([`MedianPruner::may_prune`]) as
+//! one batch, then the next stretch the same way. Each batch's results
+//! are consumed in (dataset, run) order, so the outcome and its
+//! development cost are bitwise the same at every worker count, and
+//! nothing is computed and then thrown away.
 
 use crate::benchmark::{run_once_with, BenchmarkOptions, PointMemo};
+use crate::executor::{catch_cell, resolve_parallelism, run_indexed, CellOutcome};
 use green_automl_dataset::{DatasetMeta, MaterializeOptions, MetaFeatures};
 use green_automl_energy::{Measurement, OpCounts};
 use green_automl_optim::{kmeans, representatives, BayesOpt, Config, ConfigSpace, MedianPruner};
@@ -60,8 +70,8 @@ impl Default for DevTuneOptions {
 pub struct DevTuneOutcome {
     /// The winning AutoML-system parameters.
     pub params: CamlParams,
-    /// Total development-stage cost (summed over every CAML run the tuner
-    /// executed, sequentially).
+    /// Total development-stage cost: summed over every CAML run the tuner
+    /// executed, in the serial order at every worker count.
     pub development: Measurement,
     /// Relative-improvement meta-score of the winner.
     pub best_meta_score: f64,
@@ -160,9 +170,10 @@ impl DevTuner {
     }
 
     /// Run the full tuning procedure over a fresh call-local
-    /// [`PointMemo`]; [`DevTuner::tune_with`] shares a run's memo instead.
+    /// [`PointMemo`], one worker per core; [`DevTuner::tune_with`] shares a
+    /// run's memo and worker count instead.
     pub fn tune(pool: &[DatasetMeta], opts: &DevTuneOptions) -> DevTuneOutcome {
-        Self::tune_with(pool, opts, Some(&PointMemo::default()))
+        Self::tune_with(pool, opts, Some(&PointMemo::default()), 0)
     }
 
     /// [`DevTuner::tune`] through the run's point `memo`. Tunes that share
@@ -174,10 +185,15 @@ impl DevTuner {
     /// (what `SharedPoints::memo` returns under `--no-eval-cache`) computes
     /// every CAML run live, with no [`EvalCache`](green_automl_ml::EvalCache)
     /// inside its fit either. The outcome is bitwise the same either way.
+    ///
+    /// `parallelism` is the worker count (`0` = one per core, `1` = the
+    /// serial order); the outcome, its development cost and the runs
+    /// computed are the same at every setting.
     pub fn tune_with(
         pool: &[DatasetMeta],
         opts: &DevTuneOptions,
         memo: Option<&PointMemo>,
+        parallelism: usize,
     ) -> DevTuneOutcome {
         assert!(
             opts.top_k >= 1 && opts.top_k <= pool.len(),
@@ -199,20 +215,41 @@ impl DevTuner {
             parallelism: 1,
             eval_cache: memo.is_some(),
         };
+        let runs = opts.runs_per_eval;
+        let workers = resolve_parallelism(parallelism);
+        // Run `system` `runs` times on each of `datasets` (run `r` at seed
+        // `opts.seed ^ r·7919 ^ salt`) on the worker pool; the (execution,
+        // accuracy) results come back in (dataset, run) order, and a
+        // panicking run panics the tune with the first failure in that
+        // order, its message intact.
+        let run_batch = |system: &Caml, datasets: &[DatasetMeta], salt: u64| {
+            let outcomes = run_indexed(datasets.len() * runs, workers, |i| {
+                let seed = opts.seed ^ ((i % runs) as u64 * 7919) ^ salt;
+                let spec = RunSpec::single_core(opts.budget_s, seed);
+                catch_cell(|| {
+                    let p = run_once_with(system, &datasets[i / runs], &spec, &bench_opts, memo);
+                    (p.execution, p.balanced_accuracy)
+                })
+            });
+            outcomes
+                .into_iter()
+                .map(|outcome| match outcome {
+                    CellOutcome::Ok(result) => result,
+                    CellOutcome::Failed(msg) => std::panic::resume_unwind(Box::new(msg)),
+                })
+                .collect::<Vec<(Measurement, f64)>>()
+        };
 
-        // Baseline: default CAML per (dataset, run-seed), cached.
+        // Baseline: default CAML per (dataset, run-seed), in one batch.
         let default_caml = Caml::default();
-        let mut baseline_acc: Vec<Vec<f64>> = Vec::with_capacity(reps.len());
-        for meta in &reps {
-            let mut per_run = Vec::with_capacity(opts.runs_per_eval);
-            for r in 0..opts.runs_per_eval {
-                let spec = RunSpec::single_core(opts.budget_s, opts.seed ^ (r as u64 * 7919));
-                let p = run_once_with(&default_caml, meta, &spec, &bench_opts, memo);
-                add_measurement(&mut development, &p.execution);
-                per_run.push(p.balanced_accuracy);
-            }
-            baseline_acc.push(per_run);
+        let baseline = run_batch(&default_caml, &reps, 0);
+        for (execution, _) in &baseline {
+            add_measurement(&mut development, execution);
         }
+        let base_means: Vec<f64> = baseline
+            .chunks(runs)
+            .map(|per_dataset| per_dataset.iter().map(|(_, acc)| acc).sum::<f64>() / runs as f64)
+            .collect();
 
         let mut bo = BayesOpt::new(meta_space(), opts.seed ^ 0xde7);
         bo.n_init = (opts.bo_iters / 4).clamp(3, 10);
@@ -230,30 +267,35 @@ impl DevTuner {
             let mut acc_sum = 0.0;
             let mut trajectory = Vec::with_capacity(reps.len());
             let mut pruned = false;
-            for (di, meta) in reps.iter().enumerate() {
-                let mut tuned_mean = 0.0;
-                for r in 0..opts.runs_per_eval {
-                    let spec = RunSpec::single_core(
-                        opts.budget_s,
-                        opts.seed ^ (r as u64 * 7919) ^ (trial as u64) << 16,
-                    );
-                    let p = run_once_with(&system, meta, &spec, &bench_opts, memo);
-                    add_measurement(&mut development, &p.execution);
-                    tuned_mean += p.balanced_accuracy;
+            let mut start = 0;
+            // The pruner only changes between trials, so each batch ends
+            // at the first dataset after which it may fire: every run in a
+            // batch is one the serial order computes.
+            while start < reps.len() && !pruned {
+                let end = (start..reps.len())
+                    .find(|&di| pruner.may_prune(di))
+                    .unwrap_or(reps.len() - 1);
+                let results = run_batch(&system, &reps[start..=end], (trial as u64) << 16);
+                for (di, per_dataset) in (start..).zip(results.chunks(runs)) {
+                    let mut tuned_mean = 0.0;
+                    for (execution, accuracy) in per_dataset {
+                        add_measurement(&mut development, execution);
+                        tuned_mean += accuracy;
+                    }
+                    tuned_mean /= runs as f64;
+                    let base_mean = base_means[di];
+                    let rel = (tuned_mean - base_mean) / tuned_mean.max(base_mean).max(1e-9);
+                    rel_sum += rel;
+                    acc_sum += tuned_mean;
+                    let running = rel_sum / (di + 1) as f64;
+                    trajectory.push(running);
+                    if pruner.should_prune(di, running) {
+                        pruned = true;
+                        n_pruned += 1;
+                        break;
+                    }
                 }
-                tuned_mean /= opts.runs_per_eval as f64;
-                let base_mean: f64 =
-                    baseline_acc[di].iter().sum::<f64>() / opts.runs_per_eval as f64;
-                let rel = (tuned_mean - base_mean) / tuned_mean.max(base_mean).max(1e-9);
-                rel_sum += rel;
-                acc_sum += tuned_mean;
-                let running = rel_sum / (di + 1) as f64;
-                trajectory.push(running);
-                if pruner.should_prune(di, running) {
-                    pruned = true;
-                    n_pruned += 1;
-                    break;
-                }
+                start = end + 1;
             }
             let evaluated = trajectory.len();
             let meta_score = rel_sum / evaluated.max(1) as f64;
@@ -285,6 +327,7 @@ impl DevTuner {
 mod tests {
     use super::*;
     use green_automl_dataset::dev_binary_pool;
+    use green_automl_energy::hash::fnv1a;
     use green_automl_energy::rng::SplitMix64;
 
     fn tiny_opts() -> DevTuneOptions {
@@ -356,32 +399,35 @@ mod tests {
         assert!(out.best_accuracy > 0.0);
     }
 
+    /// The development measurement, best meta-score and best accuracy of
+    /// `o`, as bits.
+    fn outcome_bits(o: &DevTuneOutcome) -> [u64; 10] {
+        let Measurement {
+            duration_s,
+            energy,
+            ops,
+        } = o.development;
+        [
+            duration_s,
+            energy.package_j,
+            energy.dram_j,
+            energy.gpu_j,
+            ops.scalar_flops,
+            ops.matmul_flops,
+            ops.tree_steps,
+            ops.mem_bytes,
+            o.best_meta_score,
+            o.best_accuracy,
+        ]
+        .map(f64::to_bits)
+    }
+
     #[test]
     fn an_uncached_tune_matches_a_cached_one_bit_for_bit() {
         let pool = dev_binary_pool();
         let cached = DevTuner::tune(&pool[..12], &tiny_opts());
-        let uncached = DevTuner::tune_with(&pool[..12], &tiny_opts(), None);
-        let m = |o: &DevTuneOutcome| {
-            let Measurement {
-                duration_s,
-                energy,
-                ops,
-            } = o.development;
-            [
-                duration_s,
-                energy.package_j,
-                energy.dram_j,
-                energy.gpu_j,
-                ops.scalar_flops,
-                ops.matmul_flops,
-                ops.tree_steps,
-                ops.mem_bytes,
-                o.best_meta_score,
-                o.best_accuracy,
-            ]
-            .map(f64::to_bits)
-        };
-        assert_eq!(m(&uncached), m(&cached));
+        let uncached = DevTuner::tune_with(&pool[..12], &tiny_opts(), None, 1);
+        assert_eq!(outcome_bits(&uncached), outcome_bits(&cached));
         assert_eq!(
             format!("{:?}", uncached.params),
             format!("{:?}", cached.params)
@@ -406,5 +452,46 @@ mod tests {
             costly.development.kwh(),
             cheap.development.kwh()
         );
+    }
+
+    /// Pinned from the serial tuner, before its runs moved onto the worker
+    /// pool: 8 trials on 3 representatives, 2 runs each, and the median
+    /// pruner stops 4 of them after their second dataset, so batches are
+    /// cut where it may fire.
+    #[test]
+    fn devtune_bits_match_the_pinned_values() {
+        let pool = dev_binary_pool();
+        let opts = DevTuneOptions {
+            bo_iters: 8,
+            runs_per_eval: 2,
+            ..tiny_opts()
+        };
+        for parallelism in [1, 2] {
+            let memo = PointMemo::default();
+            let out = DevTuner::tune_with(&pool[..12], &opts, Some(&memo), parallelism);
+            assert_eq!(
+                outcome_bits(&out),
+                [
+                    0x406d484befc6a6f2,
+                    0x40b50b1ad02f142d,
+                    0x4095f9501c63eaeb,
+                    0x0000000000000000,
+                    0x4258cc97073e8c46,
+                    0x423808f6cdcf1800,
+                    0x420067292e2d5888,
+                    0x4207fc3293144444,
+                    0x3f932dc05bc12213,
+                    0x3feaa84939962f5d,
+                ],
+                "at {parallelism} worker(s)"
+            );
+            assert_eq!(
+                fnv1a(format!("{:?}", out.params).bytes()),
+                0xe3b9ebfeae28d73c
+            );
+            assert_eq!((out.n_trials, out.n_pruned), (8, 4));
+            assert_eq!(out.representatives, ["dev-010", "dev-006", "dev-000"]);
+            assert_eq!(memo.len(), 46, "6 baseline runs, 4 × 6 + 4 × 4 trial runs");
+        }
     }
 }

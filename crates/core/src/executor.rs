@@ -35,9 +35,16 @@ pub fn resolve_parallelism(requested: usize) -> usize {
 /// Run `task(0..n_tasks)` on `workers` threads and return the results in
 /// index order — the parallel schedule is unobservable in the output.
 ///
-/// `workers == 1` (or a single task) runs inline with no thread overhead,
-/// which is the reference serial schedule the equivalence tests compare
-/// against.
+/// The calling thread is one of the workers: it spawns `workers − 1`
+/// threads and then pulls tasks from the same queue. Short-lived threads
+/// are the costly part of a fan-out's memory (the allocator keeps a
+/// per-thread arena alive after the thread exits), so each call adds as
+/// few as it can. `workers == 1` (or a single task) runs inline with no
+/// thread at all, which is the reference serial schedule the equivalence
+/// tests compare against.
+///
+/// A panicking task panics the call once the other workers have drained
+/// the queue; wrap tasks in [`catch_cell`] to keep their siblings' results.
 pub fn run_indexed<T, F>(n_tasks: usize, workers: usize, task: F) -> Vec<T>
 where
     T: Send,
@@ -49,17 +56,19 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n_tasks) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                let result = task(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n_tasks {
+            break;
         }
+        let result = task(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(n_tasks) {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -200,6 +209,40 @@ mod tests {
     fn zero_parallelism_resolves_to_all_cores() {
         assert!(resolve_parallelism(0) >= 1);
         assert_eq!(resolve_parallelism(3), 3);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        let on_caller = run_indexed(16, 1, |_| std::thread::current().id() == caller);
+        assert!(on_caller.iter().all(|&c| c), "one worker runs inline");
+
+        // Tasks 0 and 1 wait for each other, so two threads take them.
+        let met = std::sync::Barrier::new(2);
+        let threads = run_indexed(64, 2, |i| {
+            if i < 2 {
+                met.wait();
+            }
+            std::thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = threads.into_iter().collect();
+        assert_eq!(distinct.len(), 2, "two workers, two threads");
+        assert!(distinct.contains(&caller), "the caller is one of them");
+    }
+
+    #[test]
+    fn a_panicking_task_panics_the_call_after_the_queue_drains() {
+        let done = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_indexed(32, 2, |i| {
+                if i == 0 {
+                    panic!("task 0 failed");
+                }
+                done.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        assert!(result.is_err(), "the panic reaches the caller");
+        assert_eq!(done.into_inner(), 31, "every other task still ran");
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub fn run(cfg: &ExpConfig, shared: &mut SharedPoints) -> ExperimentOutput {
             materialize: cfg.materialize,
             seed: cfg.seed,
         };
-        let outcome = DevTuner::tune_with(&pool, &tune_opts, shared.memo(cfg));
+        let outcome = DevTuner::tune_with(&pool, &tune_opts, shared.memo(cfg), cfg.parallelism);
         let dev_kwh = outcome.development.kwh();
 
         // 2. Execute CAML(tuned) on the benchmark datasets at this budget.

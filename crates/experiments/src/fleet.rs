@@ -16,6 +16,7 @@
 use crate::report::{fmt, ExperimentOutput, Table};
 use crate::serving::serving_dataset;
 use crate::suite::ExpConfig;
+use green_automl_core::executor::{resolve_parallelism, run_indexed};
 use green_automl_energy::{CarbonProfile, FaultPlan, GridIntensity};
 use green_automl_serve::{
     run_fleet, AutoscalePolicy, FleetConfig, FleetReport, FleetTrafficConfig, RegionSpec,
@@ -43,9 +44,13 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
         Box::new(AutoGluon::default()),
     ];
     let slo_s = cfg.slo_ms / 1e3;
+    let fitted = run_indexed(systems.len(), resolve_parallelism(cfg.parallelism), |i| {
+        systems[i].fit(&train, &spec).predictor
+    });
     let tenants: Vec<TenantSpec> = systems
         .iter()
-        .map(|s| TenantSpec::new(s.id().as_str(), s.fit(&train, &spec).predictor, slo_s))
+        .zip(fitted)
+        .map(|(s, predictor)| TenantSpec::new(s.id().as_str(), predictor, slo_s))
         .collect();
 
     // Nominal trace length — the compressed "day" every carbon curve and

@@ -35,8 +35,9 @@ pub struct ExpConfig {
     pub devtune_iters: usize,
     /// Representative-dataset count for the tuner (paper: 20).
     pub devtune_top_k: usize,
-    /// Worker threads for the benchmark grid: `0` = one per available
-    /// core, `1` = serial. Grid results are byte-identical at every
+    /// Worker threads for the benchmark grid, the development-stage
+    /// tuner's CAML runs and the serving and fleet fits: `0` = one per
+    /// available core, `1` = serial. Results are byte-identical at every
     /// setting (see `green_automl_core::executor`).
     pub parallelism: usize,
     /// Grid-wide evaluation memoisation (`--no-eval-cache` disables it).

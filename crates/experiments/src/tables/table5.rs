@@ -41,6 +41,7 @@ pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
                 seed: cfg.seed,
             },
             shared.memo(cfg),
+            cfg.parallelism,
         );
         let p = &outcome.params;
         for f in &p.families {

@@ -39,6 +39,7 @@ pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
                 seed: cfg.seed,
             },
             shared.memo(cfg),
+            cfg.parallelism,
         );
         rows.push(vec![
             k.to_string(),

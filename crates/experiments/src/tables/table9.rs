@@ -30,6 +30,7 @@ pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
                 seed: cfg.seed,
             },
             shared.memo(cfg),
+            cfg.parallelism,
         );
         rows.push(vec![
             n.max(1).to_string(),

@@ -83,7 +83,7 @@ pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
         materialize: cfg.materialize,
         seed: cfg.seed,
     };
-    let outcome = DevTuner::tune_with(&dev_binary_pool(), &tune_opts, memo);
+    let outcome = DevTuner::tune_with(&dev_binary_pool(), &tune_opts, memo, cfg.parallelism);
     let dev_kwh = outcome.development.kwh();
     let tuned = run_once_with(
         &Caml::tuned(outcome.params.clone()),

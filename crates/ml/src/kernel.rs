@@ -297,8 +297,9 @@ pub fn take_vec(len: usize) -> Vec<f64> {
 }
 
 /// Return a buffer to the thread-local pool for later [`take_vec`] reuse.
-/// It is dropped instead when the pool already holds [`POOL_MAX`] buffers
-/// or when keeping it would lift the pool past [`POOL_MAX_BYTES`].
+/// It is dropped instead when the pool already holds `POOL_MAX` (32)
+/// buffers or when keeping it would lift the pool past `POOL_MAX_BYTES`
+/// (16 MiB).
 pub fn give_vec(buf: Vec<f64>) {
     if buf.capacity() == 0 {
         return;

@@ -10,7 +10,7 @@
 //!   expected improvement (the SMAC recipe behind AutoSklearn and CAML);
 //! * [`nsga2`] — the NSGA-II evolutionary loop behind TPOT;
 //! * [`pruner`] — median pruning (used by the §2.5 development-stage tuner);
-//! * [`kmeans`] — k-means++ clustering (representative-dataset selection).
+//! * [`kmeans`](mod@kmeans) — k-means++ clustering (representative-dataset selection).
 //!
 //! Search algorithms report the operations their own bookkeeping costs
 //! (surrogate fits, sorting fronts) as [`green_automl_energy::OpCounts`] so

@@ -27,19 +27,23 @@ impl MedianPruner {
         }
     }
 
+    /// Could a running trial be pruned after `step`, whatever its value?
+    /// True once `step` is past the warm-up and at least `min_trials`
+    /// completed trials reached it. It reads only the pruner's state, so it
+    /// is known before the trial runs: where it is false,
+    /// [`should_prune`](Self::should_prune) is false for every value.
+    pub fn may_prune(&self, step: usize) -> bool {
+        step >= self.warmup_steps
+            && self
+                .history
+                .get(step)
+                .is_some_and(|values| values.len() >= self.min_trials)
+    }
+
     /// Should a running trial with `value` at `step` be pruned?
     /// (Higher values are better.)
     pub fn should_prune(&self, step: usize, value: f64) -> bool {
-        if step < self.warmup_steps {
-            return false;
-        }
-        let Some(values) = self.history.get(step) else {
-            return false;
-        };
-        if values.len() < self.min_trials {
-            return false;
-        }
-        value < median(values)
+        self.may_prune(step) && value < median(&self.history[step])
     }
 
     /// Record the intermediate trajectory of a *completed* trial
@@ -73,6 +77,7 @@ fn median(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use green_automl_energy::rng::SplitMix64;
 
     #[test]
     fn no_pruning_without_history() {
@@ -116,6 +121,31 @@ mod tests {
     fn median_handles_even_counts() {
         assert_eq!(median(&[1.0, 3.0]), 2.0);
         assert_eq!(median(&[1.0, 2.0, 3.0]), 2.0);
+    }
+
+    #[test]
+    fn may_prune_agrees_with_pruning_the_worst_value_on_random_histories() {
+        let mut rng = SplitMix64::seed_from_u64(0x9e1);
+        let mut seen = [0usize; 2];
+        for _ in 0..500 {
+            let mut p = MedianPruner::new(rng.gen_range(0..4usize), rng.gen_range(0..5usize));
+            for _ in 0..rng.gen_range(0..8usize) {
+                let trajectory: Vec<f64> = (0..rng.gen_range(0..6usize))
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
+                p.record_completed(&trajectory);
+            }
+            for step in 0..8 {
+                let may = p.may_prune(step);
+                assert_eq!(
+                    may,
+                    p.should_prune(step, f64::NEG_INFINITY),
+                    "step {step} of {p:?}"
+                );
+                seen[usize::from(may)] += 1;
+            }
+        }
+        assert!(seen[0] > 0 && seen[1] > 0, "both answers drawn: {seen:?}");
     }
 
     #[test]
