@@ -19,7 +19,7 @@ use green_automl_ml::EvalCache;
 use green_automl_systems::{AutoMlSystem, FitContext, RunSpec, RunSpecError, SystemId};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The paper's search-budget grid: 10 s, 30 s, 1 min, 5 min.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,12 +179,58 @@ impl BenchmarkPoint {
 /// - **First insert wins.** Points compute outside the lock; of two
 ///   workers that computed one key, the first insert stays. A cell that
 ///   panics inserts nothing.
+///
+/// The memo also carries the run's *unit layer*: the [`EvalCache`] that
+/// [`run_layer_grid`] (the experiments' shared Fig.-3 grid) filled, kept
+/// read-only for the rest of the run. Every later evaluation cache made
+/// through the memo — a grid's, a sweep's, a computed point's in
+/// [`run_once_with`] — is built over it ([`EvalCache::over`]), so a unit
+/// the shared grid computed replays wherever the run meets it again,
+/// priced by the live tracker. The layer holds exactly what the shared
+/// grid's cache held when it ended; inserts stay in each grid's own cache
+/// and die with it.
 #[derive(Debug, Default)]
 pub struct PointMemo {
     points: Mutex<HashMap<String, BenchmarkPoint>>,
+    /// The run's unit layer, set once by [`run_layer_grid`].
+    layer: OnceLock<Arc<EvalCache>>,
+    /// Every cache the memo makes audits ([`PointMemo::audited`]).
+    audited: bool,
 }
 
 impl PointMemo {
+    /// A memo whose evaluation caches, its unit layer included, are
+    /// [`EvalCache::audited`]: every hit on a unit recorded under another
+    /// meter context is recomputed live and checked bit for bit. For
+    /// tests; it serves what [`PointMemo::default`] would.
+    pub fn audited() -> PointMemo {
+        PointMemo {
+            audited: true,
+            ..PointMemo::default()
+        }
+    }
+
+    /// A fresh evaluation cache for one grid, sweep or computed point of
+    /// `memo`'s run: over the run's unit layer once [`run_layer_grid`] has
+    /// set it, audited when the memo is, and a plain [`EvalCache::new`]
+    /// without a memo.
+    pub(crate) fn unit_cache(memo: Option<&PointMemo>) -> EvalCache {
+        match memo {
+            Some(memo) => match memo.layer.get() {
+                Some(layer) => EvalCache::over(Arc::clone(layer)),
+                None if memo.audited => EvalCache::audited(),
+                None => EvalCache::new(),
+            },
+            None => EvalCache::new(),
+        }
+    }
+
+    /// Hits the run's unit layer has served so far to the caches built
+    /// over it (0 before [`run_layer_grid`] sets it). Observability only.
+    pub fn layer_hits(&self) -> u64 {
+        self.layer.get().map_or(0, |layer| layer.served_hits())
+    }
+
     /// The canonical key of the point `system` yields on `meta` under
     /// `spec` and `opts`. Floats print as their shortest round-trip form,
     /// so distinct values give distinct keys.
@@ -262,9 +308,12 @@ pub fn run_once(
 /// [`run_once`] through the run's point `memo` (`None` computes live).
 ///
 /// A computed point materialises its dataset and, with `opts.eval_cache`
-/// set, fits under a run-local [`EvalCache`], so duplicate evaluations
+/// set, fits under a point-local [`EvalCache`], so duplicate evaluations
 /// *within* the fit (revisited configs, repeated rungs) are still
-/// memoised; the grid instead shares one cache across every cell through
+/// memoised. That cache sits on the memo's unit layer once the run's
+/// shared grid has set it ([`PointMemo`]), so a point whose units the
+/// shared grid computed (a tuner run, a traced rerun) replays them; the
+/// grid instead shares one cache across every cell through
 /// [`run_once_in`].
 pub fn run_once_with(
     system: &dyn AutoMlSystem,
@@ -275,7 +324,7 @@ pub fn run_once_with(
 ) -> BenchmarkPoint {
     PointMemo::point(memo, system, meta, spec_base, opts, || {
         let ds = meta.materialize(&materialize_options(spec_base, opts));
-        let local = opts.eval_cache.then(EvalCache::new);
+        let local = opts.eval_cache.then(|| PointMemo::unit_cache(memo));
         let ctx = match &local {
             Some(cache) => FitContext::with_cache(cache),
             None => FitContext::default(),
@@ -407,9 +456,13 @@ pub struct GridRun {
     /// Of `eval_cache_hits`, those on units recorded under another meter
     /// context (device, cores or profile override): in a sweep of context
     /// twins ([`run_sweep_with`]), what this grid reused from the grids
-    /// before it. Zero in a grid with a cache of its own, whose cells all
-    /// share one context. Observability only, like the other counts.
+    /// before it, and any layer hit recorded in another context. Zero in
+    /// a grid with a cache of its own and no layer under it, whose cells
+    /// all share one context. Observability only, like the other counts.
     pub eval_cache_cross_context_hits: u64,
+    /// Of `eval_cache_hits`, those the run's unit layer served: units the
+    /// shared grid computed ([`PointMemo`]). Observability only.
+    pub eval_cache_layer_hits: u64,
     /// Cell attempts lost to a simulated host crash mid-run and retried
     /// with backoff on a surviving host. Deterministic per cluster
     /// topology (and zero on a single host).
@@ -585,6 +638,45 @@ pub fn run_grid_with(
     .map(|run| run.grid)
 }
 
+/// [`run_grid_with`] whose evaluation cache becomes `memo`'s unit layer
+/// when the grid ends: every later cache of the run sits on it
+/// ([`PointMemo`]). The experiments' shared Fig.-3 grid is the one
+/// caller, so the layer holds exactly that grid's units; a checkpoint
+/// resume computes, and so layers, only the cells it did not replay. Only
+/// the first call on a memo sets the layer; a later one runs over it like
+/// any grid. Without a memo, or with `opts.eval_cache` off, this is
+/// [`run_grid_with`].
+pub fn run_layer_grid(
+    systems: &[Box<dyn AutoMlSystem>],
+    datasets: &[DatasetMeta],
+    budgets: &[f64],
+    spec_base: &RunSpec,
+    opts: &BenchmarkOptions,
+    checkpoint_path: Option<&Path>,
+    memo: Option<&PointMemo>,
+) -> Result<GridRun, RunSpecError> {
+    let eval_cache = opts
+        .eval_cache
+        .then(|| Arc::new(PointMemo::unit_cache(memo)));
+    let grid = crate::cluster::run_grid_cluster_in(
+        systems,
+        datasets,
+        budgets,
+        spec_base,
+        opts,
+        &crate::cluster::ClusterOptions::single_host(),
+        checkpoint_path,
+        memo,
+        eval_cache.as_deref(),
+    )?
+    .grid;
+    if let (Some(memo), Some(cache)) = (memo, eval_cache) {
+        // A second layer grid's cache already sits on the layer: drop it.
+        let _ = memo.layer.set(cache);
+    }
+    Ok(grid)
+}
+
 /// Run one single-host grid per spec of `specs`, in order, over one
 /// [`EvalCache`] that lives for the call: a sweep of context twins, the
 /// same searches at several core counts, on a device and on its CPU-only
@@ -595,7 +687,10 @@ pub fn run_grid_with(
 /// runs, and each [`GridRun`]'s eval-cache counts are its own share.
 ///
 /// Only context twins should share a cache: one kept across unrelated
-/// grids holds every entry of all of them at once.
+/// grids holds every entry of all of them at once. What a whole run
+/// shares is narrower: the sweep's cache sits on `memo`'s unit layer, the
+/// read-only units of the run's shared grid ([`PointMemo`]), so the
+/// sweep's first grid too replays what that grid computed.
 pub fn run_sweep_with(
     systems: &[Box<dyn AutoMlSystem>],
     datasets: &[DatasetMeta],
@@ -604,7 +699,7 @@ pub fn run_sweep_with(
     opts: &BenchmarkOptions,
     memo: Option<&PointMemo>,
 ) -> Result<Vec<GridRun>, RunSpecError> {
-    let eval_cache = opts.eval_cache.then(EvalCache::new);
+    let eval_cache = opts.eval_cache.then(|| PointMemo::unit_cache(memo));
     run_sweep_in(
         systems,
         datasets,
@@ -948,6 +1043,8 @@ mod tests {
             resumed_cells: 1,
             eval_cache_hits: 2,
             eval_cache_misses: 3,
+            eval_cache_cross_context_hits: 2,
+            eval_cache_layer_hits: 2,
             retried_cells: 4,
             speculated_cells: 5,
             requeued_cells: 6,

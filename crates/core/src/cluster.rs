@@ -854,7 +854,8 @@ pub fn run_grid_cluster(
 /// its dataset. A hit is placement-invariant like any point, so phase 2
 /// and the checkpoint shards see the same cells either way. The grid
 /// memoises its evaluation units in a fresh [`EvalCache`] of its own
-/// (when `opts.eval_cache` is set).
+/// (when `opts.eval_cache` is set), built over the memo's unit layer once
+/// the run's shared grid has set it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_grid_cluster_with(
     systems: &[Box<dyn AutoMlSystem>],
@@ -866,7 +867,7 @@ pub fn run_grid_cluster_with(
     checkpoint_path: Option<&Path>,
     memo: Option<&PointMemo>,
 ) -> Result<ClusterGridRun, RunSpecError> {
-    let eval_cache = opts.eval_cache.then(EvalCache::new);
+    let eval_cache = opts.eval_cache.then(|| PointMemo::unit_cache(memo));
     run_grid_cluster_in(
         systems,
         datasets,
@@ -881,10 +882,11 @@ pub fn run_grid_cluster_with(
 }
 
 /// The one grid path: [`run_grid_cluster_with`] over the caller's
-/// evaluation cache, the grid's own fresh one or a sweep's shared one
-/// ([`crate::benchmark::run_sweep_in`]). The cache is used only with
-/// `opts.eval_cache` set; `None` computes every unit live. The grid's
-/// eval-cache counts are the cache's counts over this call alone.
+/// evaluation cache, the grid's own fresh one, a sweep's shared one
+/// ([`crate::benchmark::run_sweep_in`]) or the one that becomes the run's
+/// unit layer ([`crate::benchmark::run_layer_grid`]). The cache is used
+/// only with `opts.eval_cache` set; `None` computes every unit live. The
+/// grid's eval-cache counts are the cache's counts over this call alone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_grid_cluster_in(
     systems: &[Box<dyn AutoMlSystem>],
@@ -930,9 +932,9 @@ pub(crate) fn run_grid_cluster_in(
     // charges bitwise, priced by the cell's own tracker.
     let eval_cache = eval_cache.filter(|_| opts.eval_cache);
     let eval_counts = || {
-        eval_cache.map_or([0; 3], |c| {
+        eval_cache.map_or([0; 4], |c| {
             let (hits, misses) = c.stats();
-            [hits, misses, c.cross_context_hits()]
+            [hits, misses, c.cross_context_hits(), c.layer_hits()]
         })
     };
     let counts_before = eval_counts();
@@ -1020,9 +1022,9 @@ pub(crate) fn run_grid_cluster_in(
         .into_iter()
         .flatten()
         .collect();
-    let [eval_cache_hits, eval_cache_misses, eval_cache_cross_context_hits] = {
+    let [eval_cache_hits, eval_cache_misses, eval_cache_cross_context_hits, eval_cache_layer_hits] = {
         let after = eval_counts();
-        [0, 1, 2].map(|k| after[k] - counts_before[k])
+        [0, 1, 2, 3].map(|k| after[k] - counts_before[k])
     };
     // Back into `todo` order, so nothing below sees the chains.
     ran.sort_unstable_by_key(|&(i, _)| i);
@@ -1085,6 +1087,7 @@ pub(crate) fn run_grid_cluster_in(
         eval_cache_hits,
         eval_cache_misses,
         eval_cache_cross_context_hits,
+        eval_cache_layer_hits,
         retried_cells: report.retried_cells,
         speculated_cells: report.speculated_cells,
         requeued_cells: report.requeued_cells,

@@ -9,7 +9,9 @@
 //!   a dataset under a search budget, score balanced accuracy on the 34%
 //!   test split, and meter execution and inference energy separately; its
 //!   [`PointMemo`] computes each point once per run, however many grids,
-//!   cluster sweeps and tunes ask for it;
+//!   cluster sweeps and tunes ask for it, and keeps the shared grid's
+//!   evaluation units as the run's read-only unit layer
+//!   ([`run_layer_grid`]);
 //! * [`devtune`] — the §2.5 development-stage optimiser: k-means
 //!   representative-dataset selection, Bayesian optimisation over CAML's
 //!   AutoML-system parameters, median pruning, and the relative-improvement
@@ -21,9 +23,10 @@
 //!   tolerance;
 //! * [`EvalCache`] (from `ml::evalcache`) — the grid-wide (for a sweep
 //!   of context twins, [`run_sweep_with`], sweep-wide) content-addressed
-//!   evaluation memo table whose hits skip real compute but replay the
-//!   recorded virtual-energy charges, keeping every artefact
-//!   byte-identical with the cache on or off;
+//!   evaluation memo table, over the run's unit layer once there is one,
+//!   whose hits skip real compute but replay the recorded virtual-energy
+//!   charges, keeping every artefact byte-identical with the cache on or
+//!   off;
 //! * [`cluster`] — the simulated multi-host executor: grid cells sharded
 //!   across hosts with per-host device profiles and clocks, network
 //!   transfer costs in virtual Joules, host-level chaos (crash /
@@ -59,7 +62,7 @@ pub use green_automl_energy::fault;
 
 pub use amortize::{crossover_predictions, runs_to_amortize, total_kwh};
 pub use benchmark::{
-    average_points, run_grid_checked, run_grid_with, run_sweep_in, run_sweep_with,
+    average_points, run_grid_checked, run_grid_with, run_layer_grid, run_sweep_in, run_sweep_with,
     BenchmarkOptions, BenchmarkPoint, BudgetGrid, CellFailure, GridRun, PointMemo,
 };
 pub use checkpoint::Checkpoint;

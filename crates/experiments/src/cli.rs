@@ -69,6 +69,18 @@ pub struct CliArgs {
     pub help: bool,
 }
 
+/// Apply a profile flag: set the fields the profiles differ in (runs,
+/// datasets, budgets, bootstrap, the tuner's iterations and top-k) to
+/// `profile`'s, and keep every other flag given before it.
+fn apply_profile(cfg: &mut ExpConfig, profile: ExpConfig) {
+    cfg.runs = profile.runs;
+    cfg.n_datasets = profile.n_datasets;
+    cfg.budgets = profile.budgets;
+    cfg.bootstrap = profile.bootstrap;
+    cfg.devtune_iters = profile.devtune_iters;
+    cfg.devtune_top_k = profile.devtune_top_k;
+}
+
 /// Pull the next argument as the value of `flag` and parse it.
 fn num<T: FromStr>(
     flag: &'static str,
@@ -85,7 +97,9 @@ impl CliArgs {
     ///
     /// Flags may appear in any order and are applied left to right, so
     /// `--fast --runs 5` overrides the fast profile's repetition count
-    /// while `--runs 5 --fast` does not — same as the old loop.
+    /// while `--runs 5 --fast` does not — same as the old loop. A profile
+    /// flag (`--fast`, `--full`) sets only what the profiles differ in, so
+    /// every other flag holds on either side of it.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<CliArgs, CliError> {
         let mut cfg = ExpConfig::standard();
         let mut ids: Vec<String> = Vec::new();
@@ -96,17 +110,14 @@ impl CliArgs {
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--fast" => {
-                    let keep_seed = cfg.seed;
-                    cfg = ExpConfig::fast();
-                    cfg.seed = keep_seed;
-                }
-                "--full" => {
-                    let keep_seed = cfg.seed;
-                    cfg = ExpConfig::default();
-                    cfg.runs = 10; // the paper's repetition count
-                    cfg.seed = keep_seed;
-                }
+                "--fast" => apply_profile(&mut cfg, ExpConfig::fast()),
+                "--full" => apply_profile(
+                    &mut cfg,
+                    ExpConfig {
+                        runs: 10, // the paper's repetition count
+                        ..ExpConfig::default()
+                    },
+                ),
                 "--runs" => cfg.runs = num::<usize>("--runs", &mut args)?.max(1),
                 "--datasets" => {
                     cfg.n_datasets = num::<usize>("--datasets", &mut args)?.clamp(1, 39)
@@ -213,6 +224,71 @@ mod tests {
     fn no_eval_cache_flag_disables_memoisation() {
         assert!(parse(&[]).unwrap().cfg.eval_cache);
         assert!(!parse(&["--no-eval-cache"]).unwrap().cfg.eval_cache);
+    }
+
+    /// Every flag that sets no profile field, with a non-default value.
+    const KNOBS: [&str; 21] = [
+        "--no-eval-cache",
+        "--jobs",
+        "3",
+        "--checkpoint",
+        "grid.ckpt",
+        "--hosts",
+        "2",
+        "--host-crash-p",
+        "0.25",
+        "--rps",
+        "700",
+        "--serve-workers",
+        "6",
+        "--slo-ms",
+        "80",
+        "--fleet-rps",
+        "900",
+        "--fleet-requests",
+        "300",
+        "--seed",
+        "7",
+    ];
+
+    #[test]
+    fn profile_flags_keep_every_other_flag_on_either_side() {
+        for profile in ["--fast", "--full"] {
+            let before = parse(&[&KNOBS[..], &[profile]].concat()).unwrap();
+            let after = parse(&[&[profile], &KNOBS[..]].concat()).unwrap();
+            assert_eq!(before.cfg, after.cfg, "{profile}");
+            let cfg = before.cfg;
+            assert!(!cfg.eval_cache, "{profile} keeps --no-eval-cache");
+            assert_eq!(cfg.parallelism, 3);
+            assert_eq!(cfg.checkpoint, Some(PathBuf::from("grid.ckpt")));
+            assert_eq!((cfg.hosts, cfg.host_crash_p), (2, Some(0.25)));
+            assert_eq!(
+                (cfg.serve_rps, cfg.serve_replicas, cfg.slo_ms),
+                (700.0, 6, 80.0)
+            );
+            assert_eq!((cfg.fleet_rps, cfg.fleet_requests), (900.0, 300));
+            assert_eq!(cfg.seed, 7);
+        }
+        // The profile itself still applies, whichever side the knobs are.
+        let fast = parse(&["--jobs", "3", "--fast"]).unwrap().cfg;
+        assert_eq!(
+            ExpConfig {
+                parallelism: 0,
+                ..fast
+            },
+            ExpConfig::fast()
+        );
+        let full = parse(&["--full", "--jobs", "3"]).unwrap().cfg;
+        assert_eq!(full.runs, 10);
+        assert_eq!(full.n_datasets, 39);
+        assert_eq!(full.budgets, ExpConfig::default().budgets);
+    }
+
+    #[test]
+    fn a_profile_flag_resets_the_runs_given_before_it() {
+        assert_eq!(parse(&["--runs", "5", "--fast"]).unwrap().cfg.runs, 2);
+        let full = parse(&["--datasets", "3", "--devtune-iters", "4", "--full"]).unwrap();
+        assert_eq!((full.cfg.n_datasets, full.cfg.devtune_iters), (39, 30));
     }
 
     #[test]

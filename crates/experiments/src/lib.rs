@@ -78,7 +78,7 @@ pub fn run_experiment(
         "fig6" => Some(fig6::run(cfg, shared)),
         "fig7" => Some(fig7::run(cfg, shared)),
         "fig8" => Some(fig8::run()),
-        "table3" => Some(table3::run(cfg)),
+        "table3" => Some(table3::run(cfg, shared)),
         "table4" => Some(table4::run(cfg, shared)),
         "table5" => Some(table5::run(cfg, shared)),
         "table6" => Some(table6::run(cfg, shared)),

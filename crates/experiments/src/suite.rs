@@ -2,7 +2,7 @@
 //! which several tables (4, 6, 7) are derived from.
 
 use green_automl_core::benchmark::{
-    run_grid_with, BenchmarkOptions, BenchmarkPoint, BudgetGrid, GridRun, PointMemo,
+    run_layer_grid, BenchmarkOptions, BenchmarkPoint, BudgetGrid, GridRun, PointMemo,
 };
 use green_automl_dataset::{amlb39, DatasetMeta, MaterializeOptions};
 use green_automl_systems::{all_systems, RunSpec};
@@ -187,8 +187,11 @@ impl ExpConfig {
 /// What one `repro` run shares between its artefacts: the lazily
 /// computed Fig.-3 grid points, and the run's [`PointMemo`], through which
 /// every grid, cluster sweep and development-stage tune of the run looks
-/// its points up. Each `SharedPoints` owns its own memo, so a second one
-/// recomputes every point.
+/// its points up. The memo also keeps the Fig.-3 grid's evaluation units
+/// as the run's read-only unit layer: [`SharedPoints::grid`] is its only
+/// writer, and every later grid, sweep and tune of the run replays the
+/// units it finds there. Each `SharedPoints` owns its own memo, so a
+/// second one recomputes every point and every unit.
 #[derive(Debug, Default)]
 pub struct SharedPoints {
     points: Option<Vec<BenchmarkPoint>>,
@@ -196,6 +199,16 @@ pub struct SharedPoints {
 }
 
 impl SharedPoints {
+    /// A `SharedPoints` over a [`PointMemo::audited`] memo, for tests:
+    /// every hit on a unit recorded under another meter context, the unit
+    /// layer's included, is recomputed live and checked bit for bit.
+    pub fn audited() -> SharedPoints {
+        SharedPoints {
+            points: None,
+            memo: PointMemo::audited(),
+        }
+    }
+
     /// The run's point memo, or `None` when `cfg.eval_cache` is off
     /// (`--no-eval-cache`): then no point is served from the memo.
     pub fn memo(&self, cfg: &ExpConfig) -> Option<&PointMemo> {
@@ -207,12 +220,13 @@ impl SharedPoints {
     /// Runs fault-tolerantly: a panicking cell is reported to stderr and
     /// dropped rather than aborting every other cell, and when
     /// `cfg.checkpoint` is set a killed run resumes from its completed
-    /// cells.
+    /// cells. The units the grid computes become the run's unit layer
+    /// ([`run_layer_grid`]).
     pub fn grid(&mut self, cfg: &ExpConfig) -> &[BenchmarkPoint] {
         if self.points.is_none() {
             let systems = all_systems();
             let datasets = cfg.datasets();
-            let grid = run_grid_with(
+            let grid = run_layer_grid(
                 &systems,
                 &datasets,
                 &cfg.budgets,
@@ -253,18 +267,30 @@ impl SharedPoints {
 
 /// Print `grid`'s own eval-cache counts on stderr, as
 /// `LABEL: eval cache N hit(s) / M miss(es)`, naming the hits on units
-/// recorded in another context (an earlier grid of a sweep) when there
-/// are any. Prints nothing for a grid that ran without a cache.
+/// recorded in another context (an earlier grid of a sweep, or the shared
+/// grid) and the hits the run's unit layer served (units of the shared
+/// grid) when there are any. Prints nothing for a grid that ran without a
+/// cache.
 pub(crate) fn note_eval_cache(label: &str, grid: &GridRun) {
     if grid.eval_cache_hits + grid.eval_cache_misses == 0 {
         return;
     }
-    let cross = match grid.eval_cache_cross_context_hits {
-        0 => String::new(),
-        n => format!(" ({n} from another context)"),
+    let sources = [
+        (grid.eval_cache_cross_context_hits, "from another context"),
+        (grid.eval_cache_layer_hits, "from the shared grid"),
+    ]
+    .into_iter()
+    .filter(|&(n, _)| n > 0)
+    .map(|(n, source)| format!("{n} {source}"))
+    .collect::<Vec<_>>()
+    .join(", ");
+    let sources = if sources.is_empty() {
+        sources
+    } else {
+        format!(" ({sources})")
     };
     eprintln!(
-        "{label}: eval cache {} hit(s){cross} / {} miss(es)",
+        "{label}: eval cache {} hit(s){sources} / {} miss(es)",
         grid.eval_cache_hits, grid.eval_cache_misses
     );
 }

@@ -2,15 +2,17 @@
 //! metric reported as the ratio `GPU result / CPU-only result`.
 
 use crate::report::{fmt, ExperimentOutput, Table};
-use crate::suite::{note_eval_cache, ExpConfig};
+use crate::suite::{note_eval_cache, ExpConfig, SharedPoints};
 use green_automl_core::benchmark::run_sweep_with;
 use green_automl_energy::Device;
 use green_automl_systems::{AutoGluon, AutoMlSystem, RunSpec, TabPfn};
 
 /// Run both systems on both device variants and report the ratios. Each
 /// system's two grids share one eval cache, so the CPU-only twin replays
-/// the GPU node's fits, priced on its own device.
-pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
+/// the GPU node's fits, priced on its own device; that cache sits on the
+/// run's unit layer, so both grids also replay the fits the shared grid
+/// computed on one CPU core.
+pub fn run(cfg: &ExpConfig, shared: &SharedPoints) -> ExperimentOutput {
     let datasets = cfg.datasets();
     // TabPFN needs <= 10 classes; keep it honest by filtering.
     let datasets: Vec<_> = datasets
@@ -39,7 +41,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentOutput {
             &[budget],
             &specs,
             &opts,
-            None,
+            shared.memo(cfg),
         )
         .expect("ExpConfig produces a valid RunSpec");
         for (di, (grid, spec)) in grids.iter().zip(&specs).enumerate() {
@@ -103,7 +105,7 @@ mod tests {
 
     #[test]
     fn gpu_helps_tabpfn_inference_and_hurts_autogluon_energy() {
-        let out = run(&ExpConfig::smoke());
+        let out = run(&ExpConfig::smoke(), &SharedPoints::default());
         let get = |sys: &str, col: usize| -> f64 {
             out.tables[0]
                 .rows

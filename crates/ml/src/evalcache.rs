@@ -42,6 +42,19 @@
 //!    are a pure function of `(plan, seed, system, trial)` and never
 //!    consult the cache.
 //!
+//! ## The run's unit layer
+//!
+//! A cache built with [`EvalCache::over`] sits on a read-only *layer*: a
+//! cache that another, finished grid filled (a `repro` run's shared
+//! Fig.-3 grid). A lookup checks the cache's own entries first, then the
+//! layer's; a layer hit replays its charges like any hit and counts as a
+//! cross-context hit when the layer recorded it under another meter
+//! context. Every [`CacheView`] sees the layer, whose entries were all
+//! published before the grid over it started, and inserts never reach
+//! it. Because keys carry no meter context, a unit the layer recorded on
+//! one core replays on eight, or on the T4 node, priced by the live
+//! tracker.
+//!
 //! The table is sharded (lock striping) so parallel grid workers sharing
 //! one cache rarely contend. Hit/miss *counts* depend on scheduling order
 //! and are deliberately excluded from determinism guarantees — they are
@@ -56,7 +69,7 @@ use green_automl_energy::{ChargeRec, CostTracker, Device, MetricsRegistry, Paral
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Domain tag for pipeline fingerprints.
 const TAG_PIPELINE: u64 = 0x70_69_70_65; // "pipe"
@@ -182,13 +195,21 @@ pub struct CacheView {
 /// pattern): entries computed by the 10-second cell are hits for the
 /// 30-second cell's identical trial prefix, at any `--jobs` count. A sweep
 /// of context twins (one grid per core count or device) shares one cache
-/// across its grids, since keys carry no meter context.
+/// across its grids, since keys carry no meter context, and every cache of
+/// a `repro` run can sit on the run's read-only unit layer
+/// ([`EvalCache::over`]).
 pub struct EvalCache {
-    shards: Vec<Mutex<HashMap<EvalKey, std::sync::Arc<CacheEntry>>>>,
+    shards: Vec<Mutex<HashMap<EvalKey, Arc<CacheEntry>>>>,
+    /// The read-only cache a lookup that misses here falls through to.
+    layer: Option<Arc<EvalCache>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Hits on entries recorded under another meter context.
     cross_context_hits: AtomicU64,
+    /// Of `hits`, those the layer served.
+    layer_hits: AtomicU64,
+    /// Hits this cache served, as a layer, to the caches built over it.
+    served_hits: AtomicU64,
     /// Recompute every cross-context hit and check its bits (tests).
     audited: bool,
     /// Monotone publication counter; each insert takes the next epoch.
@@ -213,9 +234,12 @@ impl EvalCache {
     pub fn new() -> EvalCache {
         EvalCache {
             shards: (0..N_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            layer: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             cross_context_hits: AtomicU64::new(0),
+            layer_hits: AtomicU64::new(0),
+            served_hits: AtomicU64::new(0),
             audited: false,
             epoch: AtomicU64::new(0),
             invisible_misses: AtomicU64::new(0),
@@ -237,6 +261,29 @@ impl EvalCache {
         }
     }
 
+    /// An empty cache over the read-only `layer`: a lookup that misses
+    /// here falls through to the layer's entries, which every
+    /// [`CacheView`] sees, and a layer hit replays its recorded charges
+    /// through the live tracker like any hit. Inserts stay in this cache;
+    /// the layer is never written through it. A cache over an
+    /// [`EvalCache::audited`] layer is audited too.
+    pub fn over(layer: Arc<EvalCache>) -> EvalCache {
+        EvalCache {
+            audited: layer.audited,
+            layer: Some(layer),
+            ..EvalCache::new()
+        }
+    }
+
+    /// The entry stored here under `key`, if any.
+    fn entry(&self, key: &EvalKey) -> Option<Arc<CacheEntry>> {
+        self.shards[key.shard()]
+            .lock()
+            .expect("evalcache shard poisoned")
+            .get(key)
+            .cloned()
+    }
+
     /// Look up `key` through a host's [`CacheView`]; on a miss, run
     /// `compute` with charge recording on, memoise its value and charge
     /// sequence, and return the value. On a hit, *replay* the recorded
@@ -250,9 +297,11 @@ impl EvalCache {
     /// kind, so an entry holding another type than `T` can only come from
     /// a key collision; it is treated as a miss too.
     ///
-    /// A hit on an entry recorded under another device, core count or
-    /// profile override counts as a cross-context hit; an
-    /// [`EvalCache::audited`] cache recomputes it live and checks its bits.
+    /// A lookup that misses here falls through to the cache's layer
+    /// ([`EvalCache::over`]), whose entries every view sees. A hit on an
+    /// entry recorded under another device, core count or profile
+    /// override counts as a cross-context hit; an [`EvalCache::audited`]
+    /// cache recomputes it live and checks its bits.
     pub fn get_or_compute_viewed<T, F>(
         &self,
         key: EvalKey,
@@ -264,36 +313,43 @@ impl EvalCache {
         T: Clone + std::fmt::Debug + Send + Sync + 'static,
         F: FnOnce(&mut CostTracker) -> T,
     {
-        let shard = &self.shards[key.shard()];
-        let cached = shard
-            .lock()
-            .expect("evalcache shard poisoned")
-            .get(&key)
-            .cloned();
-        if let Some(entry) = cached {
+        let own = self.entry(&key).filter(|entry| {
             let visible =
                 entry.publisher == view.host || view.horizon.is_none_or(|h| entry.epoch <= h);
             if !visible {
                 self.invisible_misses.fetch_add(1, Ordering::Relaxed);
-            } else if let Some(value) = entry.value.downcast_ref::<T>() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                let context = MeterContext::of(tracker);
-                if entry.context != context {
-                    self.cross_context_hits.fetch_add(1, Ordering::Relaxed);
-                    if self.audited {
-                        audit(&entry, value, tracker, compute);
-                    }
-                }
-                tracker.replay(&entry.charges);
-                return value.clone();
             }
+            visible && entry.value.is::<T>()
+        });
+        let hit = match own {
+            Some(entry) => Some((entry, None)),
+            None => self.layer.as_deref().and_then(|layer| {
+                let entry = layer.entry(&key).filter(|e| e.value.is::<T>())?;
+                Some((entry, Some(layer)))
+            }),
+        };
+        if let Some((entry, layer)) = hit {
+            let value = entry.value.downcast_ref::<T>().expect("type checked above");
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(layer) = layer {
+                self.layer_hits.fetch_add(1, Ordering::Relaxed);
+                layer.served_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            if entry.context != MeterContext::of(tracker) {
+                self.cross_context_hits.fetch_add(1, Ordering::Relaxed);
+                if self.audited {
+                    audit(&entry, value, tracker, compute);
+                }
+            }
+            tracker.replay(&entry.charges);
+            return value.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         tracker.start_recording();
         let value = compute(tracker);
         let charges = tracker.finish_recording();
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = std::sync::Arc::new(CacheEntry {
+        let entry = Arc::new(CacheEntry {
             value: Box::new(value.clone()),
             charges,
             context: MeterContext::of(tracker),
@@ -304,7 +360,9 @@ impl EvalCache {
         // key; both computed identical content, so keeping the first
         // insert is sound — the loser's entry is dropped and counted as a
         // reconciliation, never charged twice.
-        let mut table = shard.lock().expect("evalcache shard poisoned");
+        let mut table = self.shards[key.shard()]
+            .lock()
+            .expect("evalcache shard poisoned");
         match table.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => {
                 self.reconciled.fetch_add(1, Ordering::Relaxed);
@@ -332,6 +390,18 @@ impl EvalCache {
         self.cross_context_hits.load(Ordering::Relaxed)
     }
 
+    /// Hits so far (counted in [`EvalCache::stats`] too) that the layer
+    /// this cache was built over served. Observability only.
+    pub fn layer_hits(&self) -> u64 {
+        self.layer_hits.load(Ordering::Relaxed)
+    }
+
+    /// Hits this cache has served, as a layer, to the caches built over
+    /// it ([`EvalCache::over`]). Observability only.
+    pub fn served_hits(&self) -> u64 {
+        self.served_hits.load(Ordering::Relaxed)
+    }
+
     /// The current publication epoch: the number of entries ever
     /// published. A host that snapshots this before losing connectivity
     /// gets the horizon of its frozen [`CacheView`].
@@ -349,7 +419,8 @@ impl EvalCache {
         )
     }
 
-    /// Number of memoised entries.
+    /// Number of entries memoised in this cache (its layer's not
+    /// counted).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -369,6 +440,7 @@ impl EvalCache {
         reg.inc("evalcache_hits", hits);
         reg.inc("evalcache_misses", misses);
         reg.inc("evalcache_cross_context_hits", self.cross_context_hits());
+        reg.inc("evalcache_layer_hits", self.layer_hits());
         reg.inc("evalcache_entries", self.len() as u64);
         reg.inc("evalcache_epoch", self.current_epoch());
         reg.inc("evalcache_invisible_misses", invisible);
@@ -384,6 +456,7 @@ impl std::fmt::Debug for EvalCache {
             .field("hits", &hits)
             .field("misses", &misses)
             .field("cross_context_hits", &self.cross_context_hits())
+            .field("layer_hits", &self.layer_hits())
             .field("audited", &self.audited)
             .finish()
     }
@@ -892,6 +965,98 @@ mod tests {
         assert_eq!(
             t4.measurement().energy.package_j.to_bits(),
             t0.measurement().energy.package_j.to_bits()
+        );
+    }
+
+    #[test]
+    fn a_cache_checks_its_own_entries_first_and_never_writes_its_layer() {
+        let key = |split_id: u64| EvalKey {
+            pipeline_fp: 1,
+            data_fp: 2,
+            split_id,
+            fidelity: u64::MAX,
+        };
+        let layer = Arc::new(EvalCache::new());
+        let cache = EvalCache::over(Arc::clone(&layer));
+        let mut t = tracker();
+        // Key 1 lands in the cache, then (written behind its back, which
+        // nothing outside a test does) in the layer under another value.
+        assert_eq!(lookup(&cache, key(1), &mut t, |_| 1.0f64), 1.0);
+        assert_eq!(lookup(&layer, key(1), &mut t, |_| 2.0f64), 2.0);
+        assert_eq!(lookup(&layer, key(2), &mut t, |_| 3.0f64), 3.0);
+        let own: f64 = lookup(&cache, key(1), &mut t, |_| panic!("must hit"));
+        assert_eq!(own, 1.0, "the cache's own entry comes first");
+        let layered: f64 = lookup(&cache, key(2), &mut t, |_| panic!("must hit"));
+        assert_eq!(layered, 3.0, "a miss here falls through to the layer");
+        assert_eq!(cache.stats(), (2, 1));
+        assert_eq!((cache.layer_hits(), layer.served_hits()), (1, 1));
+        // Inserts stay in the cache: the layer still misses key 3.
+        lookup(&cache, key(3), &mut t, |_| 4.0f64);
+        assert_eq!((cache.len(), layer.len()), (2, 2));
+        assert_eq!(lookup(&layer, key(3), &mut t, |_| 5.0f64), 5.0);
+    }
+
+    #[test]
+    fn every_view_sees_the_layer_and_a_layer_entry_of_another_type_is_a_miss() {
+        let key = EvalKey {
+            pipeline_fp: 1,
+            data_fp: 2,
+            split_id: 3,
+            fidelity: u64::MAX,
+        };
+        let layer = Arc::new(EvalCache::new());
+        let mut recorded = tracker();
+        lookup(&layer, key, &mut recorded, mixed_unit);
+        let cache = EvalCache::over(Arc::clone(&layer));
+        // A partitioned host frozen before the cache published anything
+        // still holds every layer entry, and replays its charges.
+        let frozen = CacheView {
+            host: 3,
+            horizon: Some(cache.current_epoch()),
+        };
+        let mut t = tracker();
+        let v: f64 = cache.get_or_compute_viewed(key, frozen, &mut t, |_| panic!("must hit"));
+        assert_eq!(v, 0.625);
+        assert_eq!(cache.epoch_stats(), (0, 0));
+        let (a, b) = (recorded.measurement(), t.measurement());
+        assert_eq!(a.energy.package_j.to_bits(), b.energy.package_j.to_bits());
+        // A unit of another type under the same key recomputes, and its
+        // entry stays in the cache.
+        assert_eq!(lookup(&cache, key, &mut tracker(), |_| 7u64), 7);
+        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!((cache.len(), layer.len()), (1, 1));
+        let again: u64 = lookup(&cache, key, &mut tracker(), |_| panic!("must hit"));
+        assert_eq!(again, 7);
+        assert_eq!(cache.layer_hits(), 1);
+    }
+
+    #[test]
+    fn a_cache_over_an_audited_layer_audits_cross_context_layer_hits() {
+        let key = EvalKey {
+            pipeline_fp: 1,
+            data_fp: 2,
+            split_id: 3,
+            fidelity: u64::MAX,
+        };
+        let layer = Arc::new(EvalCache::audited());
+        let runs = std::cell::Cell::new(0);
+        let counted = |t: &mut CostTracker| {
+            runs.set(runs.get() + 1);
+            mixed_unit(t)
+        };
+        lookup(&layer, key, &mut tracker(), counted);
+        let cache = EvalCache::over(Arc::clone(&layer));
+        lookup(&cache, key, &mut tracker(), counted);
+        assert_eq!(runs.get(), 1, "a same-context layer hit is not audited");
+        let mut eight = CostTracker::new(Device::xeon_gold_6132(), 8);
+        let mut live = eight.clone();
+        assert_eq!(lookup(&cache, key, &mut eight, counted), 0.625);
+        assert_eq!(runs.get(), 2, "a cross-context layer hit is recomputed");
+        assert_eq!((cache.layer_hits(), cache.cross_context_hits()), (2, 1));
+        mixed_unit(&mut live);
+        assert_eq!(
+            eight.measurement().energy.package_j.to_bits(),
+            live.measurement().energy.package_j.to_bits()
         );
     }
 
